@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from nearstat.errors import (
     AdversaryConstructionError,
@@ -56,6 +55,17 @@ CHAIN_RATIO = (_SQRT2 - 1.0) / (_SQRT2 + 1.0)  # q
 # Below this, ||w|| drops into a range where double precision starts eating
 # the construction's slack.
 W_NORM_FLOOR = 1e-11
+
+
+def default_w_norm(T: int) -> float:
+    """The channel parameter's default norm, exp(-T)/300."""
+    return math.exp(-T) / 300.0
+
+
+# The channel adversary's budget envelope: T >= 2 for the chain, and the
+# default ||w|| stays at or above W_NORM_FLOOR up to CHANNEL_T_MAX (19).
+CHANNEL_T_MIN = 2
+CHANNEL_T_MAX = math.floor(-math.log(300.0 * W_NORM_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -193,7 +203,8 @@ def chain_spectrum_check(hq: HardQuadratic) -> tuple[float, float]:
 def _block_sqrt(T: int) -> np.ndarray:
     """Symmetric square root of the T x T tridiagonal block of M, cached per T."""
     diag_m, off_m = chain_tridiagonal(HardQuadratic(T=T, d=T))
-    lam, vecs = scipy.linalg.eigh_tridiagonal(diag_m, off_m)
+    dense = np.diag(diag_m) + np.diag(off_m, 1) + np.diag(off_m, -1)
+    lam, vecs = np.linalg.eigh(dense)
     if lam[0] <= 0.0:
         raise AdversaryConstructionError("chain block lost positive definiteness")
     root = (vecs * np.sqrt(lam)) @ vecs.T
@@ -341,7 +352,7 @@ class ChannelAdversaryConfig:
             raise DegenerateInputError(f"unknown adversary mode {self.mode!r}")
 
     def resolve_w_norm(self, T: int) -> float:
-        w_norm = self.w_norm if self.w_norm is not None else math.exp(-T) / 300.0
+        w_norm = self.w_norm if self.w_norm is not None else default_w_norm(T)
         if w_norm <= 0.0 or w_norm < W_NORM_FLOOR:
             raise DegenerateInputError(
                 f"w_norm {w_norm:.3e} below the {W_NORM_FLOOR:.0e} underflow guard"
@@ -369,8 +380,10 @@ def build_channel_instance(
 
     under which the composed function agrees with the distance function at x_t.
     """
-    if T < 2 or T > 20:
-        raise DegenerateInputError("channel adversary supports 2 <= T <= 20")
+    if not CHANNEL_T_MIN <= T <= CHANNEL_T_MAX:
+        raise DegenerateInputError(
+            f"channel adversary supports {CHANNEL_T_MIN} <= T <= {CHANNEL_T_MAX}"
+        )
     rng_state = rng_state or {}
     w_norm = cfg.resolve_w_norm(T)
     if cfg.mode == MODE_DETERMINISTIC:

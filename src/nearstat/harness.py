@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
-from nearstat.errors import ConfigError
+from nearstat.errors import ClampRegionError, ConfigError
 from nearstat.oracle_game import min_distance_to, play
 from nearstat.vectorspace import derive_stream, sample_ball_batch
 
@@ -36,6 +36,8 @@ EXPERIMENT_NAMES = (
     "theorem1_randomized",
 )
 VERIFY_SUITES = ("prop1", "channel", "quadratic", "remark", "all")
+# experiments that build a channel instance against the solver
+CHANNEL_EXPERIMENTS = ("theorem1", "theorem1_randomized")
 
 
 def role_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -104,7 +106,27 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not isinstance(self.solver, dict) or "name" not in self.solver:
             raise ConfigError("solver must be a table with a 'name'")
+        if self.experiment in CHANNEL_EXPERIMENTS:
+            self.validate_channel()
         return self
+
+    def validate_channel(self) -> None:
+        """Reject a channel-adversary budget or ``adversary.w_norm`` outside the envelope."""
+        lo, hi = adversaries.CHANNEL_T_MIN, adversaries.CHANNEL_T_MAX
+        if not lo <= self.T <= hi:
+            raise ConfigError(
+                f"the channel adversary supports {lo} <= T <= {hi} (the default"
+                f" ||w|| = exp(-T)/300 falls below {adversaries.W_NORM_FLOOR:.0e} past T = {hi})"
+            )
+        w_norm = self.adversary.get("w_norm")
+        if w_norm is not None and not (
+            isinstance(w_norm, (int, float))
+            and math.isfinite(w_norm)
+            and w_norm >= adversaries.W_NORM_FLOOR
+        ):
+            raise ConfigError(
+                f"adversary.w_norm {w_norm!r} must be a number >= {adversaries.W_NORM_FLOOR:.0e}"
+            )
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)
@@ -789,7 +811,7 @@ def certify_point(
         if not answered and isinstance(instance, zoo.ChannelInstance):
             try:
                 bound = stationarity.subdiff_norm_lower_bound(instance, x)
-            except Exception:
+            except ClampRegionError:
                 bound = None
             if bound is not None:
                 certs.append(bound.to_json())
@@ -813,6 +835,7 @@ def certify_point(
 def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:
     """Build a hard channel instance and render its persistence documents."""
     cfg.validate()
+    cfg.validate_channel()
     streams = role_streams(cfg.seed)
     descriptor = cfg.build_solver()
     acfg = adversaries.ChannelAdversaryConfig(

@@ -3,8 +3,11 @@
 A game is a fixed budget of T sequential queries.  The algorithm side is an
 :class:`AlgorithmDescriptor` (a declared class tag plus a factory for
 per-game query policies); the oracle side is any callable mapping a query
-vector to a :class:`~nearstat.zoo.FirstOrderReply`.  Transcripts record the
-full interaction and serialize to JSON lines for replay.
+vector to a :class:`~nearstat.zoo.FirstOrderReply`.  A policy may fix a block
+of queries before any is answered; :func:`play` answers such a block with one
+batched call when the oracle has a batch form, and every row still counts as
+one query.  Transcripts record the full interaction and serialize to JSON
+lines for replay.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from nearstat.errors import (
     OracleFailure,
 )
 from nearstat.vectorspace import as_vector
-from nearstat.zoo import FirstOrderReply, Oracle
+from nearstat.zoo import FirstOrderReply, Oracle, batch_oracle
 
 CLASS_DETERMINISTIC = "deterministic"
 CLASS_LINEAR_SPAN = "linear_span"
@@ -84,10 +87,20 @@ class Transcript:
 
 
 class QueryPolicy:
-    """Per-game algorithm state: produces the next query from the history."""
+    """Per-game algorithm state: produces queries from the history.
+
+    A policy implements :meth:`next_query`, or :meth:`next_queries` when it
+    fixes several queries before seeing any of their replies.
+    """
 
     def next_query(self, entries: list[tuple[np.ndarray, FirstOrderReply]]) -> np.ndarray:
         raise NotImplementedError
+
+    def next_queries(
+        self, entries: list[tuple[np.ndarray, FirstOrderReply]], budget: int
+    ) -> np.ndarray:
+        """The next block of queries as rows, at least one and at most ``budget``."""
+        return np.asarray(self.next_query(entries), dtype=float)[None, :]
 
 
 @dataclass(frozen=True)
@@ -118,21 +131,54 @@ def play(
     d: int,
     rng: np.random.Generator | None = None,
 ) -> Transcript:
-    """Run one game of exactly T queries and return the transcript."""
+    """Run one game of exactly T queries and return the transcript.
+
+    Each block the policy hands over is answered with one batched call when
+    the oracle has a batch form (:func:`~nearstat.zoo.batch_oracle`), and one
+    row at a time through ``oracle`` otherwise; each row is one transcript
+    entry and one unit of the budget.
+    """
     if T < 1 or d < 1:
         raise DegenerateInputError("need T >= 1 and d >= 1")
     policy = algorithm.fresh_policy(d, rng)
+    batch = batch_oracle(oracle)
     transcript = Transcript(T=T, d=d)
-    for _ in range(T):
-        x = as_vector(policy.next_query(transcript.entries))
-        if x.shape != (d,):
+    while len(transcript) < T:
+        remaining = T - len(transcript)
+        block = np.asarray(policy.next_queries(transcript.entries, remaining), dtype=float)
+        if block.ndim != 2 or block.shape[1] != d:
             raise DimensionMismatchError("algorithm produced a query of wrong dimension")
-        try:
-            reply = oracle(x)
-        except Exception as exc:
-            raise OracleFailure(f"oracle failed on query {x!r}: {exc}", query=x) from exc
-        transcript.append(x, reply)
+        if not 1 <= len(block) <= remaining:
+            raise DegenerateInputError(
+                f"algorithm produced {len(block)} queries with {remaining} left in the budget"
+            )
+        if not np.isfinite(block).all():
+            raise DegenerateInputError("vector has non-finite entries")
+        if batch is None:
+            for x in block:
+                transcript.append(x, _ask(oracle, x))
+        else:
+            for x, reply in zip(block, _ask_batch(batch, block)):
+                transcript.append(x, reply)
     return transcript
+
+
+def _ask_batch(batch, block: np.ndarray) -> list[FirstOrderReply]:
+    try:
+        values, grads, diffs = batch(block)
+    except Exception as exc:
+        raise OracleFailure(
+            f"oracle failed on the block of {len(block)} queries starting at {block[0]!r}: {exc}",
+            query=block[0],
+        ) from exc
+    return [FirstOrderReply(v, g, bool(dif)) for v, g, dif in zip(values, grads, diffs)]
+
+
+def _ask(oracle: Oracle, x: np.ndarray) -> FirstOrderReply:
+    try:
+        return oracle(x)
+    except Exception as exc:
+        raise OracleFailure(f"oracle failed on query {x!r}: {exc}", query=x) from exc
 
 
 def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int | None]:

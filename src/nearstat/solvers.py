@@ -24,6 +24,7 @@ from nearstat.oracle_game import (
 )
 from nearstat.stationarity import min_norm_point
 from nearstat.vectorspace import sample_ball
+from nearstat.zoo import batch_oracle
 
 SCHEDULE_CONSTANT = "constant"
 SCHEDULE_INVERSE_SQRT = "inverse_sqrt"
@@ -139,18 +140,26 @@ def smoothed_estimates(oracle, x, offsets) -> tuple[np.ndarray, np.ndarray]:
     base points by reusing one offset batch.
     """
     x = np.asarray(x, dtype=float)
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-    values = np.empty(len(offsets))
-    grads = np.empty_like(offsets)
-    for i, off in enumerate(offsets):
-        reply = oracle(x + off)
+    points = x + np.atleast_2d(np.asarray(offsets, dtype=float))
+    batch = batch_oracle(oracle)
+    if batch is not None:
+        values, grads, _ = batch(points)
+        return values, grads
+    values = np.empty(len(points))
+    grads = np.empty_like(points)
+    for i, point in enumerate(points):
+        reply = oracle(point)
         values[i] = reply.value
         grads[i] = reply.subgrad
     return values, grads
 
 
 class _SmoothedPolicy(QueryPolicy):
-    """Steps along the negative ball-average of sampled subgradients."""
+    """Steps along the negative ball-average of sampled subgradients.
+
+    Each round's samples are fixed before any is answered and go out as one
+    block.
+    """
 
     def __init__(self, d: int, rng, delta: float, samples_per_step: int, schedule: StepSchedule):
         if rng is None:
@@ -165,13 +174,19 @@ class _SmoothedPolicy(QueryPolicy):
         self.steps_done = 0
 
     def next_query(self, entries):
+        return self.next_queries(entries, 1)[0]
+
+    def next_queries(self, entries, budget):
         if self.pending == self.samples:
             grads = np.stack([reply.subgrad for _, reply in entries[-self.samples :]])
             self.steps_done += 1
             self.center = self.center - self.schedule.step(self.steps_done) * grads.mean(axis=0)
             self.pending = 0
-        self.pending += 1
-        return self.center + sample_ball(self.d, self.delta, self.rng)
+        count = min(self.samples - self.pending, budget)
+        self.pending += count
+        return np.stack(
+            [self.center + sample_ball(self.d, self.delta, self.rng) for _ in range(count)]
+        )
 
 
 def smoothed_gradient_method(
@@ -198,8 +213,9 @@ class _GoldsteinPolicy(QueryPolicy):
     """Minimum-norm hull step over delta-ball subgradients, with early stop.
 
     Each round queries the center then the ball samples (or a fixed stencil),
-    solves for the minimum-norm convex combination, and either stops (all
-    further queries sit at the center) or steps along its negation.
+    all fixed before any is answered and sent as one block, solves for the
+    minimum-norm convex combination, and either stops (all further queries
+    sit at the center) or steps along its negation.
     """
 
     def __init__(self, d, rng, delta, samples_per_step, schedule, eps_stop, stencil):
@@ -227,26 +243,32 @@ class _GoldsteinPolicy(QueryPolicy):
         self.min_norm_history: list[float] = []
 
     def next_query(self, entries):
-        if self.stopped:
-            return self.center.copy()
-        if self.pending == self.round_size:
+        return self.next_queries(entries, 1)[0]
+
+    def next_queries(self, entries, budget):
+        if not self.stopped and self.pending == self.round_size:
             grads = [reply.subgrad for _, reply in entries[-self.round_size :]]
             result = min_norm_point(grads)
             self.min_norm_history.append(result.norm)
             self.steps_done += 1
+            self.pending = 0
             if result.norm <= self.eps_stop:
                 self.stopped = True
                 self.stop_step = self.steps_done
-                self.pending = 0
-                return self.center.copy()
-            self.center = self.center - self.schedule.step(self.steps_done) * result.point
-            self.pending = 0
-        self.pending += 1
-        if self.pending == 1:
-            return self.center.copy()
-        if self.stencil is not None:
-            return self.center + self.stencil[self.pending - 2]
-        return self.center + sample_ball(self.d, self.delta, self.rng)
+            else:
+                self.center = self.center - self.schedule.step(self.steps_done) * result.point
+        if self.stopped:
+            return np.tile(self.center, (budget, 1))
+        rows = []
+        for slot in range(self.pending, min(self.round_size, self.pending + budget)):
+            if slot == 0:
+                rows.append(self.center)
+            elif self.stencil is not None:
+                rows.append(self.center + self.stencil[slot - 1])
+            else:
+                rows.append(self.center + sample_ball(self.d, self.delta, self.rng))
+        self.pending += len(rows)
+        return np.stack(rows)
 
 
 def goldstein_descent(

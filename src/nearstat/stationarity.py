@@ -28,6 +28,7 @@ from nearstat.zoo import (
     REGION_CLAMP_BOUNDARY,
     REGION_HINGE_BOUNDARY,
     ChannelInstance,
+    batch_oracle,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -39,6 +40,8 @@ KIND_SUBDIFF_NORM = "subdiff_norm_lower_bound"
 WITNESS_KINDS = frozenset({KIND_EPS_WITNESS, KIND_DELTA_EPS_WITNESS})
 
 DEDUP_TOL = 1e-14
+# Entries of the difference array compared at once by _dedup.
+_DEDUP_BLOCK_ENTRIES = 1 << 18
 DEFAULT_WOLFE_TOL = 1e-10
 
 
@@ -85,18 +88,28 @@ def _affine_min_norm(P: np.ndarray) -> np.ndarray:
 
 
 def _dedup(P: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Representative rows of P and, per input row, its representative's position."""
-    reps: list[int] = []
-    owner: list[int] = []
-    for i, p in enumerate(P):
-        for pos, r in enumerate(reps):
-            if np.max(np.abs(p - P[r])) <= DEDUP_TOL:
-                owner.append(pos)
-                break
-        else:
-            owner.append(len(reps))
-            reps.append(i)
-    return P[reps], owner
+    """Representative rows of P and, per input row, its representative's position.
+
+    Rows are scanned in order; a row within ``DEDUP_TOL`` (max-abs) of an
+    earlier representative joins the first such one, any other row becomes a
+    representative.  The pairwise comparisons run in row blocks of bounded
+    size; only the rows close to an earlier row go through the sequential scan.
+    """
+    m, d = P.shape
+    block = max(1, _DEDUP_BLOCK_ENTRIES // (m * d))
+    pairs = []  # (row, earlier close row), ordered by row then earlier row
+    for start in range(0, m, block):
+        stop = min(m, start + block)
+        close = np.abs(P[start:stop, None, :] - P[None, :stop, :]).max(axis=2) <= DEDUP_TOL
+        rows, cols = np.nonzero(np.tril(close, k=start - 1))
+        pairs.extend(zip((rows + start).tolist(), cols.tolist()))
+    rep_of = list(range(m))
+    for i, j in pairs:
+        if rep_of[i] == i and rep_of[j] == j:
+            rep_of[i] = j
+    is_rep = np.array([r == i for i, r in enumerate(rep_of)])
+    position = np.cumsum(is_rep) - 1
+    return P[is_rep], position[rep_of].tolist()
 
 
 def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
@@ -295,7 +308,8 @@ def certify_delta_eps(
     plus the center) or a sequence of offsets from x (a stencil, each of norm
     at most delta).  A value <= eps certifies (delta, eps)-stationarity; a
     larger value certifies nothing, which is why ``sound_direction`` says
-    ``stationarity_only``.
+    ``stationarity_only``.  The sampled points are answered with one batched
+    call when the oracle has a batch form.
     """
     x = as_vector(x)
     if delta <= 0.0:
@@ -320,7 +334,11 @@ def certify_delta_eps(
         if float(np.linalg.norm(off)) > delta + 1e-12:
             raise DegenerateInputError("sampled point left the delta-ball")
         points.append(x + off)
-    grads = [np.asarray(oracle(p).subgrad) for p in points]
+    batch = batch_oracle(oracle)
+    if batch is not None:
+        grads = list(batch(np.stack(points))[1])
+    else:
+        grads = [np.asarray(oracle(p).subgrad) for p in points]
     result = min_norm_point(grads, tol=DEFAULT_WOLFE_TOL)
     certified = result.converged and result.norm <= eps
     witness = None

@@ -9,8 +9,15 @@ canonical element is returned so that runs replay exactly:
 - clamp boundary: the unclamped branch element; strictly clamped: zero,
 - Warga kinks: the midpoint element obtained from the ``sign(0) = 0`` convention.
 
-Scalar evaluation goes through the batch implementations where one exists, so
-sampled property checks exercise the same arithmetic as oracle queries.
+``eval_batch`` is the evaluation path: the spiral, Warga's example and plain
+channel instances evaluate a scalar query as row 0 of a one-row batch, and a
+row's answer has the same bits whether it is asked alone or in a block.
+:func:`batch_oracle` finds the batch form behind an oracle, so consumers that
+fix their sample points before asking (smoothed estimates, Goldstein rounds,
+sampled certificates) answer them with one call.  Composed channel instances
+answer row by row through their scalar path: in the inactive hinge region
+they reuse the quadratic oracle's arithmetic, which ties their bits to the
+distance oracle the adversary played against.
 """
 
 from __future__ import annotations
@@ -316,7 +323,11 @@ class ChannelInstance:
         return self.affine.sqrt_apply(x - self.affine.x_star)
 
     def _pieces(self, x: np.ndarray):
-        """Region string plus the unclamped value and its y-space subgradient."""
+        """Region string plus the unclamped value and its y-space subgradient.
+
+        The scalar path of composed instances; plain instances use
+        :meth:`eval_batch`.
+        """
         y = self.mapped_point(x)
         wbar = self.w_bar
         s = y + self.w
@@ -343,12 +354,17 @@ class ChannelInstance:
 
     def region(self, x) -> str:
         x = as_vector(x)
+        if self.affine is None:
+            return str(self.eval_batch(x[None, :])[3][0])
         return self._pieces(x)[0]
 
     def eval(self, x) -> FirstOrderReply:
         x = as_vector(x)
         if x.shape != (self.dim,):
             raise DimensionMismatchError("query dimension does not match the instance")
+        if self.affine is None:
+            vals, grads, diffs, _ = self.eval_batch(x[None, :])
+            return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
         region, raw, grad_y, diff = self._pieces(x)
         if region == REGION_CLAMP_ACTIVE:
             return FirstOrderReply(self.clamp, np.zeros(self.dim), True)
@@ -368,9 +384,10 @@ class ChannelInstance:
     __call__ = eval
 
     def eval_batch(self, X: np.ndarray):
-        """Vectorized evaluation for plain (non-composed) instances.
+        """Evaluation of plain (non-composed) instances over the rows of X.
 
-        Returns ``(values, grads, differentiable, regions)`` over the rows of X.
+        Returns ``(values, grads, differentiable, regions)``; :meth:`eval` and
+        :meth:`region` are row 0 of a one-row batch.
         """
         if self.affine is not None:
             raise DegenerateInputError("batch evaluation supports plain instances only")
@@ -381,7 +398,10 @@ class ChannelInstance:
         S = Y + self.w
         ny = np.linalg.norm(Y, axis=1)
         ns = np.linalg.norm(S, axis=1)
-        hinge = 4.0 * (S @ wbar) - 2.0 * ns
+        # einsum, not a matrix-vector product: BLAS rounds a row differently
+        # depending on how many rows it sees, and each row must give the same
+        # bits whether it comes alone or in a block
+        hinge = 4.0 * np.einsum("ij,j->i", S, wbar) - 2.0 * ns
         raw = ny - np.maximum(hinge, 0.0)
 
         n = len(Y)
@@ -423,6 +443,44 @@ class ChannelInstance:
             diffs[boundary] = False
             regions[boundary] = REGION_CLAMP_BOUNDARY
         return values, grads, diffs, regions
+
+
+def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
+    """The batch form behind ``oracle``, or None when it has none.
+
+    ``oracle`` may be a zoo instance or its bound ``eval``.  The result maps
+    the rows of X to ``(values, subgradients, differentiable)``, each row
+    bitwise equal to the scalar reply at that row, and rejects non-finite
+    queries and replies as the scalar path does.  Closures, stateful oracles
+    and composed channel instances have no batch form.
+    """
+    owner = getattr(oracle, "__self__", oracle)
+    if owner is not oracle and getattr(oracle, "__func__", None) is not getattr(
+        type(owner), "eval", None
+    ):
+        return None
+    if isinstance(owner, (Spiral, Warga)):
+        evaluate = owner.eval_batch
+    elif isinstance(owner, ChannelInstance) and owner.affine is None:
+
+        def evaluate(X):
+            return owner.eval_batch(X)[:3]
+
+    else:
+        return None
+
+    def answer(X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionMismatchError("batch queries must be the rows of a matrix")
+        if not np.all(np.isfinite(X)):
+            raise DegenerateInputError("vector has non-finite entries")
+        values, grads, diffs = evaluate(X)
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grads))):
+            raise DegenerateInputError("oracle reply has non-finite entries")
+        return values, grads, diffs
+
+    return answer
 
 
 def clamped_channel(w, drop: float = 1.0) -> ChannelInstance:

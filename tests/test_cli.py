@@ -108,6 +108,23 @@ def test_run_unknown_config_field_exits_two(tmp_path):
     assert "config error" in proc.stderr
 
 
+def test_run_channel_budget_outside_envelope_exits_two(tmp_path):
+    # past T = 19 the default ||w|| = exp(-T)/300 drops below the 1e-11 floor
+    for T in ("20", "21"):
+        proc = run_cli(
+            "run", "--experiment", "theorem1", "--T", T, "--output_path", str(tmp_path / T)
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "T <= 19" in proc.stderr
+        assert not (tmp_path / T).exists()
+
+
+def test_run_channel_budget_at_envelope_edge_passes(tmp_path):
+    proc = run_cli("run", "--experiment", "theorem1", "--T", "19", "--output_path", str(tmp_path))
+    assert proc.returncode == 0
+    assert json.loads((tmp_path / "report.json").read_text())["all_passed"]
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -178,6 +195,15 @@ def test_adversary_writes_instance_files(tmp_path):
     assert names == ["diagnostics.json", "instance.json", "transcript.jsonl"]
     doc = json.loads((tmp_path / "adv" / "instance.json").read_text())
     assert doc["kind"] == "channel_composed"
+
+
+def test_adversary_w_norm_below_floor_exits_two(tmp_path):
+    proc = run_cli(
+        "adversary", "--T", "5", "--adversary.w_norm", "1e-12", "--output_path", str(tmp_path / "a")
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert not (tmp_path / "a").exists()
 
 
 def test_figure_data_stdout_with_grid_override():

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from nearstat.errors import ConfigError
+from nearstat import adversaries, stationarity
+from nearstat.errors import ConfigError, DegenerateInputError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
     ENV_OUTPUT_DIR,
@@ -55,6 +56,27 @@ def test_config_rejects_unknown_and_missing_fields():
         ExperimentConfig.from_dict(
             {"experiment": "quad_lower_bound", "solver": {"schedule": {}}}
         ).validate()
+
+
+@pytest.mark.parametrize("experiment", ["theorem1", "theorem1_randomized"])
+def test_config_enforces_the_channel_envelope(experiment):
+    def cfg(**fields):
+        return ExperimentConfig.from_dict({"experiment": experiment, **fields})
+
+    assert adversaries.CHANNEL_T_MAX == 19
+    assert adversaries.default_w_norm(19) >= adversaries.W_NORM_FLOOR > adversaries.default_w_norm(20)
+    cfg(T=19).validate()
+    cfg(T=2, adversary={"w_norm": 1e-3}).validate()
+    for bad in (cfg(T=20), cfg(T=21), cfg(T=1), cfg(T=5, adversary={"w_norm": 1e-12})):
+        with pytest.raises(ConfigError):
+            bad.validate()
+    with pytest.raises(ConfigError):
+        cfg(T=5, adversary={"w_norm": "small"}).validate()
+    # the persisted adversary builds a channel whatever the experiment says
+    with pytest.raises(ConfigError):
+        build_adversary_files(
+            ExperimentConfig.from_dict({"experiment": "quad_lower_bound", "T": 20})
+        )
 
 
 def test_override_parsing_and_application():
@@ -209,6 +231,25 @@ def test_certify_point_eps_refutation_path():
     assert answered and len(certs) == 2
     assert certs[0]["certified"] is False
     assert certs[1]["kind"] == "subdiff_norm_lower_bound"
+
+
+def test_certify_point_eps_in_clamp_region_gives_only_the_witness_test():
+    # (0.4, 0) sits on the clamp boundary of the clamped channel: its one
+    # subgradient has norm 1 and no region bound holds there
+    doc = instance_to_json(ChannelInstance(w=[0.3, 0.0], clamp=-1.0))
+    certs, answered = certify_point(doc, [0.4, 0.0], "eps", eps=0.5)
+    assert not answered and len(certs) == 1
+    assert certs[0]["kind"] == "eps_stationary_witness" and certs[0]["value"] == 1.0
+
+
+def test_certify_point_surfaces_other_bound_errors(monkeypatch):
+    def broken(instance, x):
+        raise DegenerateInputError("broken bound")
+
+    monkeypatch.setattr(stationarity, "subdiff_norm_lower_bound", broken)
+    doc = instance_to_json(ChannelInstance(w=[0.3, 0.0]))
+    with pytest.raises(DegenerateInputError):
+        certify_point(doc, [-1.0, 0.0], "eps", eps=0.5)
 
 
 def test_certify_point_eps_witness_path():

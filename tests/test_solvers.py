@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from nearstat.errors import DegenerateInputError
-from nearstat.oracle_game import CLASS_LINEAR_SPAN, CLASS_RANDOMIZED, play
+from nearstat.errors import DegenerateInputError, OracleFailure
+from nearstat.oracle_game import (
+    CLASS_LINEAR_SPAN,
+    CLASS_RANDOMIZED,
+    AlgorithmDescriptor,
+    QueryPolicy,
+    play,
+)
 from nearstat.solvers import (
     SOLVERS,
     StepSchedule,
@@ -13,7 +19,7 @@ from nearstat.solvers import (
     steepest_descent_exact,
     subgradient_method,
 )
-from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral
+from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga
 
 
 def isotropic_quadratic(a, c):
@@ -213,6 +219,112 @@ def test_goldstein_validation():
         desc.fresh_policy(2, None)
     with pytest.raises(DegenerateInputError):
         goldstein_descent(delta=0.1).fresh_policy(2, None)  # sampling needs rng
+
+
+# ---------------------------------------------------------------------------
+# query blocks: one batched call per round, same game as one query at a time
+# ---------------------------------------------------------------------------
+
+
+class _OneAtATime(QueryPolicy):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_query(self, entries):
+        return self.inner.next_queries(entries, 1)[0]
+
+
+def one_at_a_time(desc):
+    return AlgorithmDescriptor(
+        name=desc.name,
+        class_tag=desc.class_tag,
+        params=desc.params,
+        factory=lambda d, rng: _OneAtATime(desc.fresh_policy(d, rng)),
+    )
+
+
+BLOCK_FUNCTIONS = {
+    "spiral": Spiral(),
+    "spiral_stop": Spiral(delta=0.05),
+    "warga": Warga(),
+    "channel": ChannelInstance(w=[0.02, -0.01, 0.015]),
+}
+
+
+def block_solvers(dim):
+    stencil = np.zeros((3, dim))
+    stencil[0, 1], stencil[1, 1], stencil[2, :2] = 0.05, -0.05, 0.03
+    return {
+        "goldstein": goldstein_descent(delta=0.5, samples_per_step=8),
+        "goldstein_stencil": goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6),
+        "smoothed": smoothed_gradient_method(delta=0.5, samples_per_step=6),
+    }
+
+
+@pytest.mark.parametrize("fn_name", sorted(BLOCK_FUNCTIONS))
+@pytest.mark.parametrize("solver", ["goldstein", "goldstein_stencil", "smoothed"])
+@pytest.mark.parametrize("T", [1, 5, 27, 40])
+def test_block_play_matches_one_query_at_a_time(fn_name, solver, T):
+    # budgets that end inside a round must not draw past the budget either,
+    # so the generator's next draw matches too
+    fn = BLOCK_FUNCTIONS[fn_name]
+    desc = block_solvers(fn.dim)[solver]
+    rng_block, rng_single = np.random.default_rng(21), np.random.default_rng(21)
+    block = play(desc, fn.eval, T, fn.dim, rng=rng_block)
+    single = play(one_at_a_time(desc), lambda x: fn.eval(x), T, fn.dim, rng=rng_single)
+    assert len(block) == len(single) == T
+    for (q1, r1), (q2, r2) in zip(block.entries, single.entries):
+        assert np.array_equal(q1, q2)
+        assert r1.value == r2.value and r1.differentiable == r2.differentiable
+        assert np.array_equal(r1.subgrad, r2.subgrad)
+    assert block.to_jsonl() == single.to_jsonl()
+    assert rng_block.random() == rng_single.random()
+
+
+class _CountingSpiral(Spiral):
+    calls = []
+
+    def eval_batch(self, X):
+        self.calls.append(len(X))
+        return super().eval_batch(X)
+
+
+def test_play_answers_each_round_with_one_batch_call():
+    fn = _CountingSpiral()
+    fn.calls.clear()
+    play(goldstein_descent(delta=0.5, samples_per_step=8), fn.eval, 2 * 9 + 4, 2,
+         rng=np.random.default_rng(3))
+    assert fn.calls == [9, 9, 4]
+    fn.calls.clear()
+    smoothed_estimates(fn, np.zeros(2), np.zeros((17, 2)))
+    assert fn.calls == [17]
+
+
+def test_block_failure_names_a_query_of_the_block():
+    # the second row's reply overflows; the whole block fails as one call
+    block = np.array([[0.0, 0.0], [1.5e308, 0.0]])
+
+    class Fixed(QueryPolicy):
+        def next_queries(self, entries, budget):
+            return block
+
+    desc = AlgorithmDescriptor("fixed", CLASS_RANDOMIZED, {}, lambda d, rng: Fixed())
+    with pytest.raises(OracleFailure) as info, np.errstate(over="ignore"):
+        play(desc, Spiral().eval, 2, 2)
+    assert any(np.array_equal(info.value.query, q) for q in block)
+    assert "non-finite" in str(info.value)
+    with pytest.raises(DegenerateInputError):
+        play(desc, Spiral().eval, 1, 2)  # more queries than the budget left
+
+
+def test_smoothed_estimates_batch_matches_scalar_calls():
+    rng = np.random.default_rng(9)
+    offsets = rng.normal(size=(64, 3)) * 0.05
+    x = np.array([0.01, -0.02, 0.0])
+    for fn in (BLOCK_FUNCTIONS["channel"], ChannelInstance(w=[0.02, -0.01, 0.015], clamp=-0.02)):
+        values, grads = smoothed_estimates(fn.eval, x, offsets)
+        want_values, want_grads = smoothed_estimates(lambda p: fn.eval(p), x, offsets)
+        assert np.array_equal(values, want_values) and np.array_equal(grads, want_grads)
 
 
 # ---------------------------------------------------------------------------

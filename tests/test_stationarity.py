@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from nearstat import stationarity
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
 from nearstat.stationarity import (
+    DEDUP_TOL,
     DEFAULT_CONSTANTS,
     KIND_DELTA_EPS_WITNESS,
     KIND_EPS_WITNESS,
@@ -18,6 +20,7 @@ from nearstat.stationarity import (
     min_norm_brute_oracle,
     min_norm_point,
     near_stationarity_distance_lb,
+    _dedup,
     subdiff_norm_lower_bound,
 )
 from nearstat.vectorspace import derive_stream
@@ -62,6 +65,50 @@ def test_duplicate_points_share_one_coefficient():
     assert r.norm == 0.0
     # dedup assigns the merged mass to the first occurrence
     assert r.coefficients[1] == 0.0
+
+
+def reference_dedup(P):
+    """The row-by-row scan that _dedup vectorizes."""
+    reps, owner = [], []
+    for i, p in enumerate(P):
+        for pos, r in enumerate(reps):
+            if np.max(np.abs(p - P[r])) <= DEDUP_TOL:
+                owner.append(pos)
+                break
+        else:
+            owner.append(len(reps))
+            reps.append(i)
+    return P[reps], owner
+
+
+@pytest.mark.parametrize("block_entries", [None, 7])
+def test_dedup_matches_reference_scan(block_entries, monkeypatch):
+    # exact duplicates and copies shifted by 0, 1/2, 1 and 2 tolerances, so
+    # that closeness is not transitive and the scan order decides owners;
+    # a tiny comparison block splits the rows into many blocks
+    if block_entries is not None:
+        monkeypatch.setattr(stationarity, "_DEDUP_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(8)
+    shifts = np.array([0.0, 0.5, 1.0, 2.0]) * DEDUP_TOL
+    for trial in range(300):
+        m = int(rng.integers(1, 70))
+        dim = int(rng.integers(1, 6))
+        P = rng.normal(size=(m, dim)) * (1e-13 if trial % 5 == 0 else 1.0)
+        for i in rng.integers(0, m, size=m // 2):
+            j = int(rng.integers(0, m))
+            P[i] = P[j] + rng.choice(shifts) * rng.choice([-1.0, 1.0], size=dim)
+        reps, owner = _dedup(P)
+        want_reps, want_owner = reference_dedup(P)
+        assert np.array_equal(reps, want_reps)
+        assert owner == want_owner
+
+
+def test_dedup_chain_within_tolerance_keeps_scan_order():
+    # 0 and 1 tol apart merge; 2 tol is too far from the first representative
+    # even though it is within tol of the merged middle point
+    P = np.array([[0.0], [DEDUP_TOL], [2.0 * DEDUP_TOL], [0.0]])
+    reps, owner = _dedup(P)
+    assert np.array_equal(reps, P[[0, 2]]) and owner == [0, 0, 1, 0]
 
 
 def test_min_norm_result_invariants_random():
@@ -170,6 +217,17 @@ def test_delta_eps_ball_sampling_needs_rng_and_stays_inside():
         certify_delta_eps(
             f.eval, [0.0, 0.0], delta=0.05, eps=0.1, sampling=[[0.0, 0.06]]
         )
+
+
+def test_delta_eps_batch_answers_match_scalar_calls():
+    g = ChannelInstance(w=[0.02, -0.01, 0.015])
+    x = [0.01, 0.02, 0.0]
+    certs = [
+        certify_delta_eps(oracle, x, 0.5, 1e-6, 64, rng_state=derive_stream(3, "certifier"))
+        for oracle in (g.eval, lambda p: g.eval(p))
+    ]
+    assert certs[0].to_json_str() == certs[1].to_json_str()
+    assert certs[0].certified
 
 
 def test_subdiff_norm_lower_bound_by_region():

@@ -17,6 +17,7 @@ from nearstat.zoo import (
     NormDistance,
     Spiral,
     Warga,
+    batch_oracle,
     clamped_channel,
     identity_map,
     instance_from_json,
@@ -219,16 +220,54 @@ def test_channel_lipschitz_ratio_sampled():
 
 
 def test_channel_eval_matches_eval_batch():
+    # a plain instance's scalar reply is its batch row, bit for bit, in every
+    # region and in dimensions where BLAS would split the rows differently
     rng = np.random.default_rng(14)
-    g = ChannelInstance(w=[0.25, -0.1], clamp=-1.0)
-    X = np.vstack([rng.uniform(-1, 1, size=(200, 2)), [[0.0, 0.0]], [[-0.25, 0.1]]])
-    vals, grads, diffs, regions = g.eval_batch(X)
-    for i, x in enumerate(X):
-        r = g.eval(x)
-        assert r.value == pytest.approx(vals[i], abs=1e-13)
-        assert np.allclose(r.subgrad, grads[i], atol=1e-13)
-        assert r.differentiable == bool(diffs[i]) or regions[i] == REGION_CLAMP_ACTIVE
-        assert g.region(x) == regions[i]
+    for dim in (2, 9, 40):
+        w = np.zeros(dim)
+        w[:2] = [0.25, -0.1]
+        g = ChannelInstance(w=w, clamp=-1.0)
+        near = np.zeros((3, dim))
+        near[1] = -w
+        near[2, 0] = 0.7
+        X = np.vstack(
+            [rng.uniform(-1, 1, size=(200, dim)), rng.normal(size=(50, dim)) * 1e-3, near]
+        )
+        vals, grads, diffs, regions = g.eval_batch(X)
+        assert len(set(regions)) >= 3
+        for i, x in enumerate(X):
+            r = g.eval(x)
+            assert r.value == vals[i]
+            assert np.array_equal(r.subgrad, grads[i])
+            assert r.differentiable == bool(diffs[i])
+            assert g.region(x) == regions[i]
+
+
+def test_batch_oracle_finds_the_batch_form():
+    rng = np.random.default_rng(15)
+    X = rng.uniform(-1, 1, size=(20, 2))
+    plain = ChannelInstance(w=[0.25, -0.1])
+    for fn in (Spiral(), Warga(), plain):
+        for oracle in (fn, fn.eval, fn.__call__):
+            batch = batch_oracle(oracle)
+            vals, grads, diffs = batch(X)
+            for i, x in enumerate(X):
+                r = fn.eval(x)
+                assert (r.value, r.differentiable) == (vals[i], diffs[i])
+                assert np.array_equal(r.subgrad, grads[i])
+    composed = ChannelInstance(w=[0.25, -0.1], affine=identity_map(np.zeros(2)))
+    for oracle in (composed, composed.eval, lambda x: Spiral().eval(x), sqrt_oracle(Warga())):
+        assert batch_oracle(oracle) is None
+
+
+def test_batch_oracle_rejects_non_finite_rows():
+    batch = batch_oracle(Spiral().eval)
+    with pytest.raises(DegenerateInputError):
+        batch(np.array([[0.0, 0.0], [np.nan, 1.0]]))
+    with pytest.raises(DegenerateInputError), np.errstate(over="ignore"):
+        batch(np.array([[0.0, 0.0], [1.5e308, 0.0]]))  # the gradient overflows
+    with pytest.raises(DimensionMismatchError):
+        batch(np.zeros(2))
 
 
 def test_channel_clamp_floor():
