@@ -35,6 +35,7 @@ from nearstat.oracle_game import (
     validate_span,
 )
 from nearstat.vectorspace import (
+    AVOID_DROP_TOL,
     OrthonormalFrame,
     as_vector,
     extend_orthonormal,
@@ -258,16 +259,6 @@ def affine_map_from_parameters(
     )
 
 
-def msqrt_apply(source, x: np.ndarray) -> np.ndarray:
-    """Apply M^(1/2) of a HardQuadratic or of an existing AffineMap."""
-    if isinstance(source, HardQuadratic):
-        source = affine_map_from_parameters(source.T, source.d, hq=source)
-    x = as_vector(x)
-    if x.shape != (source.dim,):
-        raise DimensionMismatchError("dimension mismatch in msqrt application")
-    return source.sqrt_apply(x)
-
-
 def norm_distance_instance(hq: HardQuadratic) -> NormDistance:
     """The distance-to-minimizer function paired with the chain quadratic."""
     return NormDistance(map=affine_map_from_parameters(hq.T, hq.d, hq=hq))
@@ -284,18 +275,20 @@ class RotationBuilder:
 
     Row u_t is selected orthogonal to u_1..u_{t-1} and to every query up to
     and including x_t, so all chain terms involving unselected rows vanish and
-    the oracle never has to represent them.  Needs d >= 2T for the selections
-    to exist.
+    the oracle never has to represent them.  ``constraints`` is an orthonormal
+    basis of span(u_1.., x_1..) kept between queries.  Needs d >= 2T for the
+    selections to exist.
     """
 
     base: HardQuadratic
     frame: OrthonormalFrame = field(init=False)
-    seen_queries: list[np.ndarray] = field(init=False, default_factory=list)
+    constraints: OrthonormalFrame = field(init=False)
 
     def __post_init__(self):
         if self.base.d < 2 * self.base.T:
             raise DegenerateInputError("rotation construction needs d >= 2T")
         self.frame = OrthonormalFrame(self.base.d)
+        self.constraints = OrthonormalFrame(self.base.d)
 
     def materialized_map(self) -> AffineMap:
         """Commit to U after all T queries; the map's x_star is the rotated minimizer."""
@@ -314,11 +307,12 @@ def rotation_oracle(rb: RotationBuilder):
         x = as_vector(x)
         if x.shape != (hq.d,):
             raise DimensionMismatchError(f"expected dimension {hq.d}, got {x.shape}")
-        if len(rb.seen_queries) >= hq.T:
+        if len(rb.frame) >= hq.T:
             raise BudgetExhaustedError("rotation oracle answers at most T queries")
-        u = extend_orthonormal(rb.frame, avoid=rb.seen_queries + [x])
+        rb.constraints.absorb(x, AVOID_DROP_TOL)
+        u = extend_orthonormal(rb.constraints)
         rb.frame.append(u)
-        rb.seen_queries.append(x.copy())
+        rb.constraints.append(u)
         t = len(rb.frame)
         U = rb.frame.matrix()
         c = np.zeros(hq.T)

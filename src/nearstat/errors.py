@@ -25,14 +25,6 @@ class BudgetExhaustedError(RuntimeError):
     """An oracle with a hard query budget was asked one query too many."""
 
 
-class SpanViolationError(RuntimeError):
-    """A linear-span algorithm produced a query outside the allowed span."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class AdversaryConstructionError(RuntimeError):
     """An adversary build step could not establish its guarantee."""
 

@@ -38,6 +38,21 @@ EXPERIMENT_NAMES = (
 VERIFY_SUITES = ("prop1", "channel", "quadratic", "remark", "all")
 # experiments that build a channel instance against the solver
 CHANNEL_EXPERIMENTS = ("theorem1", "theorem1_randomized")
+# AC7: at most this fraction of randomized trials may align >= 1/3 with w
+AC7_MAX_FAILURE_FRACTION = 0.02
+
+
+def randomized_alignment_bound(T: int, d: int) -> float:
+    """T exp(-d/18): chance that a random w aligns >= 1/3 with one of T directions."""
+    return T * math.exp(-d / 18.0)
+
+
+def randomized_min_d(T: int) -> int:
+    """Smallest d at which the alignment bound meets AC7's failure fraction."""
+    d = 1
+    while randomized_alignment_bound(T, d) > AC7_MAX_FAILURE_FRACTION:
+        d += 1
+    return d
 
 
 def role_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -94,16 +109,22 @@ class ExperimentConfig:
             )
         if not isinstance(self.T, int) or self.T < 1:
             raise ConfigError("T must be an integer >= 1")
+        randomized = self.experiment == "theorem1_randomized"
         if self.d is None:
-            self.d = 2 * self.T
+            self.d = randomized_min_d(self.T) if randomized else 2 * self.T
         if not isinstance(self.d, int) or self.d < 1:
             raise ConfigError("d must be an integer >= 1")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
         if self.experiment in ("det_lower_bound", "theorem1") and self.d < 2 * self.T:
             raise ConfigError(f"experiment {self.experiment!r} needs d >= 2T")
-        if self.experiment == "theorem1_randomized" and self.trials < 1:
+        if randomized and self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if randomized and self.d < (d_min := randomized_min_d(self.T)):
+            raise ConfigError(
+                f"experiment 'theorem1_randomized' needs d >= {d_min} at T = {self.T}: below"
+                f" it the alignment bound T exp(-d/18) exceeds AC7's {AC7_MAX_FAILURE_FRACTION}"
+            )
         if not isinstance(self.solver, dict) or "name" not in self.solver:
             raise ConfigError("solver must be a table with a 'name'")
         if self.experiment in CHANNEL_EXPERIMENTS:
@@ -309,17 +330,21 @@ def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
     )
 
 
-def run_theorem1(cfg: ExperimentConfig) -> Report:
-    start = time.perf_counter()
-    streams = role_streams(cfg.seed)
-    descriptor = cfg.build_solver()
+def _build_channel(cfg: ExperimentConfig, descriptor) -> tuple[zoo.ChannelInstance, dict]:
+    """The channel instance the configured adversary builds against ``descriptor``."""
     acfg = adversaries.ChannelAdversaryConfig(
         mode=cfg.adversary.get("mode", adversaries.MODE_DETERMINISTIC),
         w_norm=cfg.adversary.get("w_norm"),
     )
-    instance, diag = adversaries.build_channel_instance(
-        acfg, descriptor, cfg.T, cfg.d, rng_state=streams
+    return adversaries.build_channel_instance(
+        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
     )
+
+
+def run_theorem1(cfg: ExperimentConfig) -> Report:
+    start = time.perf_counter()
+    descriptor = cfg.build_solver()
+    instance, diag = _build_channel(cfg, descriptor)
     base_transcript = diag["transcript"]
     replay = play(descriptor, instance.eval, cfg.T, cfg.d, rng=None)
     bitwise = all(
@@ -397,16 +422,15 @@ def run_theorem1_randomized(cfg: ExperimentConfig) -> Report:
         if diag["max_alignment"] >= threshold:
             failures += 1
     fraction = failures / cfg.trials
-    analytic = cfg.T * math.exp(-cfg.d / 18.0)
     verdict = CheckResult(
         criterion="AC7",
         name="fraction of trials with max alignment >= 1/3 is <= 2%",
-        passed=fraction <= 0.02,
+        passed=fraction <= AC7_MAX_FAILURE_FRACTION,
         details={
             "failures": failures,
             "trials": cfg.trials,
             "fraction": fraction,
-            "analytic_bound": analytic,
+            "analytic_bound": randomized_alignment_bound(cfg.T, cfg.d),
         },
     )
     return Report(
@@ -836,15 +860,7 @@ def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:
     """Build a hard channel instance and render its persistence documents."""
     cfg.validate()
     cfg.validate_channel()
-    streams = role_streams(cfg.seed)
-    descriptor = cfg.build_solver()
-    acfg = adversaries.ChannelAdversaryConfig(
-        mode=cfg.adversary.get("mode", adversaries.MODE_DETERMINISTIC),
-        w_norm=cfg.adversary.get("w_norm"),
-    )
-    instance, diag = adversaries.build_channel_instance(
-        acfg, descriptor, cfg.T, cfg.d, rng_state=streams
-    )
+    instance, diag = _build_channel(cfg, cfg.build_solver())
     transcript = diag.pop("transcript")
     diag["config"] = cfg.echo()
     return {

@@ -23,12 +23,16 @@ from nearstat.errors import (
     DimensionMismatchError,
     OracleFailure,
 )
-from nearstat.vectorspace import as_vector
+from nearstat.vectorspace import as_vector, orthogonal_residual
 from nearstat.zoo import FirstOrderReply, Oracle, batch_oracle
 
 CLASS_DETERMINISTIC = "deterministic"
 CLASS_LINEAR_SPAN = "linear_span"
 CLASS_RANDOMIZED = "randomized"
+
+# A subgradient whose residual against the span of earlier ones is at most
+# this, relative to max(1, its norm), does not widen the span.
+SUBGRAD_DROP_TOL = 1e-14
 
 
 @dataclass
@@ -186,30 +190,27 @@ def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int 
 
     The tolerance is relative to ``||x_t||`` when that norm exceeds 1,
     absolute otherwise.  Returns ``(ok, first_violating_index)`` with
-    1-based indices.
+    1-based indices.  The accepted subgradients are kept orthonormalized as
+    the rows of one array; x_t and g_t are projected off them together.
     """
     if len(transcript) == 0:
         raise DegenerateInputError("empty transcript")
-    basis: list[np.ndarray] = []
-    for t, (x, reply) in enumerate(transcript.entries, start=1):
-        xn = np.linalg.norm(x)
-        if t == 1:
-            if xn > tol:
-                return False, 1
-        else:
-            r = x.copy()
-            for _ in range(2):
-                for u in basis:
-                    r -= (u @ r) * u
-            if np.linalg.norm(r) > tol * max(1.0, xn):
-                return False, t
-        g = reply.subgrad.copy()
-        for _ in range(2):
-            for u in basis:
-                g -= (u @ g) * u
-        gn = np.linalg.norm(g)
-        if gn > 1e-14 * max(1.0, np.linalg.norm(reply.subgrad)):
-            basis.append(g / gn)
+    X = np.array(transcript.queries)
+    G = np.array([reply.subgrad for reply in transcript.replies])
+    x_limits = tol * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    x_limits[0] = tol  # x_1 = 0, absolutely
+    g_limits = SUBGRAD_DROP_TOL * np.maximum(1.0, np.linalg.norm(G, axis=1))
+    pairs = np.stack([X, G], axis=2)  # x_t and g_t as the columns of pairs[t]
+    basis = np.zeros((min(len(X), transcript.d), transcript.d))
+    k = 0
+    for t, pair in enumerate(pairs):
+        R = orthogonal_residual(basis[:k], pair)
+        x_res, g_res = np.linalg.norm(R, axis=0)
+        if x_res > x_limits[t]:
+            return False, t + 1
+        if g_res > g_limits[t] and k < len(basis):
+            basis[k] = R[:, 1] / g_res
+            k += 1
     return True, None
 
 

@@ -252,7 +252,7 @@ class _GoldsteinPolicy(QueryPolicy):
             self.min_norm_history.append(result.norm)
             self.steps_done += 1
             self.pending = 0
-            if result.norm <= self.eps_stop:
+            if result.converged and result.norm <= self.eps_stop:
                 self.stopped = True
                 self.stop_step = self.steps_done
             else:

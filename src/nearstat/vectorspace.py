@@ -1,4 +1,4 @@
-"""Deterministic vector-space utilities: inner products, orthonormal frames, sampling.
+"""Deterministic vector-space utilities: orthonormal frames, orthogonal extension, sampling.
 
 Vectors are plain 1-d ``numpy`` arrays of float64.  Randomness flows through
 counter-based Philox generators so that every consumer can derive its own
@@ -19,6 +19,9 @@ from nearstat.errors import (
 
 # Residual below which a candidate direction counts as already spanned.
 CANDIDATE_RESIDUAL_TOL = 1e-6
+# An avoid vector whose residual against the constraints is at most this,
+# relative to max(1, its norm), adds no constraint.
+AVOID_DROP_TOL = 1e-12
 
 
 def as_vector(x) -> np.ndarray:
@@ -31,57 +34,50 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def inner(a, b) -> float:
-    """Euclidean inner product of two vectors of equal dimension."""
-    a = as_vector(a)
-    b = as_vector(b)
-    check_same_dim(a, b)
-    return float(a @ b)
-
-
-def norm(a) -> float:
-    return float(np.linalg.norm(as_vector(a)))
-
-
-def normalize(v) -> np.ndarray:
-    """Return ``v / ||v||``; the zero vector is rejected."""
-    v = as_vector(v)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise DegenerateInputError("cannot normalize the zero vector")
-    return v / n
-
-
 def frame_tolerance(dim: int) -> float:
     return 1e-10 * np.sqrt(dim)
 
 
+def orthogonal_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component of ``v`` orthogonal to the rows of the orthonormal matrix ``Q``.
+
+    ``v`` is one vector or a block of vectors held as columns.  Classical
+    Gram-Schmidt applied twice (CGS2): two matrix products per pass, and the
+    second pass restores orthogonality to working precision ("twice is
+    enough", Giraud, Langou & Rozloznik 2005).
+    """
+    r = v - Q.T @ (Q @ v)
+    return r - Q.T @ (Q @ r)
+
+
 class OrthonormalFrame:
-    """A growing list of mutually orthonormal vectors in a fixed dimension."""
+    """A growing set of mutually orthonormal vectors in a fixed dimension.
+
+    The vectors are the leading rows of one preallocated ``(dim, dim)`` array,
+    so the frame matrix is a view and never re-stacked.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise DegenerateInputError("frame dimension must be >= 1")
         self.dim = int(dim)
-        self._vectors: list[np.ndarray] = []
+        self._rows = np.zeros((self.dim, self.dim))
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._vectors)
-
-    @property
-    def vectors(self) -> list[np.ndarray]:
-        return list(self._vectors)
+        return self._count
 
     def matrix(self) -> np.ndarray:
-        """Frame vectors stacked as rows, shape ``(len(self), dim)``."""
-        if not self._vectors:
-            return np.zeros((0, self.dim))
-        return np.stack(self._vectors)
+        """Frame vectors as rows, shape ``(len(self), dim)``; a read-only view."""
+        view = self._rows[: self._count]
+        view.flags.writeable = False
+        return view
+
+    def copy(self) -> "OrthonormalFrame":
+        other = OrthonormalFrame(self.dim)
+        other._rows[: self._count] = self._rows[: self._count]
+        other._count = self._count
+        return other
 
     def append(self, v) -> None:
         """Add a vector after checking unit norm and orthogonality to the frame."""
@@ -91,35 +87,28 @@ class OrthonormalFrame:
         tol = frame_tolerance(self.dim)
         if abs(np.linalg.norm(v) - 1.0) > tol:
             raise DegenerateInputError("frame vector is not unit norm")
-        for u in self._vectors:
-            if abs(u @ v) > tol:
-                raise DegenerateInputError("frame vector breaks orthogonality")
-        self._vectors.append(v.copy())
+        if self._count and np.abs(self.matrix() @ v).max() > tol:
+            raise DegenerateInputError("frame vector breaks orthogonality")
+        self._rows[self._count] = v
+        self._count += 1
 
     def project_out(self, v: np.ndarray) -> np.ndarray:
-        """Component of ``v`` orthogonal to the frame (one reorthogonalization pass)."""
-        r = v.astype(float, copy=True)
-        for _ in range(2):
-            for u in self._vectors:
-                r -= (u @ r) * u
-        return r
+        """Component of ``v`` (a vector, or vectors as columns) orthogonal to the frame."""
+        return orthogonal_residual(self.matrix(), np.asarray(v, dtype=float))
 
+    def absorb(self, v: np.ndarray, drop_tol: float) -> None:
+        """Extend the frame by the normalized residual of ``v``, unless already spanned.
 
-def orthonormal_basis_of(vectors, dim: int, drop_tol: float = 1e-12) -> OrthonormalFrame:
-    """Build an orthonormal basis of ``span(vectors)`` by modified Gram-Schmidt.
-
-    Vectors whose residual against the growing basis falls below ``drop_tol``
-    times ``max(1, ||v||)`` contribute nothing and are skipped.
-    """
-    frame = OrthonormalFrame(dim)
-    for v in vectors:
-        v = as_vector(v)
-        if v.shape != (dim,):
-            raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape}")
-        r = frame.project_out(v)
-        if np.linalg.norm(r) > drop_tol * max(1.0, np.linalg.norm(v)):
-            frame._vectors.append(r / np.linalg.norm(r))
-    return frame
+        ``v`` counts as spanned when its residual is at most ``drop_tol`` times
+        ``max(1, ||v||)``, or when the frame already fills the space.
+        """
+        if self._count == self.dim:
+            return
+        r = self.project_out(v)
+        rn = np.linalg.norm(r)
+        if rn > drop_tol * max(1.0, np.linalg.norm(v)):
+            self._rows[self._count] = r / rn
+            self._count += 1
 
 
 def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None = None) -> np.ndarray:
@@ -127,8 +116,9 @@ def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None
 
     Candidates are the standard basis vectors in index order; the first whose
     residual against span(frame + avoid) exceeds ``CANDIDATE_RESIDUAL_TOL`` is
-    orthonormalized and returned.  Requires strictly fewer constraints than the
-    ambient dimension.
+    orthonormalized and returned.  All d candidates are scored at once, as the
+    columns of the identity's residual.  Requires strictly fewer constraints
+    than the ambient dimension.
     """
     if frame is None:
         if dim is None:
@@ -143,28 +133,22 @@ def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None
         raise DegenerateInputError(
             f"constraint count {len(frame) + len(avoid)} >= dimension {d}"
         )
-    constraints = OrthonormalFrame(d)
-    constraints._vectors = frame.vectors
+    constraints = frame.copy() if avoid else frame
     for a in avoid:
-        r = constraints.project_out(a)
-        rn = np.linalg.norm(r)
-        if rn > 1e-12 * max(1.0, np.linalg.norm(a)):
-            constraints._vectors.append(r / rn)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        r = constraints.project_out(e)
-        rn = np.linalg.norm(r)
-        if rn > CANDIDATE_RESIDUAL_TOL:
-            u = r / rn
-            tol = frame_tolerance(d)
-            worst = max((abs(c @ u) for c in constraints._vectors), default=0.0)
-            if worst > tol:
-                raise NoOrthogonalDirectionError(
-                    f"orthogonalization residual {worst:.3e} above tolerance {tol:.3e}"
-                )
-            return u
-    raise NoOrthogonalDirectionError("all candidate residuals below tolerance")
+        constraints.absorb(a, AVOID_DROP_TOL)
+    R = constraints.project_out(np.eye(d))
+    scores = np.linalg.norm(R, axis=0)
+    j = int(np.argmax(scores > CANDIDATE_RESIDUAL_TOL))
+    if scores[j] <= CANDIDATE_RESIDUAL_TOL:
+        raise NoOrthogonalDirectionError("all candidate residuals below tolerance")
+    u = R[:, j] / scores[j]
+    tol = frame_tolerance(d)
+    worst = np.abs(constraints.matrix() @ u).max(initial=0.0)
+    if worst > tol:
+        raise NoOrthogonalDirectionError(
+            f"orthogonalization residual {worst:.3e} above tolerance {tol:.3e}"
+        )
+    return u
 
 
 def derive_stream(seed: int, role: str) -> np.random.Generator:

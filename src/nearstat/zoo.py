@@ -120,7 +120,7 @@ class Spiral:
             ri = r[idx]
             xbar = Xi / ri[:, None]
             P = 2.0 * d * xbar
-            fp, gp, _ = self.eval_batch_inner(P)
+            fp, gp, _ = Spiral(d, extended=False).eval_batch(P)  # untapered, on the inner seam
             phi = 2.0 - ri / (2.0 * d)
             vals[idx] = phi * fp
             radial = np.einsum("ij,ij->i", xbar, gp)
@@ -133,11 +133,6 @@ class Spiral:
             grads[far] = 0.0
         diffs[inner_seam | outer_seam] = False
         return vals, grads, diffs
-
-    def eval_batch_inner(self, X: np.ndarray):
-        """The untapered branch, used for seam limits and taper composition."""
-        plain = Spiral(self.delta, extended=False)
-        return plain.eval_batch(X)
 
     def eval(self, x) -> FirstOrderReply:
         x = as_vector(x)
@@ -197,11 +192,6 @@ def sqrt_reply(reply: FirstOrderReply, dim: int) -> FirstOrderReply:
         return FirstOrderReply(0.0, np.zeros(dim), False)
     root = math.sqrt(v)
     return FirstOrderReply(root, reply.subgrad / (2.0 * root), reply.differentiable)
-
-
-def sqrt_oracle_transform(reply: FirstOrderReply, query) -> FirstOrderReply:
-    """Reply of ``sqrt(f)`` at ``query`` given the reply of a nonnegative ``f``."""
-    return sqrt_reply(reply, len(as_vector(query)))
 
 
 def sqrt_oracle(oracle: Oracle) -> Oracle:

@@ -18,7 +18,6 @@ from nearstat.adversaries import (
     chain_spectrum_check,
     chain_tridiagonal,
     chain_value_grad,
-    msqrt_apply,
     norm_distance_instance,
     rotation_oracle,
 )
@@ -29,7 +28,7 @@ from nearstat.errors import (
 )
 from nearstat.oracle_game import CLASS_DETERMINISTIC, AlgorithmDescriptor, QueryPolicy, play
 from nearstat.solvers import steepest_descent_exact, subgradient_method
-from nearstat.vectorspace import derive_stream, orthonormal_basis_of
+from nearstat.vectorspace import OrthonormalFrame, derive_stream, extend_orthonormal
 from nearstat.zoo import NormDistance, sqrt_oracle
 
 
@@ -123,13 +122,14 @@ def test_tridiagonal_entries():
 
 def test_msqrt_squares_back_to_m():
     hq = HardQuadratic(T=5, d=8)
+    sqrt_apply = affine_map_from_parameters(hq.T, hq.d, hq=hq).sqrt_apply
     M = dense_quadratic_matrix(5, 8)
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.normal(size=8)
-        assert np.allclose(msqrt_apply(hq, msqrt_apply(hq, v)), M @ v, atol=1e-13)
+        assert np.allclose(sqrt_apply(sqrt_apply(v)), M @ v, atol=1e-13)
     # mapped minimizer length is sqrt(g(0)) since M x* = e1 / 8
-    assert np.linalg.norm(msqrt_apply(hq, hq.x_star)) == pytest.approx(
+    assert np.linalg.norm(sqrt_apply(hq.x_star)) == pytest.approx(
         math.sqrt(CHAIN_RATIO / 8.0), rel=1e-14
     )
 
@@ -163,8 +163,7 @@ def test_sqrt_oracle_agrees_with_norm_distance_everywhere():
 def test_rotated_map_is_the_natural_map_in_new_coordinates():
     T, d = 3, 8
     rng = np.random.default_rng(23)
-    frame = orthonormal_basis_of([rng.normal(size=d) for _ in range(T)], d)
-    U = frame.matrix()
+    U = np.linalg.qr(rng.normal(size=(d, T)))[0].T
     rotated = affine_map_from_parameters(T, d, rotation_frame=U)
     natural = HardQuadratic(T=T, d=d)
     for _ in range(25):
@@ -252,6 +251,33 @@ def test_rotation_oracle_preserves_lower_bound(solver):
     target = rb.materialized_map().x_star
     dist = min(np.linalg.norm(x - target) for x in transcript.queries)
     assert dist >= math.exp(-T)
+
+
+@pytest.mark.parametrize(
+    "descriptor", [subgradient_method(), steepest_descent_exact(), dense_probe_descriptor()]
+)
+def test_rotation_rows_stay_orthonormal_at_the_largest_budget(descriptor):
+    T, d = 19, 76
+    rb = RotationBuilder(base=HardQuadratic(T=T, d=d))
+    transcript = play(descriptor, rotation_oracle(rb), T=T, d=d)
+    U = rb.frame.matrix()
+    assert np.abs(U @ U.T - np.eye(T)).max() <= 1e-12
+    C = rb.constraints.matrix()
+    assert np.abs(C @ C.T - np.eye(len(C))).max() <= 1e-12
+    # the kept constraint basis picks the rows a fresh extension per query picks
+    for t in range(T):
+        earlier = OrthonormalFrame(d)
+        for row in U[:t]:
+            earlier.append(row)
+        u = extend_orthonormal(earlier, avoid=transcript.queries[: t + 1])
+        assert np.abs(U[t] - u).max() <= 1e-13 * np.sqrt(d)
+    mat = rb.materialized_map()
+    for x, reply in transcript.entries:  # the AC2 replay error of det_lower_bound
+        direct = mat.quad_oracle(x)
+        assert abs(reply.value - direct.value) / max(1.0, abs(direct.value)) <= 1e-12
+        assert np.linalg.norm(reply.subgrad - direct.subgrad) <= 1e-12 * max(
+            1.0, np.linalg.norm(direct.subgrad)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,20 @@ def test_run_channel_budget_at_envelope_edge_passes(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["all_passed"]
 
 
+def test_run_randomized_defaults_to_a_dimension_it_can_pass(tmp_path):
+    # T exp(-d/18) <= 0.02 first holds at d = 112 for T = 10
+    argv = ("run", "--experiment", "theorem1_randomized", "--T", "10", "--trials", "20")
+    argv += ("--seed", "99", "--solver.name", "subgrad")
+    proc = run_cli(*argv, "--output_path", str(tmp_path / "default"))
+    assert proc.returncode == 0
+    report = json.loads((tmp_path / "default" / "report.json").read_text())
+    assert report["config"]["d"] == 112 and report["all_passed"]
+    proc = run_cli(*argv, "--d", "20", "--output_path", str(tmp_path / "small"))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "d >= 112" in proc.stderr
+    assert not (tmp_path / "small").exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------

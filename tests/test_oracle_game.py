@@ -11,8 +11,9 @@ from nearstat.oracle_game import (
     play,
     validate_span,
 )
-from nearstat.solvers import subgradient_method
-from nearstat.zoo import FirstOrderReply
+from nearstat.adversaries import HardQuadratic, RotationBuilder, chain_quadratic_oracle, rotation_oracle
+from nearstat.solvers import steepest_descent_exact, subgradient_method
+from nearstat.zoo import FirstOrderReply, sqrt_oracle
 
 
 def norm_oracle(x):
@@ -110,6 +111,74 @@ def test_validate_span_flags_violations():
     t2.append(np.array([1.0, 0.0]), FirstOrderReply(1.0, np.array([1.0, 0.0]), True))
     ok2, idx2 = validate_span(t2)
     assert not ok2 and idx2 == 2
+
+
+def reference_validate_span(transcript, tol=1e-8):
+    """The per-vector Gram-Schmidt loop that the matrix kernel replaced."""
+    basis = []
+    for t, (x, reply) in enumerate(transcript.entries, start=1):
+        xn = np.linalg.norm(x)
+        if t == 1:
+            if xn > tol:
+                return False, 1
+        else:
+            r = x.copy()
+            for _ in range(2):
+                for u in basis:
+                    r -= (u @ r) * u
+            if np.linalg.norm(r) > tol * max(1.0, xn):
+                return False, t
+        g = reply.subgrad.copy()
+        for _ in range(2):
+            for u in basis:
+                g -= (u @ g) * u
+        gn = np.linalg.norm(g)
+        if gn > 1e-14 * max(1.0, np.linalg.norm(reply.subgrad)):
+            basis.append(g / gn)
+    return True, None
+
+
+def span_transcripts(rng):
+    """Span-method games, then synthetic ones whose gradients are rank-deficient."""
+    for T in (3, 8, 19):
+        for d in (2 * T, 4 * T):
+            for solver in (subgradient_method(), steepest_descent_exact()):
+                hq = HardQuadratic(T=T, d=d)
+                yield play(solver, chain_quadratic_oracle(hq), T, d)
+                yield play(solver, sqrt_oracle(chain_quadratic_oracle(hq)), T, d)
+                yield play(solver, rotation_oracle(RotationBuilder(base=hq)), T, d)
+    yield play(subgradient_method(), norm_oracle, T=12, d=4)  # more queries than dimensions
+    for _ in range(30):
+        d = int(rng.integers(2, 40))
+        T = int(rng.integers(2, 25))
+        G = rng.normal(size=(int(rng.integers(1, d + 1)), d))  # gradients span rows of G
+        t = Transcript(T=T, d=d)
+        x = np.zeros(d)
+        for _ in range(T):
+            g = rng.normal(size=len(G)) @ G
+            t.append(x, FirstOrderReply(0.0, g, True))
+            x = x + rng.normal() * g
+        yield t
+
+
+def perturbed(transcript, rng, scale):
+    t = Transcript(T=transcript.T, d=transcript.d)
+    bad = int(rng.integers(len(transcript)))
+    for i, (x, reply) in enumerate(transcript.entries):
+        t.append(x + scale * rng.normal(size=len(x)) if i == bad else x, reply)
+    return t
+
+
+def test_validate_span_matches_the_loop_reference():
+    rng = np.random.default_rng(4242)
+    outcomes = set()
+    for transcript in span_transcripts(rng):
+        cases = [transcript] + [perturbed(transcript, rng, s) for s in (1e-3, 1e-6, 1e-13)]
+        for t in cases:
+            expected = reference_validate_span(t)
+            assert validate_span(t) == expected
+            outcomes.add(expected[0])
+    assert outcomes == {True, False}
 
 
 def test_min_distance_to():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nearstat import solvers
 from nearstat.errors import DegenerateInputError, OracleFailure
 from nearstat.oracle_game import (
     CLASS_LINEAR_SPAN,
@@ -197,6 +200,28 @@ def test_goldstein_early_stop_freezes_center():
     assert policy.min_norm_history[0] <= 1e-8
     assert np.array_equal(entries[3][0], [0.0, 0.0])
     assert np.array_equal(entries[4][0], [0.0, 0.0])
+
+
+def test_goldstein_does_not_stop_on_an_unconverged_solve(monkeypatch):
+    # the same stationary stencil as above, but Wolfe reports no convergence:
+    # a small norm from an unfinished solve is no stopping certificate
+    solved = solvers.min_norm_point
+
+    def unconverged(points):
+        return dataclasses.replace(solved(points), converged=False)
+
+    monkeypatch.setattr(solvers, "min_norm_point", unconverged)
+    f = Spiral(delta=0.05)
+    stencil = [[0.0, 0.05], [0.0, -0.05]]
+    policy = goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6).fresh_policy(2, None)
+    entries = []
+    for _ in range(7):
+        x = policy.next_query(entries)
+        entries.append((x, f.eval(x)))
+    assert policy.min_norm_history[0] <= 1e-8
+    assert not policy.stopped and policy.stop_step is None
+    assert policy.steps_done == 2
+    assert np.array_equal(entries[4][0], entries[3][0] + [0.0, 0.05])  # a new round, not parked
 
 
 def test_goldstein_sampled_round_structure():

@@ -7,15 +7,12 @@ from nearstat.errors import (
     NoOrthogonalDirectionError,
 )
 from nearstat.vectorspace import (
+    CANDIDATE_RESIDUAL_TOL,
     OrthonormalFrame,
     as_vector,
     derive_stream,
     extend_orthonormal,
     frame_tolerance,
-    inner,
-    norm,
-    normalize,
-    orthonormal_basis_of,
     sample_ball,
     sample_ball_batch,
     sample_sphere,
@@ -30,15 +27,6 @@ def test_as_vector_coerces_and_rejects():
         as_vector(np.zeros((2, 2)))
     with pytest.raises(DegenerateInputError):
         as_vector([1.0, np.nan])
-
-
-def test_norm_inner_normalize():
-    assert norm([3.0, 4.0]) == 5.0
-    assert inner([1.0, 2.0], [3.0, -1.0]) == 1.0
-    u = normalize([0.0, 2.0])
-    assert np.array_equal(u, [0.0, 1.0])
-    with pytest.raises(DegenerateInputError):
-        normalize(np.zeros(4))
 
 
 def test_frame_append_checks_unit_and_orthogonal():
@@ -63,14 +51,30 @@ def test_project_out_removes_span_component():
     assert np.allclose(r, [0.0, 0.0, 1.0, 0.5], atol=1e-15)
 
 
-def test_orthonormal_basis_of_drops_dependent_vectors():
+def test_frame_absorb_drops_dependent_vectors():
     rng = np.random.default_rng(7)
     vs = [rng.normal(size=5) for _ in range(3)]
     vs.append(vs[0] + vs[1])  # dependent, must be skipped
-    fr = orthonormal_basis_of(vs, 5)
+    fr = OrthonormalFrame(5)
+    for v in vs:
+        fr.absorb(v, 1e-12)
     assert len(fr) == 3
     Q = fr.matrix()
     assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
+    assert np.allclose(Q.T @ (Q @ vs[3]), vs[3], atol=1e-12)
+
+
+def test_frame_matrix_is_a_read_only_view():
+    fr = OrthonormalFrame(3)
+    fr.append([0.0, 1.0, 0.0])
+    Q = fr.matrix()
+    with pytest.raises(ValueError):
+        Q[0, 0] = 1.0
+    fr.append([1.0, 0.0, 0.0])
+    assert np.array_equal(fr.matrix(), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    copy = fr.copy()
+    copy.append([0.0, 0.0, 1.0])
+    assert len(fr) == 2 and len(copy) == 3
 
 
 def test_extend_orthonormal_prefers_canonical_axes():
@@ -94,13 +98,13 @@ def test_extend_orthonormal_orthogonality_property(d):
     rng = np.random.default_rng(100 + d)
     for trial in range(50):
         k = int(rng.integers(0, d - 1))
-        fr = orthonormal_basis_of([rng.normal(size=d) for _ in range(k)], d)
+        fr = random_frame(rng, d, k)
         n_avoid = int(rng.integers(0, min(3, d - k)))
         avoid = [rng.normal(size=d) for _ in range(n_avoid)]
         u = extend_orthonormal(fr, avoid=avoid, dim=d)
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         tol = frame_tolerance(d)
-        for v in fr.vectors:
+        for v in fr.matrix():
             assert abs(u @ v) <= tol
         for v in avoid:
             nv = np.linalg.norm(v)
@@ -109,9 +113,97 @@ def test_extend_orthonormal_orthogonality_property(d):
 
 
 def test_extend_orthonormal_full_frame_raises():
-    fr = orthonormal_basis_of(list(np.eye(3)), 3)
+    fr = OrthonormalFrame(3)
+    for e in np.eye(3):
+        fr.append(e)
     with pytest.raises((DegenerateInputError, NoOrthogonalDirectionError)):
         extend_orthonormal(fr)
+
+
+def random_frame(rng, d, k, axes=False):
+    """k orthonormal rows: random ones from a QR factor, or distinct standard axes."""
+    fr = OrthonormalFrame(d)
+    if axes:
+        rows = np.eye(d)[np.sort(rng.choice(d, size=k, replace=False))]
+    else:
+        rows = np.linalg.qr(rng.normal(size=(d, k)))[0].T
+    for row in rows:
+        fr.append(row)
+    return fr
+
+
+def reference_extend_orthonormal(frame_rows, avoid, d):
+    """The per-vector Gram-Schmidt loop that the matrix kernel replaced."""
+    for a in avoid:
+        if a.shape != (d,):
+            raise DimensionMismatchError("avoid vector dimension")
+    if len(frame_rows) + len(avoid) >= d:
+        raise DegenerateInputError("too many constraints")
+    basis = [np.array(u) for u in frame_rows]
+
+    def project_out(v):
+        r = v.astype(float, copy=True)
+        for _ in range(2):
+            for u in basis:
+                r -= (u @ r) * u
+        return r
+
+    for a in avoid:
+        r = project_out(a)
+        rn = np.linalg.norm(r)
+        if rn > 1e-12 * max(1.0, np.linalg.norm(a)):
+            basis.append(r / rn)
+    for j in range(d):
+        r = project_out(np.eye(d)[j])
+        rn = np.linalg.norm(r)
+        if rn > CANDIDATE_RESIDUAL_TOL:
+            u = r / rn
+            if max((abs(c @ u) for c in basis), default=0.0) > frame_tolerance(d):
+                raise NoOrthogonalDirectionError("residual above tolerance")
+            return u
+    raise NoOrthogonalDirectionError("all candidate residuals below tolerance")
+
+
+def random_avoid_set(rng, d, count):
+    """Avoid vectors, some exact or nearly exact combinations of earlier ones."""
+    avoid = []
+    for _ in range(count):
+        kind = rng.integers(4) if avoid else 0
+        if kind in (0, 1):
+            v = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
+        else:
+            coeffs = rng.normal(size=len(avoid))
+            v = coeffs @ np.stack(avoid)
+            if kind == 3:  # nearly dependent, well inside the drop tolerance
+                v = v + 1e-15 * np.linalg.norm(v) * rng.normal(size=d)
+        avoid.append(v)
+    return avoid
+
+
+def test_extend_orthonormal_matches_the_loop_reference():
+    rng = np.random.default_rng(20260)
+    for trial in range(300):
+        d = int(rng.integers(2, 81))
+        k = int(rng.integers(0, d))
+        frame = random_frame(rng, d, k, axes=bool(trial % 2))
+        avoid = random_avoid_set(rng, d, int(rng.integers(0, d - k + 2)))
+        if trial % 37 == 0:
+            avoid.append(np.ones(d + 1))
+        try:
+            expected = reference_extend_orthonormal(list(frame.matrix()), avoid, d)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                extend_orthonormal(frame, avoid=avoid)
+            continue
+        before = frame.matrix().copy()
+        u = extend_orthonormal(frame, avoid=avoid)
+        assert np.array_equal(frame.matrix(), before)  # the caller's frame is not extended
+        # u = P e_j / |P e_j| for the chosen axis j, so u_j = |P e_j| is its
+        # first entry above the candidate tolerance (|u_i| <= |P e_i| for i < j)
+        assert np.argmax(np.abs(u) > CANDIDATE_RESIDUAL_TOL) == np.argmax(
+            np.abs(expected) > CANDIDATE_RESIDUAL_TOL
+        )
+        assert np.abs(u - expected).max() <= 1e-13 * np.sqrt(d)
 
 
 def test_derive_stream_reproducible_and_role_separated():
