@@ -56,6 +56,10 @@ def _print_verdicts(report: harness.Report) -> None:
     for v in report.verdicts:
         mark = "PASS" if v.passed else "FAIL"
         print(f"[{mark}] {v.criterion}: {v.name}")
+    suite_seconds = report.records.get("suite_seconds", {})
+    if len(suite_seconds) > 1:  # a lone suite's time is the total below
+        for suite, seconds in suite_seconds.items():
+            print(f"(verify:{suite}, {seconds:.2f}s)")
     print(f"({report.kind}, {report.timing_seconds:.2f}s)")
 
 

@@ -12,6 +12,8 @@ canonical element is returned so that runs replay exactly:
 ``eval_batch`` is the evaluation path: the spiral, Warga's example and plain
 channel instances evaluate a scalar query as row 0 of a one-row batch, and a
 row's answer has the same bits whether it is asked alone or in a block.
+A plain channel labels each row with an int8 region code in one pass over the
+rows and maps the codes to the region strings with one table lookup.
 :func:`batch_oracle` finds the batch form behind an oracle, so consumers that
 fix their sample points before asking (smoothed estimates, Goldstein rounds,
 sampled certificates) answer them with one call.  Composed channel instances
@@ -42,6 +44,16 @@ REGION_HINGE_ACTIVE = "hinge_active"
 REGION_HINGE_BOUNDARY = "hinge_boundary"
 REGION_CLAMP_ACTIVE = "clamp_active"
 REGION_CLAMP_BOUNDARY = "clamp_boundary"
+
+# ChannelInstance.eval_batch labels each row with an int8 region code, an
+# index into these two tables; a later code overrides an earlier one
+_CODE_REGIONS = np.array(
+    [REGION_HINGE_INACTIVE, REGION_HINGE_ACTIVE, REGION_HINGE_BOUNDARY, REGION_MINUS_W,
+     REGION_ORIGIN, REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY],
+    dtype="<U16",
+)
+_CODE_DIFFERENTIABLE = np.array([True, True, False, False, False, True, False])
+_INACTIVE, _ACTIVE, _BOUNDARY, _MINUS_W, _ORIGIN, _CLAMP_ACTIVE, _CLAMP_BOUNDARY = range(7)
 
 
 @dataclass(frozen=True)
@@ -358,18 +370,13 @@ class ChannelInstance:
         region, raw, grad_y, diff = self._pieces(x)
         if region == REGION_CLAMP_ACTIVE:
             return FirstOrderReply(self.clamp, np.zeros(self.dim), True)
-        if (
-            region == REGION_HINGE_INACTIVE
-            and self.affine is not None
-            and self.affine.quad_oracle is not None
-        ):
+        if region == REGION_HINGE_INACTIVE and self.affine.quad_oracle is not None:
             # ||y|| equals sqrt of the underlying quadratic here; reuse its
             # arithmetic so composed runs reproduce the plain distance oracle
             # bit for bit.
             return sqrt_reply(self.affine.quad_oracle(x), self.dim)
         value = raw if region != REGION_CLAMP_BOUNDARY else max(self.clamp, raw)
-        grad = grad_y if self.affine is None else self.affine.sqrt_apply(grad_y)
-        return FirstOrderReply(value, grad, diff)
+        return FirstOrderReply(value, self.affine.sqrt_apply(grad_y), diff)
 
     __call__ = eval
 
@@ -392,47 +399,32 @@ class ChannelInstance:
         # depending on how many rows it sees, and each row must give the same
         # bits whether it comes alone or in a block
         hinge = 4.0 * np.einsum("ij,j->i", S, wbar) - 2.0 * ns
-        raw = ny - np.maximum(hinge, 0.0)
-
-        n = len(Y)
-        grads = np.zeros_like(Y)
-        diffs = np.zeros(n, dtype=bool)
-        regions = np.empty(n, dtype="<U16")
+        values = ny - np.maximum(hinge, 0.0)
 
         at_origin = ny <= REGION_TOL
-        at_minus_w = ~at_origin & (ns <= REGION_TOL)
-        on_boundary = ~at_origin & ~at_minus_w & (np.abs(hinge) <= REGION_TOL)
-        active = ~at_origin & ~at_minus_w & ~on_boundary & (hinge > 0.0)
-        inactive = ~at_origin & ~at_minus_w & ~on_boundary & ~active
+        at_minus_w = ns <= REGION_TOL
+        codes = (hinge > 0.0).astype(np.int8)  # _ACTIVE (1) or _INACTIVE (0)
+        codes[np.abs(hinge) <= REGION_TOL] = _BOUNDARY
+        codes[at_minus_w] = _MINUS_W
+        codes[at_origin] = _ORIGIN
 
-        regions[at_origin] = REGION_ORIGIN
-        regions[at_minus_w] = REGION_MINUS_W
-        regions[on_boundary] = REGION_HINGE_BOUNDARY
-        regions[active] = REGION_HINGE_ACTIVE
-        regions[inactive] = REGION_HINGE_INACTIVE
-
-        grads[at_origin] = -2.0 * wbar
+        grads = Y / np.where(ny > 0.0, ny, 1.0)[:, None]
+        active = np.flatnonzero(codes == _ACTIVE)
+        if len(active):
+            sbar = S.take(active, axis=0) / ns.take(active)[:, None]
+            grads[active] = grads.take(active, axis=0) - (4.0 * wbar - 2.0 * sbar)
         grads[at_minus_w] = -3.0 * wbar
-        safe_ny = np.where(ny > 0.0, ny, 1.0)
-        ybar = Y / safe_ny[:, None]
-        grads[on_boundary | inactive] = ybar[on_boundary | inactive]
-        if np.any(active):
-            sbar = S[active] / ns[active, None]
-            grads[active] = ybar[active] - (4.0 * wbar - 2.0 * sbar)
-        diffs[active | inactive] = True
+        grads[at_origin] = -2.0 * wbar
 
-        values = raw.copy()
         if self.clamp is not None:
-            clamped = raw < self.clamp - REGION_TOL
-            boundary = ~clamped & (np.abs(raw - self.clamp) <= REGION_TOL)
-            values[clamped] = self.clamp
+            clamped = values < self.clamp - REGION_TOL
+            boundary = ~clamped & (np.abs(values - self.clamp) <= REGION_TOL)
+            codes[clamped] = _CLAMP_ACTIVE
+            codes[boundary] = _CLAMP_BOUNDARY
             grads[clamped] = 0.0
-            diffs[clamped] = True
-            regions[clamped] = REGION_CLAMP_ACTIVE
-            values[boundary] = np.maximum(self.clamp, raw[boundary])
-            diffs[boundary] = False
-            regions[boundary] = REGION_CLAMP_BOUNDARY
-        return values, grads, diffs, regions
+            values[boundary] = np.maximum(self.clamp, values[boundary])
+            values[clamped] = self.clamp
+        return values, grads, _CODE_DIFFERENTIABLE[codes], _CODE_REGIONS[codes]
 
 
 def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:

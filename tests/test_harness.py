@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,12 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from nearstat import adversaries, stationarity
+from nearstat import adversaries, cli, stationarity
 from nearstat.errors import ConfigError, DegenerateInputError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
     ENV_OUTPUT_DIR,
     EXPERIMENT_NAMES,
+    FIGURE_DEFAULTS,
     VERIFY_SUITES,
     ExperimentConfig,
     apply_override,
@@ -191,6 +193,20 @@ def test_verify_remark_suite_passes():
     assert all(v.criterion == "AC8" for v in report.verdicts)
 
 
+def test_verify_report_records_seconds_per_suite(tmp_path, capsys):
+    assert cli.main(["verify", "--suite", "all", "--seed", "3", "--output_path", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    seconds = report["records"]["suite_seconds"]
+    assert list(seconds) == ["prop1", "channel", "quadratic", "remark"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in seconds.values())
+    assert sum(seconds.values()) <= report["timing_seconds"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[-6:-1]] == [
+        "(verify:prop1", "(verify:channel", "(verify:quadratic", "(verify:remark", "(verify:all"
+    ]
+    assert list(run_verify("remark", seed=3).records["suite_seconds"]) == ["remark"]
+
+
 # ---------------------------------------------------------------------------
 # figure data
 # ---------------------------------------------------------------------------
@@ -217,6 +233,44 @@ def test_figure_csv_grid():
     assert float(val) == figure_values("fig3", np.array([[-2.0, -2.0]]))[0]
     with pytest.raises(ConfigError):
         figure_csv("fig3", grid={"wat": 1})
+
+
+def reference_figure_csv(figure_id: str, grid: dict | None = None) -> str:
+    """figure_csv as it was written before it formatted each coordinate once:
+    a row loop over the stacked grid points."""
+    spec = {**FIGURE_DEFAULTS[figure_id], **(grid or {})}
+    us = np.linspace(spec["umin"], spec["umax"], int(spec["nu"]))
+    vs = np.linspace(spec["vmin"], spec["vmax"], int(spec["nv"]))
+    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    points = np.stack([uu.ravel(), vv.ravel()], axis=1)
+    values = figure_values(figure_id, points)
+    buf = io.StringIO()
+    buf.write("u,v,value\n")
+    for (u, v), val in zip(points, values):
+        buf.write(f"{float(u)!r},{float(v)!r},{float(val)!r}\n")
+    return buf.getvalue()
+
+
+FIGURE_GRIDS = [
+    None,
+    {"nu": 7, "nv": 3},  # non-square: u is the slow coordinate
+    {"umin": 2.0, "umax": -2.0, "vmin": 1.5, "vmax": -0.5, "nu": 5, "nv": 9},
+    {"umin": -1e-7, "umax": 1e-7, "vmin": -3e-5, "vmax": 1e22, "nu": 4, "nv": 6},
+    {"umin": -1.0, "umax": 1.0, "vmin": -0.0, "vmax": -1e-300, "nu": 3, "nv": 3},
+]
+
+
+@pytest.mark.parametrize("figure_id", ["fig1", "fig2", "fig3"])
+def test_figure_csv_matches_reference_byte_for_byte(figure_id):
+    texts = [figure_csv(figure_id, grid) for grid in FIGURE_GRIDS]
+    assert texts == [reference_figure_csv(figure_id, grid) for grid in FIGURE_GRIDS]
+    assert "e+22" in texts[3] and "e-05" in texts[3]
+    assert ",-0.0," in texts[4]
+
+
+def test_figure_data_stdout_is_the_reference_csv(capsys):
+    assert cli.main(["figure-data", "--figure", "fig2", "--grid.nu", "7", "--grid.nv", "3"]) == 0
+    assert capsys.readouterr().out == reference_figure_csv("fig2", {"nu": 7, "nv": 3})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from nearstat.zoo import (
     REGION_HINGE_INACTIVE,
     REGION_MINUS_W,
     REGION_ORIGIN,
+    REGION_TOL,
     ChannelInstance,
     FirstOrderReply,
     NormDistance,
@@ -241,6 +242,121 @@ def test_channel_eval_matches_eval_batch():
             assert np.array_equal(r.subgrad, grads[i])
             assert r.differentiable == bool(diffs[i])
             assert g.region(x) == regions[i]
+
+
+def reference_channel_eval_batch(instance, X):
+    """ChannelInstance.eval_batch as it was written before its region codes:
+    boolean masks, masked writes into a string array, gathered copies."""
+    Y = np.atleast_2d(np.asarray(X, dtype=float))
+    wbar = instance.w_bar
+    S = Y + instance.w
+    ny = np.linalg.norm(Y, axis=1)
+    ns = np.linalg.norm(S, axis=1)
+    hinge = 4.0 * np.einsum("ij,j->i", S, wbar) - 2.0 * ns
+    raw = ny - np.maximum(hinge, 0.0)
+
+    n = len(Y)
+    grads = np.zeros_like(Y)
+    diffs = np.zeros(n, dtype=bool)
+    regions = np.empty(n, dtype="<U16")
+
+    at_origin = ny <= REGION_TOL
+    at_minus_w = ~at_origin & (ns <= REGION_TOL)
+    on_boundary = ~at_origin & ~at_minus_w & (np.abs(hinge) <= REGION_TOL)
+    active = ~at_origin & ~at_minus_w & ~on_boundary & (hinge > 0.0)
+    inactive = ~at_origin & ~at_minus_w & ~on_boundary & ~active
+
+    regions[at_origin] = REGION_ORIGIN
+    regions[at_minus_w] = REGION_MINUS_W
+    regions[on_boundary] = REGION_HINGE_BOUNDARY
+    regions[active] = REGION_HINGE_ACTIVE
+    regions[inactive] = REGION_HINGE_INACTIVE
+
+    grads[at_origin] = -2.0 * wbar
+    grads[at_minus_w] = -3.0 * wbar
+    safe_ny = np.where(ny > 0.0, ny, 1.0)
+    ybar = Y / safe_ny[:, None]
+    grads[on_boundary | inactive] = ybar[on_boundary | inactive]
+    if np.any(active):
+        sbar = S[active] / ns[active, None]
+        grads[active] = ybar[active] - (4.0 * wbar - 2.0 * sbar)
+    diffs[active | inactive] = True
+
+    values = raw.copy()
+    if instance.clamp is not None:
+        clamped = raw < instance.clamp - REGION_TOL
+        boundary = ~clamped & (np.abs(raw - instance.clamp) <= REGION_TOL)
+        values[clamped] = instance.clamp
+        grads[clamped] = 0.0
+        diffs[clamped] = True
+        regions[clamped] = REGION_CLAMP_ACTIVE
+        values[boundary] = np.maximum(instance.clamp, raw[boundary])
+        diffs[boundary] = False
+        regions[boundary] = REGION_CLAMP_BOUNDARY
+    return values, grads, diffs, regions
+
+
+def _planted_channel_rows(w, clamp, rng):
+    """Rows on and within 1e-13 of the origin, -w and the hinge-boundary cone,
+    and rows whose value lies within about 3e-12 of the clamp level."""
+    dim = len(w)
+    w_norm = np.linalg.norm(w)
+    wbar = w / w_norm
+    tang = rng.normal(size=(60, dim))
+    tang -= np.outer(tang @ wbar, wbar)
+    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    # s = x + w at 60 degrees from w, where the hinge argument changes sign
+    cone = rng.uniform(1e-3, 2.0, size=(60, 1)) * (0.5 * wbar + (math.sqrt(3.0) / 2.0) * tang) - w
+    rows = [
+        np.zeros((1, dim)),
+        -w[None, :],
+        1e-13 * rng.normal(size=(20, dim)),
+        -w + 1e-13 * rng.normal(size=(20, dim)),
+        cone,
+        cone + 1e-13 * rng.normal(size=cone.shape),
+    ]
+    if clamp is not None:
+        # the unclamped value is -t - 2|w| at t wbar, and 3t - 2|w| at -t wbar (t < |w|)
+        offsets = np.linspace(-1e-12, 1e-12, 21)[:, None]
+        t_plus, t_minus = -clamp - 2.0 * w_norm, (clamp + 2.0 * w_norm) / 3.0
+        if t_plus > 0.0:
+            rows.append((t_plus + offsets) * wbar)
+        if 0.0 < t_minus < w_norm:
+            rows.append(-(t_minus + offsets) * wbar)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9, 40])
+def test_channel_eval_batch_matches_reference_bit_for_bit(dim):
+    rng = np.random.default_rng(140 + dim)
+    w = rng.normal(size=dim)
+    w *= 0.3 / np.linalg.norm(w)
+    origin_value = ChannelInstance(w=w).eval(np.zeros(dim)).value
+    seen = set()
+    # no clamp, the clamp of the remark one below g(0), and a clamp above
+    # g(0) that cuts off part of the bulk
+    for clamp in (None, origin_value - 1.0, origin_value / 2.0):
+        g = ChannelInstance(w=w, clamp=clamp)
+        X = np.vstack([rng.uniform(-1.5, 1.5, size=(300, dim)), _planted_channel_rows(w, clamp, rng)])
+        got = g.eval_batch(X)
+        want = reference_channel_eval_batch(g, X)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+        assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+        seen |= set(got[3])
+        if clamp is not None:
+            assert {REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY} <= set(got[3])
+            # rows just under the clamp level take max(clamp, raw)
+            on_level = got[3] == REGION_CLAMP_BOUNDARY
+            assert np.any(got[0][on_level] == clamp)
+            assert np.any(got[0][on_level] > clamp)
+        for i, x in enumerate(X):
+            alone = g.eval_batch(x[None, :])
+            for a, b in zip(alone, got):
+                assert np.array_equal(a[0], b[i])
+    assert len(seen) == 7
 
 
 def test_batch_oracle_finds_the_batch_form():
