@@ -339,7 +339,6 @@ class ChannelAdversaryConfig:
 
     mode: str = MODE_DETERMINISTIC
     w_norm: float | None = None  # default exp(-T)/300, resolved at build time
-    base: NormDistance | None = None  # override the quadratic base (e.g. a rotated one)
 
     def __post_init__(self):
         if self.mode not in (MODE_DETERMINISTIC, MODE_RANDOMIZED):
@@ -390,11 +389,7 @@ def build_channel_instance(
     if d < T:
         raise DegenerateInputError("need d >= T")
 
-    base = cfg.base if cfg.base is not None else norm_distance_instance(HardQuadratic(T=T, d=d))
-    if base.dim != d:
-        raise DimensionMismatchError("base instance dimension does not match d")
-    if base.map.quad_oracle is None:
-        raise DegenerateInputError("base instance lacks the quadratic oracle")
+    base = norm_distance_instance(HardQuadratic(T=T, d=d))
 
     transcript = play(
         algorithm, sqrt_oracle(base.map.quad_oracle), T, d, rng=rng_state.get("algorithm")

@@ -29,13 +29,6 @@ _SQRT2 = math.sqrt(2.0)
 ENV_OUTPUT_DIR = "NEARSTAT_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "nearstat_out"
 
-EXPERIMENT_NAMES = (
-    "quad_lower_bound",
-    "det_lower_bound",
-    "theorem1",
-    "theorem1_randomized",
-)
-VERIFY_SUITES = ("prop1", "channel", "quadratic", "remark", "all")
 # experiments that build a channel instance against the solver
 CHANNEL_EXPERIMENTS = ("theorem1", "theorem1_randomized")
 # AC7: at most this fraction of randomized trials may align >= 1/3 with w
@@ -76,19 +69,6 @@ class ExperimentConfig:
     function: dict = field(default_factory=dict)
     output_path: str | None = None
     tolerances: dict = field(default_factory=dict)
-
-    _FIELDS = (
-        "experiment",
-        "T",
-        "d",
-        "seed",
-        "trials",
-        "solver",
-        "adversary",
-        "function",
-        "output_path",
-        "tolerances",
-    )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -155,6 +135,9 @@ class ExperimentConfig:
     def build_solver(self):
         params = {k: v for k, v in self.solver.items() if k != "name"}
         return solvers.build_solver(self.solver["name"], **params)
+
+
+ExperimentConfig._FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def parse_override_value(raw: str):
@@ -355,7 +338,7 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
     )
     h_values = [reply.value for _, reply in replay.entries]
     min_h = min(h_values)
-    certs = [stationarity.near_stationarity_distance_lb(instance, q) for q in replay.queries]
+    certs = stationarity.near_stationarity_distance_lb(instance, np.array(replay.queries))
     min_cert = min(c.value for c in certs)
     h_at_zero = instance.eval(np.zeros(cfg.d)).value
     verdicts = [
@@ -448,6 +431,7 @@ EXPERIMENTS = {
     "theorem1": run_theorem1,
     "theorem1_randomized": run_theorem1_randomized,
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -723,7 +707,7 @@ def verify_remark(seed: int) -> list[CheckResult]:
         )
     )
 
-    dist = stationarity.near_stationarity_distance_lb(gtilde, np.zeros(d))
+    [dist] = stationarity.near_stationarity_distance_lb(gtilde, np.zeros((1, d)))
     checks.append(
         CheckResult(
             "AC8",
@@ -735,22 +719,25 @@ def verify_remark(seed: int) -> list[CheckResult]:
     return checks
 
 
+SUITES = {
+    "prop1": verify_prop1,
+    "channel": verify_channel,
+    "quadratic": verify_quadratic,
+    "remark": verify_remark,
+}
+VERIFY_SUITES = (*SUITES, "all")
+
+
 def run_verify(suite: str, seed: int) -> Report:
     if suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown verify suite {suite!r}; choose from {VERIFY_SUITES}")
     start = time.perf_counter()
-    suites = {
-        "prop1": verify_prop1,
-        "channel": verify_channel,
-        "quadratic": verify_quadratic,
-        "remark": verify_remark,
-    }
-    names = list(suites) if suite == "all" else [suite]
+    names = list(SUITES) if suite == "all" else [suite]
     verdicts: list[CheckResult] = []
     suite_seconds = {}
     for name in names:
         suite_start = time.perf_counter()
-        verdicts.extend(suites[name](seed))
+        verdicts.extend(SUITES[name](seed))
         suite_seconds[name] = time.perf_counter() - suite_start
     return Report(
         kind=f"verify:{suite}",

@@ -8,7 +8,7 @@
   nothing), which the certificate records as ``sound_direction``.
 - near-approximate stationarity: a lower bound on the distance from x to any
   point that is eps-stationary for small eps, obtained from the value gap of a
-  clamped channel instance and its Lipschitz constant.
+  clamped channel instance and its Lipschitz constant, for many points at once.
 
 Analytic per-region lower bounds on channel subgradient norms live here too.
 """
@@ -383,23 +383,30 @@ def subdiff_norm_lower_bound(
 
 
 def near_stationarity_distance_lb(
-    instance: ChannelInstance, x, constants: ConstantsTable = DEFAULT_CONSTANTS
-) -> StationarityCertificate:
-    """Distance from x to the nearest point that could be near-stationary.
+    instance: ChannelInstance, X, constants: ConstantsTable = DEFAULT_CONSTANTS
+) -> list[StationarityCertificate]:
+    """Distance from each row of X to the nearest point that could be near-stationary.
 
     On a clamped instance every eps-stationary point (eps below the instance's
     threshold) sits at the clamp value, so the value gap divided by the
-    Lipschitz constant 7 lower-bounds the distance from x to all of them.
+    Lipschitz constant 7 lower-bounds the distance from x to all of them.  The
+    rows are evaluated with one ``eval_batch`` call; one certificate per row.
     """
     if instance.clamp is None:
         raise DegenerateInputError("distance certificates need a clamped instance")
-    x = as_vector(x)
-    value = instance.eval(x).value
-    bound = max(0.0, (value - instance.clamp) / constants.lipschitz_channel)
-    return StationarityCertificate(
-        kind=KIND_NEAR_DISTANCE,
-        value=bound,
-        certified=True,
-        sound_direction="refutation_only",
-        constants_used=constants,
-    )
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatchError("certified points must be the rows of a matrix")
+    if not np.isfinite(X).all():
+        raise DegenerateInputError("vector has non-finite entries")
+    values = instance.eval_batch(X)[0]
+    return [
+        StationarityCertificate(
+            kind=KIND_NEAR_DISTANCE,
+            value=max(0.0, (value - instance.clamp) / constants.lipschitz_channel),
+            certified=True,
+            sound_direction="refutation_only",
+            constants_used=constants,
+        )
+        for value in values.tolist()
+    ]

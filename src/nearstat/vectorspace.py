@@ -29,7 +29,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DegenerateInputError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DegenerateInputError("vector has non-finite entries")
     return v
 

@@ -9,21 +9,22 @@ canonical element is returned so that runs replay exactly:
 - clamp boundary: the unclamped branch element; strictly clamped: zero,
 - Warga kinks: the midpoint element obtained from the ``sign(0) = 0`` convention.
 
-``eval_batch`` is the evaluation path: the spiral, Warga's example and plain
-channel instances evaluate a scalar query as row 0 of a one-row batch, and a
-row's answer has the same bits whether it is asked alone or in a block.
-A plain channel labels each row with an int8 region code in one pass over the
-rows and maps the codes to the region strings with one table lookup.
-:func:`batch_oracle` finds the batch form behind an oracle, so consumers that
-fix their sample points before asking (smoothed estimates, Goldstein rounds,
-sampled certificates) answer them with one call.  Composed channel instances
-answer row by row through their scalar path: in the inactive hinge region
-they reuse the quadratic oracle's arithmetic, which ties their bits to the
-distance oracle the adversary played against.
+``eval_batch`` is the evaluation path: the spiral, Warga's example and every
+channel instance, plain or composed, evaluate a scalar query as row 0 of a
+one-row batch, and a row's answer has the same bits whether it is asked alone
+or in a block.  A channel labels each row with an int8 region code in one pass
+over the rows and maps the codes to the region strings with one table lookup.
+A composed instance maps its rows in and its subgradients back one row at a
+time; in the inactive hinge region it answers with the quadratic oracle's
+arithmetic, which ties its bits to the distance oracle the adversary played
+against.  :func:`batch_oracle` finds the batch form behind an oracle, so
+consumers that fix their sample points before asking (smoothed estimates,
+Goldstein rounds, sampled certificates) answer them with one call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,7 +68,7 @@ class FirstOrderReply:
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "subgrad", np.asarray(self.subgrad, dtype=float))
-        if not np.isfinite(self.value) or not np.all(np.isfinite(self.subgrad)):
+        if not math.isfinite(self.value) or not np.isfinite(self.subgrad).all():
             raise DegenerateInputError("oracle reply has non-finite entries")
 
 
@@ -99,11 +100,6 @@ class Spiral:
     @property
     def dim(self) -> int:
         return 2
-
-    @property
-    def lipschitz_constant(self) -> float:
-        # 2*pi holds on the 2*delta ball; the taper adds a radial term <= 2.
-        return 2.0 * math.pi + (2.0 if self.extended else 0.0)
 
     def eval_batch(self, X: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -166,10 +162,6 @@ class Warga:
     @property
     def dim(self) -> int:
         return 2
-
-    @property
-    def lipschitz_constant(self) -> float:
-        return 2.5
 
     def eval_batch(self, X: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -240,10 +232,6 @@ class AffineMap:
     def dim(self) -> int:
         return len(self.x_star)
 
-    def apply_m(self, v: np.ndarray) -> np.ndarray:
-        """Apply ``M`` as ``M^(1/2)`` twice."""
-        return self.sqrt_apply(self.sqrt_apply(v))
-
 
 def identity_map(x_star) -> AffineMap:
     x_star = as_vector(x_star)
@@ -259,11 +247,6 @@ class NormDistance:
     @property
     def dim(self) -> int:
         return self.map.dim
-
-    @property
-    def lipschitz_constant(self) -> float:
-        # Largest singular value of M^(1/2); 1 for the chain family.
-        return 1.0
 
     def eval(self, x) -> FirstOrderReply:
         x = as_vector(x)
@@ -308,89 +291,41 @@ class ChannelInstance:
         return len(self.w)
 
     @property
-    def lipschitz_constant(self) -> float:
-        return 7.0
-
-    @property
     def w_norm(self) -> float:
         return float(np.linalg.norm(self.w))
 
-    @property
+    @functools.cached_property
     def w_bar(self) -> np.ndarray:
         return self.w / self.w_norm
 
-    def mapped_point(self, x: np.ndarray) -> np.ndarray:
-        if self.affine is None:
-            return x
-        return self.affine.sqrt_apply(x - self.affine.x_star)
-
-    def _pieces(self, x: np.ndarray):
-        """Region string plus the unclamped value and its y-space subgradient.
-
-        The scalar path of composed instances; plain instances use
-        :meth:`eval_batch`.
-        """
-        y = self.mapped_point(x)
-        wbar = self.w_bar
-        s = y + self.w
-        ny = float(np.linalg.norm(y))
-        ns = float(np.linalg.norm(s))
-        hinge = 4.0 * float(wbar @ s) - 2.0 * ns
-        raw = ny - max(hinge, 0.0)
-        if ny <= REGION_TOL:
-            sub, grad_y, sub_diff = REGION_ORIGIN, -2.0 * wbar, False
-        elif ns <= REGION_TOL:
-            sub, grad_y, sub_diff = REGION_MINUS_W, -3.0 * wbar, False
-        elif abs(hinge) <= REGION_TOL:
-            sub, grad_y, sub_diff = REGION_HINGE_BOUNDARY, y / ny, False
-        elif hinge > 0.0:
-            sub, grad_y, sub_diff = REGION_HINGE_ACTIVE, y / ny - (4.0 * wbar - 2.0 * s / ns), True
-        else:
-            sub, grad_y, sub_diff = REGION_HINGE_INACTIVE, y / ny, True
-        if self.clamp is not None:
-            if raw < self.clamp - REGION_TOL:
-                return REGION_CLAMP_ACTIVE, raw, grad_y, True
-            if abs(raw - self.clamp) <= REGION_TOL:
-                return REGION_CLAMP_BOUNDARY, raw, grad_y, False
-        return sub, raw, grad_y, sub_diff
-
     def region(self, x) -> str:
-        x = as_vector(x)
-        if self.affine is None:
-            return str(self.eval_batch(x[None, :])[3][0])
-        return self._pieces(x)[0]
+        return str(self.eval_batch(as_vector(x)[None, :])[3][0])
 
     def eval(self, x) -> FirstOrderReply:
-        x = as_vector(x)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError("query dimension does not match the instance")
-        if self.affine is None:
-            vals, grads, diffs, _ = self.eval_batch(x[None, :])
-            return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
-        region, raw, grad_y, diff = self._pieces(x)
-        if region == REGION_CLAMP_ACTIVE:
-            return FirstOrderReply(self.clamp, np.zeros(self.dim), True)
-        if region == REGION_HINGE_INACTIVE and self.affine.quad_oracle is not None:
-            # ||y|| equals sqrt of the underlying quadratic here; reuse its
-            # arithmetic so composed runs reproduce the plain distance oracle
-            # bit for bit.
-            return sqrt_reply(self.affine.quad_oracle(x), self.dim)
-        value = raw if region != REGION_CLAMP_BOUNDARY else max(self.clamp, raw)
-        return FirstOrderReply(value, self.affine.sqrt_apply(grad_y), diff)
+        vals, grads, diffs, _ = self.eval_batch(as_vector(x)[None, :])
+        return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
 
     __call__ = eval
 
     def eval_batch(self, X: np.ndarray):
-        """Evaluation of plain (non-composed) instances over the rows of X.
+        """Evaluation over the rows of X.
 
         Returns ``(values, grads, differentiable, regions)``; :meth:`eval` and
-        :meth:`region` are row 0 of a one-row batch.
+        :meth:`region` are row 0 of a one-row batch.  A composed instance maps
+        each row through the 1-d ``affine.sqrt_apply`` and each subgradient
+        back the same way, one row at a time, so a row's bits do not depend on
+        the rows around it.
         """
-        if self.affine is not None:
-            raise DegenerateInputError("batch evaluation supports plain instances only")
-        Y = np.atleast_2d(np.asarray(X, dtype=float))
-        if Y.shape[1] != self.dim:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dim:
             raise DimensionMismatchError("query dimension does not match the instance")
+        affine = self.affine
+        if affine is None:
+            Y = X
+        else:
+            Y = np.empty(X.shape)
+            for i, x in enumerate(X):
+                Y[i] = affine.sqrt_apply(x - affine.x_star)
         wbar = self.w_bar
         S = Y + self.w
         ny = np.linalg.norm(Y, axis=1)
@@ -424,7 +359,20 @@ class ChannelInstance:
             grads[clamped] = 0.0
             values[boundary] = np.maximum(self.clamp, values[boundary])
             values[clamped] = self.clamp
-        return values, grads, _CODE_DIFFERENTIABLE[codes], _CODE_REGIONS[codes]
+        diffs = _CODE_DIFFERENTIABLE[codes]
+
+        if affine is not None:
+            quad = affine.quad_oracle
+            for i, code in enumerate(codes.tolist()):
+                if code == _INACTIVE and quad is not None:
+                    # ||y|| is the square root of the quadratic here; its own
+                    # arithmetic makes the composed instance replay the
+                    # distance oracle bit for bit
+                    reply = sqrt_reply(quad(X[i]), self.dim)
+                    values[i], grads[i], diffs[i] = reply.value, reply.subgrad, reply.differentiable
+                elif code != _CLAMP_ACTIVE:
+                    grads[i] = affine.sqrt_apply(grads[i])
+        return values, grads, diffs, _CODE_REGIONS[codes]
 
 
 def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
@@ -433,8 +381,8 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
     ``oracle`` may be a zoo instance or its bound ``eval``.  The result maps
     the rows of X to ``(values, subgradients, differentiable)``, each row
     bitwise equal to the scalar reply at that row, and rejects non-finite
-    queries and replies as the scalar path does.  Closures, stateful oracles
-    and composed channel instances have no batch form.
+    queries and replies as the scalar path does.  Closures and stateful
+    oracles have no batch form.
     """
     owner = getattr(oracle, "__self__", oracle)
     if owner is not oracle and getattr(oracle, "__func__", None) is not getattr(
@@ -443,7 +391,7 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
         return None
     if isinstance(owner, (Spiral, Warga)):
         evaluate = owner.eval_batch
-    elif isinstance(owner, ChannelInstance) and owner.affine is None:
+    elif isinstance(owner, ChannelInstance):
 
         def evaluate(X):
             return owner.eval_batch(X)[:3]
@@ -455,10 +403,10 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DimensionMismatchError("batch queries must be the rows of a matrix")
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise DegenerateInputError("vector has non-finite entries")
         values, grads, diffs = evaluate(X)
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grads))):
+        if not (np.isfinite(values).all() and np.isfinite(grads).all()):
             raise DegenerateInputError("oracle reply has non-finite entries")
         return values, grads, diffs
 
@@ -555,7 +503,3 @@ def instance_from_json(doc: dict):
 
 def instance_to_json_str(obj) -> str:
     return json.dumps(instance_to_json(obj))
-
-
-def instance_from_json_str(text: str):
-    return instance_from_json(json.loads(text))

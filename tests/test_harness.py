@@ -28,7 +28,7 @@ from nearstat.harness import (
     write_report_files,
 )
 from nearstat.oracle_game import Transcript
-from nearstat.zoo import ChannelInstance, Spiral, instance_from_json_str, instance_to_json
+from nearstat.zoo import ChannelInstance, Spiral, instance_from_json, instance_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,10 @@ def test_config_from_dict_and_validate():
     assert cfg.d == 10  # d defaults to 2T
     assert cfg.solver == {"name": "subgrad"}
     assert set(cfg.echo()) == set(ExperimentConfig._FIELDS)
+    assert ExperimentConfig._FIELDS == (
+        "experiment", "T", "d", "seed", "trials", "solver", "adversary", "function",
+        "output_path", "tolerances",
+    )
 
 
 def test_config_rejects_unknown_and_missing_fields():
@@ -141,12 +145,13 @@ def test_quad_lower_bound_report_shape(tmp_path):
 
 
 def test_experiment_names_cover_registry():
-    assert set(EXPERIMENT_NAMES) == {
+    # the order is part of the "choose from" error message
+    assert EXPERIMENT_NAMES == (
         "quad_lower_bound",
         "det_lower_bound",
         "theorem1",
         "theorem1_randomized",
-    }
+    )
 
 
 def test_det_lower_bound_small():
@@ -181,7 +186,8 @@ def test_theorem1_randomized_few_trials():
 
 
 def test_verify_suite_names():
-    assert set(VERIFY_SUITES) == {"prop1", "channel", "quadratic", "remark", "all"}
+    # the order is the CLI's --suite choices and the "choose from" error message
+    assert VERIFY_SUITES == ("prop1", "channel", "quadratic", "remark", "all")
     with pytest.raises(ConfigError):
         run_verify("nope", seed=1)
 
@@ -339,7 +345,7 @@ def test_build_adversary_files_round_trip():
     files = build_adversary_files(cfg)
     assert set(files) == {"instance.json", "diagnostics.json", "transcript.jsonl"}
 
-    instance = instance_from_json_str(files["instance.json"])
+    instance = instance_from_json(json.loads(files["instance.json"]))
     assert isinstance(instance, ChannelInstance)
     assert instance.clamp == -1.0 and instance.affine is not None
 

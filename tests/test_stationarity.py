@@ -220,14 +220,18 @@ def test_delta_eps_ball_sampling_needs_rng_and_stays_inside():
 
 
 def test_delta_eps_batch_answers_match_scalar_calls():
+    from nearstat.adversaries import affine_map_from_parameters
+
     g = ChannelInstance(w=[0.02, -0.01, 0.015])
-    x = [0.01, 0.02, 0.0]
-    certs = [
-        certify_delta_eps(oracle, x, 0.5, 1e-6, 64, rng_state=derive_stream(3, "certifier"))
-        for oracle in (g.eval, lambda p: g.eval(p))
-    ]
-    assert certs[0].to_json_str() == certs[1].to_json_str()
-    assert certs[0].certified
+    chain = affine_map_from_parameters(2, 3)
+    composed = ChannelInstance(w=[0.02, -0.01, 0.015], clamp=-1.0, affine=chain)
+    for instance, x in ((g, [0.01, 0.02, 0.0]), (composed, chain.x_star + [0.01, 0.02, 0.0])):
+        certs = [
+            certify_delta_eps(oracle, x, 0.5, 1e-6, 64, rng_state=derive_stream(3, "certifier"))
+            for oracle in (instance.eval, lambda p: instance.eval(p))
+        ]
+        assert certs[0].to_json_str() == certs[1].to_json_str()
+        assert certs[0].certified
 
 
 def test_subdiff_norm_lower_bound_by_region():
@@ -258,13 +262,43 @@ def test_clamp_region_refuses_norm_bound():
 
 def test_near_distance_bound_from_value_gap():
     g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
-    cert = near_stationarity_distance_lb(g, [0.0, 0.0])
+    cert, deep = near_stationarity_distance_lb(g, [[0.0, 0.0], [0.7, 0.0]])
     assert cert.kind == KIND_NEAR_DISTANCE
     assert cert.value == pytest.approx((-0.6 + 1.0) / 7.0, rel=1e-15)
-    deep = near_stationarity_distance_lb(g, [0.7, 0.0])
     assert deep.value == 0.0
     with pytest.raises(DegenerateInputError):
-        near_stationarity_distance_lb(ChannelInstance(w=[0.3, 0.0]), [0.0, 0.0])
+        near_stationarity_distance_lb(ChannelInstance(w=[0.3, 0.0]), [[0.0, 0.0]])
+
+
+def test_near_distance_bounds_come_from_one_batch(monkeypatch):
+    from nearstat.adversaries import affine_map_from_parameters
+
+    g = ChannelInstance(w=[0.02, -0.01, 0.015], clamp=-1.0, affine=affine_map_from_parameters(2, 3))
+    X = np.random.default_rng(24).normal(size=(6, 3))
+    want = [max(0.0, (g.eval(x).value - g.clamp) / 7.0) for x in X]
+    calls = []
+    eval_batch = ChannelInstance.eval_batch
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return eval_batch(self, rows)
+
+    monkeypatch.setattr(ChannelInstance, "eval_batch", counted)
+    certs = near_stationarity_distance_lb(g, X)
+    assert calls == [6]
+    assert [c.value for c in certs] == want
+    assert all(c.kind == KIND_NEAR_DISTANCE and c.certified for c in certs)
+
+
+def test_near_distance_bounds_reject_bad_rows():
+    g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
+    for bad in ([[0.0, np.nan]], [[0.0, 0.0], [np.inf, 0.0]]):
+        with pytest.raises(DegenerateInputError):
+            near_stationarity_distance_lb(g, bad)
+    with pytest.raises(DimensionMismatchError):
+        near_stationarity_distance_lb(g, [0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        near_stationarity_distance_lb(g, [[0.0, 0.0, 0.0]])
 
 
 def test_constants_table_defaults():

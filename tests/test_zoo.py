@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nearstat.adversaries import affine_map_from_parameters
 from nearstat.errors import DegenerateInputError, DimensionMismatchError
 from nearstat.zoo import (
     REGION_CLAMP_ACTIVE,
@@ -22,7 +24,6 @@ from nearstat.zoo import (
     clamped_channel,
     identity_map,
     instance_from_json,
-    instance_from_json_str,
     instance_to_json,
     instance_to_json_str,
     sqrt_oracle,
@@ -158,7 +159,6 @@ def test_sqrt_oracle_gives_unit_gradients_of_distance():
 
 def test_identity_norm_distance():
     nd = NormDistance(identity_map([1.0, -2.0]))
-    assert nd.lipschitz_constant == 1.0
     r = nd.eval([1.0, 0.0])
     assert r.value == 2.0 and np.array_equal(r.subgrad, [0.0, 1.0])
     at_star = nd.eval([1.0, -2.0])
@@ -221,8 +221,9 @@ def test_channel_lipschitz_ratio_sampled():
 
 
 def test_channel_eval_matches_eval_batch():
-    # a plain instance's scalar reply is its batch row, bit for bit, in every
-    # region and in dimensions where BLAS would split the rows differently
+    # a scalar reply is its batch row, bit for bit, in every region and in
+    # dimensions where BLAS would split the rows differently; for composed
+    # instances too, whose rows are mapped one at a time
     rng = np.random.default_rng(14)
     for dim in (2, 9, 40):
         w = np.zeros(dim)
@@ -234,14 +235,48 @@ def test_channel_eval_matches_eval_batch():
         X = np.vstack(
             [rng.uniform(-1, 1, size=(200, dim)), rng.normal(size=(50, dim)) * 1e-3, near]
         )
-        vals, grads, diffs, regions = g.eval_batch(X)
-        assert len(set(regions)) >= 3
-        for i, x in enumerate(X):
-            r = g.eval(x)
-            assert r.value == vals[i]
-            assert np.array_equal(r.subgrad, grads[i])
-            assert r.differentiable == bool(diffs[i])
-            assert g.region(x) == regions[i]
+        assert len(set(_assert_scalar_calls_are_batch_rows(g, X))) >= 3
+    for kind in ("natural", "rotated"):
+        seen = set()
+        for g, X in _composed_channels(kind, rng):
+            seen |= set(_assert_scalar_calls_are_batch_rows(g, X))
+        assert len(seen) == 7
+
+
+def _assert_scalar_calls_are_batch_rows(g, X):
+    vals, grads, diffs, regions = g.eval_batch(X)
+    for i, x in enumerate(X):
+        r = g.eval(x)
+        assert r.value == vals[i]
+        assert np.array_equal(r.subgrad, grads[i])
+        assert np.array_equal(np.signbit(r.subgrad), np.signbit(grads[i]))
+        assert r.differentiable == bool(diffs[i])
+        assert g.region(x) == regions[i]
+        alone = g.eval_batch(x[None, :])
+        for a, b in zip(alone, (vals, grads, diffs, regions)):
+            assert np.array_equal(a[0], b[i])
+    return regions
+
+
+def _composed_channels(kind, rng):
+    """Composed instances over a natural, rotated or identity map, unclamped and
+    clamped at two levels, each with rows x whose mapped points M^(1/2)(x - x_star)
+    are planted in every region."""
+    T, d = 4, 9
+    frame = None
+    if kind == "rotated":
+        frame = np.linalg.qr(rng.normal(size=(d, T)))[0].T
+    affine = identity_map(rng.normal(size=d)) if kind == "identity" else (
+        affine_map_from_parameters(T, d, rotation_frame=frame)
+    )
+    root = np.stack([affine.sqrt_apply(e) for e in np.eye(d)], axis=1)
+    w = rng.normal(size=d)
+    w *= 0.3 / np.linalg.norm(w)
+    origin_value = ChannelInstance(w=w).eval(np.zeros(d)).value
+    for clamp in (None, origin_value - 1.0, origin_value / 2.0):
+        Y = np.vstack([rng.uniform(-1.5, 1.5, size=(150, d)), _planted_channel_rows(w, clamp, rng)])
+        X = affine.x_star + np.linalg.solve(root, Y.T).T
+        yield ChannelInstance(w=w, clamp=clamp, affine=affine), X
 
 
 def reference_channel_eval_batch(instance, X):
@@ -359,11 +394,87 @@ def test_channel_eval_batch_matches_reference_bit_for_bit(dim):
     assert len(seen) == 7
 
 
+def reference_composed_eval(instance, x):
+    """ChannelInstance.eval of a composed instance as it was written before
+    composed rows went through eval_batch: the scalar region logic of the old
+    ``_pieces`` on y = M^(1/2)(x - x_star).  Returns (reply, region, margin);
+    the margin is the distance of the quantities that pick the region from
+    the nearest region threshold."""
+    affine = instance.affine
+    y = affine.sqrt_apply(x - affine.x_star)
+    wbar = instance.w_bar
+    s = y + instance.w
+    ny = float(np.linalg.norm(y))
+    ns = float(np.linalg.norm(s))
+    hinge = 4.0 * float(wbar @ s) - 2.0 * ns
+    raw = ny - max(hinge, 0.0)
+    margins = [abs(ny - REGION_TOL), abs(ns - REGION_TOL), abs(abs(hinge) - REGION_TOL)]
+    if instance.clamp is not None:
+        margins += [
+            abs(raw - (instance.clamp - REGION_TOL)),
+            abs(abs(raw - instance.clamp) - REGION_TOL),
+        ]
+    margin = min(margins)
+    if ny <= REGION_TOL:
+        region, grad_y, diff = REGION_ORIGIN, -2.0 * wbar, False
+    elif ns <= REGION_TOL:
+        region, grad_y, diff = REGION_MINUS_W, -3.0 * wbar, False
+    elif abs(hinge) <= REGION_TOL:
+        region, grad_y, diff = REGION_HINGE_BOUNDARY, y / ny, False
+    elif hinge > 0.0:
+        region, grad_y, diff = REGION_HINGE_ACTIVE, y / ny - (4.0 * wbar - 2.0 * s / ns), True
+    else:
+        region, grad_y, diff = REGION_HINGE_INACTIVE, y / ny, True
+    if instance.clamp is not None:
+        if raw < instance.clamp - REGION_TOL:
+            reply = FirstOrderReply(instance.clamp, np.zeros(instance.dim), True)
+            return reply, REGION_CLAMP_ACTIVE, margin
+        if abs(raw - instance.clamp) <= REGION_TOL:
+            region, diff = REGION_CLAMP_BOUNDARY, False
+            raw = max(instance.clamp, raw)
+    if region == REGION_HINGE_INACTIVE and affine.quad_oracle is not None:
+        return sqrt_reply(affine.quad_oracle(x), instance.dim), region, margin
+    return FirstOrderReply(raw, affine.sqrt_apply(grad_y), diff), region, margin
+
+
+@pytest.mark.parametrize("kind", ["natural", "rotated", "identity"])
+def test_composed_channel_matches_reference_composed_eval(kind):
+    rng = np.random.default_rng(160 + len(kind))
+    seen = set()
+    ties = rows = 0
+    for g, X in _composed_channels(kind, rng):
+        vals, grads, diffs, regions = g.eval_batch(X)
+        seen |= set(regions)
+        rows += len(X)
+        for i, x in enumerate(X):
+            want, region, margin = reference_composed_eval(g, x)
+            if margin <= 1e-14:
+                # a planted row on a region threshold: the two paths round
+                # apart by ~1e-16 and may fall on either side of it
+                ties += 1
+                assert abs(vals[i] - want.value) <= 2.0 * REGION_TOL
+                continue
+            assert regions[i] == region
+            assert bool(diffs[i]) == want.differentiable
+            quad_backed = region == REGION_HINGE_INACTIVE and g.affine.quad_oracle is not None
+            if quad_backed or region == REGION_CLAMP_ACTIVE:
+                assert vals[i] == want.value
+                assert np.array_equal(grads[i], want.subgrad)
+            else:
+                scale = max(abs(want.value), np.abs(want.subgrad).max())
+                assert abs(vals[i] - want.value) <= 1e-14 * scale
+                assert np.abs(grads[i] - want.subgrad).max() <= 1e-14 * scale
+    assert len(seen) == 7
+    assert ties <= 0.02 * rows
+
+
 def test_batch_oracle_finds_the_batch_form():
     rng = np.random.default_rng(15)
     X = rng.uniform(-1, 1, size=(20, 2))
     plain = ChannelInstance(w=[0.25, -0.1])
-    for fn in (Spiral(), Warga(), plain):
+    composed = ChannelInstance(w=[0.25, -0.1], affine=identity_map(np.zeros(2)))
+    chain = ChannelInstance(w=[0.25, -0.1], clamp=-1.0, affine=affine_map_from_parameters(2, 2))
+    for fn in (Spiral(), Warga(), plain, composed, chain):
         for oracle in (fn, fn.eval, fn.__call__):
             batch = batch_oracle(oracle)
             vals, grads, diffs = batch(X)
@@ -371,8 +482,7 @@ def test_batch_oracle_finds_the_batch_form():
                 r = fn.eval(x)
                 assert (r.value, r.differentiable) == (vals[i], diffs[i])
                 assert np.array_equal(r.subgrad, grads[i])
-    composed = ChannelInstance(w=[0.25, -0.1], affine=identity_map(np.zeros(2)))
-    for oracle in (composed, composed.eval, lambda x: Spiral().eval(x), sqrt_oracle(Warga())):
+    for oracle in (lambda x: Spiral().eval(x), sqrt_oracle(Warga())):
         assert batch_oracle(oracle) is None
 
 
@@ -437,7 +547,7 @@ def test_json_round_trip_evaluates_identically(obj):
 def test_json_string_round_trip():
     g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
     text = instance_to_json_str(g)
-    back = instance_from_json_str(text)
+    back = instance_from_json(json.loads(text))
     assert back.clamp == g.clamp
     assert np.array_equal(back.w, g.w)
 
