@@ -338,18 +338,34 @@ class ChannelAdversaryConfig:
     """How to pick w when composing the channel on top of the hard quadratic."""
 
     mode: str = MODE_DETERMINISTIC
-    w_norm: float | None = None  # default exp(-T)/300, resolved at build time
+    w_norm: float | None = None  # default exp(-T)/300
 
     def __post_init__(self):
         if self.mode not in (MODE_DETERMINISTIC, MODE_RANDOMIZED):
             raise DegenerateInputError(f"unknown adversary mode {self.mode!r}")
 
-    def resolve_w_norm(self, T: int) -> float:
-        w_norm = self.w_norm if self.w_norm is not None else default_w_norm(T)
-        if w_norm <= 0.0 or w_norm < W_NORM_FLOOR:
+    def check_envelope(self, algorithm: AlgorithmDescriptor, T: int, d: int) -> float:
+        """Reject a build outside the channel envelope; returns the resolved ||w||.
+
+        d >= T is the chain quadratic's rule, checked when it is built.
+        """
+        if not CHANNEL_T_MIN <= T <= CHANNEL_T_MAX:
             raise DegenerateInputError(
-                f"w_norm {w_norm:.3e} below the {W_NORM_FLOOR:.0e} underflow guard"
+                f"the channel adversary supports {CHANNEL_T_MIN} <= T <= {CHANNEL_T_MAX}: past it"
+                f" the default ||w|| = exp(-T)/300 falls below {W_NORM_FLOOR:.0e}"
             )
+        w_norm = self.w_norm if self.w_norm is not None else default_w_norm(T)
+        if isinstance(w_norm, bool) or not isinstance(w_norm, (int, float)):
+            raise DegenerateInputError(f"w_norm {w_norm!r} must be a number")
+        if not W_NORM_FLOOR <= w_norm < math.inf:
+            raise DegenerateInputError(f"w_norm {w_norm!r} must be finite, >= {W_NORM_FLOOR:.0e}")
+        if self.mode == MODE_DETERMINISTIC:
+            if d < 2 * T:
+                raise DegenerateInputError("deterministic mode needs d >= 2T")
+            if algorithm.class_tag not in (CLASS_DETERMINISTIC, CLASS_LINEAR_SPAN):
+                raise DegenerateInputError(
+                    f"deterministic mode needs a deterministic algorithm, not {algorithm.name!r}"
+                )
         return w_norm
 
 
@@ -373,21 +389,8 @@ def build_channel_instance(
 
     under which the composed function agrees with the distance function at x_t.
     """
-    if not CHANNEL_T_MIN <= T <= CHANNEL_T_MAX:
-        raise DegenerateInputError(
-            f"channel adversary supports {CHANNEL_T_MIN} <= T <= {CHANNEL_T_MAX}"
-        )
+    w_norm = cfg.check_envelope(algorithm, T, d)
     rng_state = rng_state or {}
-    w_norm = cfg.resolve_w_norm(T)
-    if cfg.mode == MODE_DETERMINISTIC:
-        if d < 2 * T:
-            raise DegenerateInputError("deterministic mode needs d >= 2T")
-        if algorithm.class_tag not in (CLASS_DETERMINISTIC, CLASS_LINEAR_SPAN):
-            raise DegenerateInputError(
-                "deterministic mode requires a deterministic algorithm class"
-            )
-    if d < T:
-        raise DegenerateInputError("need d >= T")
 
     base = norm_distance_instance(HardQuadratic(T=T, d=d))
 

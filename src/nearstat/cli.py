@@ -73,7 +73,7 @@ def _parse_point(raw: str) -> np.ndarray:
 
 def cmd_run(args, extra) -> int:
     doc = _load_config(args.config, _parse_dotted(extra), {"experiment": "quad_lower_bound"})
-    cfg = harness.ExperimentConfig.from_dict(doc).validate()
+    cfg = harness.ExperimentConfig.from_dict(doc)
     report = harness.run_experiment(cfg)
     out_dir = harness.resolve_output_dir(cfg.output_path)
     written = harness.write_report_files(report, out_dir)
@@ -122,11 +122,12 @@ def cmd_certify(args, extra) -> int:
 
 def cmd_adversary(args, extra) -> int:
     doc = _load_config(args.config, _parse_dotted(extra), {})
-    mode = doc.get("adversary", {}).get("mode", "deterministic_orthogonal")
+    adversary = doc.get("adversary")
+    mode = adversary.get("mode") if isinstance(adversary, dict) else None
     doc.setdefault(
-        "experiment", "theorem1" if mode == "deterministic_orthogonal" else "theorem1_randomized"
+        "experiment", "theorem1_randomized" if mode == "randomized_sphere" else "theorem1"
     )
-    cfg = harness.ExperimentConfig.from_dict(doc).validate()
+    cfg = harness.ExperimentConfig.from_dict(doc)
     files = harness.build_adversary_files(cfg)
     out_dir = harness.resolve_output_dir(cfg.output_path)
     os.makedirs(out_dir, exist_ok=True)

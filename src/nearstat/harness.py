@@ -9,6 +9,7 @@ randomness flows from one 64-bit master seed through per-role streams
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
-from nearstat.errors import ClampRegionError, ConfigError
+from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError
 from nearstat.oracle_game import min_distance_to, play
 from nearstat.vectorspace import derive_stream, sample_ball_batch
 
@@ -57,6 +58,15 @@ def role_streams(seed: int) -> dict[str, np.random.Generator]:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Turn what a constructor raises on a bad parameter into a ConfigError."""
+    try:
+        yield
+    except (TypeError, DegenerateInputError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -66,78 +76,62 @@ class ExperimentConfig:
     trials: int = 100
     solver: dict = field(default_factory=lambda: {"name": "subgrad"})
     adversary: dict = field(default_factory=dict)
-    function: dict = field(default_factory=dict)
     output_path: str | None = None
-    tolerances: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - set(cls._FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "experiment" not in doc:
-            raise ConfigError("config needs an 'experiment' field")
-        try:
+        with _config_errors():
             return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def validate(self) -> "ExperimentConfig":
+        """A copy with d resolved, proven by building what the config names: the
+        solver, the chain quadratic, the rotation and the channel adversary."""
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}"
             )
-        if not isinstance(self.T, int) or self.T < 1:
-            raise ConfigError("T must be an integer >= 1")
+        integers = ("T", "seed", "trials") if self.d is None else ("T", "d", "seed", "trials")
+        for name in integers:
+            if type(getattr(self, name)) is not int:  # a JSON true is no integer here
+                raise ConfigError(f"{name} must be an integer")
         randomized = self.experiment == "theorem1_randomized"
-        if self.d is None:
-            self.d = randomized_min_d(self.T) if randomized else 2 * self.T
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ConfigError("d must be an integer >= 1")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
-        if self.experiment in ("det_lower_bound", "theorem1") and self.d < 2 * self.T:
-            raise ConfigError(f"experiment {self.experiment!r} needs d >= 2T")
+        d = self.d
+        if d is None:
+            d = randomized_min_d(self.T) if randomized else 2 * self.T
         if randomized and self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if randomized and self.d < (d_min := randomized_min_d(self.T)):
+        if randomized and d < (d_min := randomized_min_d(self.T)):
             raise ConfigError(
                 f"experiment 'theorem1_randomized' needs d >= {d_min} at T = {self.T}: below"
                 f" it the alignment bound T exp(-d/18) exceeds AC7's {AC7_MAX_FAILURE_FRACTION}"
             )
-        if not isinstance(self.solver, dict) or "name" not in self.solver:
-            raise ConfigError("solver must be a table with a 'name'")
-        if self.experiment in CHANNEL_EXPERIMENTS:
-            self.validate_channel()
-        return self
-
-    def validate_channel(self) -> None:
-        """Reject a channel-adversary budget or ``adversary.w_norm`` outside the envelope."""
-        lo, hi = adversaries.CHANNEL_T_MIN, adversaries.CHANNEL_T_MAX
-        if not lo <= self.T <= hi:
-            raise ConfigError(
-                f"the channel adversary supports {lo} <= T <= {hi} (the default"
-                f" ||w|| = exp(-T)/300 falls below {adversaries.W_NORM_FLOOR:.0e} past T = {hi})"
-            )
-        w_norm = self.adversary.get("w_norm")
-        if w_norm is not None and not (
-            isinstance(w_norm, (int, float))
-            and math.isfinite(w_norm)
-            and w_norm >= adversaries.W_NORM_FLOOR
-        ):
-            raise ConfigError(
-                f"adversary.w_norm {w_norm!r} must be a number >= {adversaries.W_NORM_FLOOR:.0e}"
-            )
+        cfg = dataclasses.replace(self, d=d)
+        mode = adversaries.MODE_RANDOMIZED if randomized else adversaries.MODE_DETERMINISTIC
+        with _config_errors():
+            descriptor = solvers.build_solver(**cfg.solver)
+            acfg = channel_adversary(cfg, mode)
+            if cfg.experiment in CHANNEL_EXPERIMENTS:
+                acfg.check_envelope(descriptor, cfg.T, d)
+            hq = adversaries.HardQuadratic(T=cfg.T, d=d)
+            if cfg.experiment == "det_lower_bound":
+                adversaries.RotationBuilder(base=hq)
+        if randomized and acfg.mode != mode:
+            raise ConfigError(f"theorem1_randomized draws w at random, not in mode {acfg.mode!r}")
+        return cfg
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)
 
-    def build_solver(self):
-        params = {k: v for k, v in self.solver.items() if k != "name"}
-        return solvers.build_solver(self.solver["name"], **params)
-
 
 ExperimentConfig._FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def channel_adversary(
+    cfg: ExperimentConfig, mode: str = adversaries.MODE_DETERMINISTIC
+) -> adversaries.ChannelAdversaryConfig:
+    """The adversary ``cfg.adversary`` names, in ``mode`` unless it names one; TypeError
+    on a key that is no ChannelAdversaryConfig field."""
+    return adversaries.ChannelAdversaryConfig(**{"mode": mode, **cfg.adversary})
 
 
 def parse_override_value(raw: str):
@@ -244,7 +238,7 @@ def run_quad_lower_bound(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     streams = role_streams(cfg.seed)
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
-    descriptor = cfg.build_solver()
+    descriptor = solvers.build_solver(**cfg.solver)
     transcript = play(
         descriptor, adversaries.chain_quadratic_oracle(hq), cfg.T, cfg.d, rng=streams["algorithm"]
     )
@@ -272,7 +266,7 @@ def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
     streams = role_streams(cfg.seed)
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
     rb = adversaries.RotationBuilder(base=hq)
-    descriptor = cfg.build_solver()
+    descriptor = solvers.build_solver(**cfg.solver)
     transcript = play(
         descriptor, adversaries.rotation_oracle(rb), cfg.T, cfg.d, rng=streams["algorithm"]
     )
@@ -313,21 +307,12 @@ def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
     )
 
 
-def _build_channel(cfg: ExperimentConfig, descriptor) -> tuple[zoo.ChannelInstance, dict]:
-    """The channel instance the configured adversary builds against ``descriptor``."""
-    acfg = adversaries.ChannelAdversaryConfig(
-        mode=cfg.adversary.get("mode", adversaries.MODE_DETERMINISTIC),
-        w_norm=cfg.adversary.get("w_norm"),
-    )
-    return adversaries.build_channel_instance(
-        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
-    )
-
-
 def run_theorem1(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
-    descriptor = cfg.build_solver()
-    instance, diag = _build_channel(cfg, descriptor)
+    descriptor = solvers.build_solver(**cfg.solver)
+    instance, diag = adversaries.build_channel_instance(
+        channel_adversary(cfg), descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
+    )
     base_transcript = diag["transcript"]
     replay = play(descriptor, instance.eval, cfg.T, cfg.d, rng=None)
     bitwise = all(
@@ -390,10 +375,8 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
 def run_theorem1_randomized(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     streams = role_streams(cfg.seed)
-    descriptor = cfg.build_solver()
-    acfg = adversaries.ChannelAdversaryConfig(
-        mode=adversaries.MODE_RANDOMIZED, w_norm=cfg.adversary.get("w_norm")
-    )
+    descriptor = solvers.build_solver(**cfg.solver)
+    acfg = channel_adversary(cfg, adversaries.MODE_RANDOMIZED)
     threshold = 1.0 / 3.0
     max_alignments = []
     failures = 0
@@ -435,7 +418,7 @@ EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    cfg.validate()
+    cfg = cfg.validate()
     return EXPERIMENTS[cfg.experiment](cfg)
 
 
@@ -849,9 +832,14 @@ def certify_point(
 
 def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:
     """Build a hard channel instance and render its persistence documents."""
-    cfg.validate()
-    cfg.validate_channel()
-    instance, diag = _build_channel(cfg, cfg.build_solver())
+    cfg = cfg.validate()
+    descriptor = solvers.build_solver(**cfg.solver)
+    acfg = channel_adversary(cfg)
+    with _config_errors():  # a channel whatever the experiment says
+        acfg.check_envelope(descriptor, cfg.T, cfg.d)
+    instance, diag = adversaries.build_channel_instance(
+        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
+    )
     transcript = diag.pop("transcript")
     diag["config"] = cfg.echo()
     return {

@@ -316,6 +316,9 @@ def build_solver(name: str, **params) -> AlgorithmDescriptor:
     """
     if name not in SOLVERS:
         raise DegenerateInputError(f"unknown solver {name!r}; choose from {sorted(SOLVERS)}")
-    if isinstance(params.get("schedule"), dict):
-        params["schedule"] = StepSchedule(**params["schedule"])
+    schedule = params.get("schedule")
+    if isinstance(schedule, dict):
+        params["schedule"] = StepSchedule(**schedule)
+    elif schedule is not None and not isinstance(schedule, StepSchedule):
+        raise DegenerateInputError(f"schedule {schedule!r} must be a table of step-size fields")
     return SOLVERS[name](**params)

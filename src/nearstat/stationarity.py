@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -200,21 +200,6 @@ def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
     return finish(active, lam, iterations, converged)
 
 
-def min_norm_brute_oracle(points) -> float:
-    """Exact hull minimum norm by subset enumeration; test oracle only."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = P.shape
-    if m > 6 or d > 5:
-        raise DegenerateInputError("brute oracle is limited to <= 6 points in dim <= 5")
-    best = math.inf
-    for mask in range(1, 1 << m):
-        idx = [i for i in range(m) if mask >> i & 1]
-        a = _affine_min_norm(P[idx])
-        if np.all(a >= -1e-12):
-            best = min(best, float(np.linalg.norm(a @ P[idx])))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -236,7 +221,6 @@ class StationarityCertificate:
     certified: bool
     sound_direction: str
     witness: Witness | None = None
-    constants_used: ConstantsTable = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -253,7 +237,7 @@ class StationarityCertificate:
             "value": self.value,
             "certified": self.certified,
             "sound_direction": self.sound_direction,
-            "constants": asdict(self.constants_used),
+            "constants": asdict(DEFAULT_CONSTANTS),
             "witness": None,
         }
         if self.witness is not None:
@@ -268,9 +252,7 @@ class StationarityCertificate:
         return json.dumps(self.to_json())
 
 
-def certify_eps_stationary(
-    oracle, x, eps: float, constants: ConstantsTable = DEFAULT_CONSTANTS
-) -> StationarityCertificate:
+def certify_eps_stationary(oracle, x, eps: float) -> StationarityCertificate:
     """Certificate from the single subgradient the oracle returns at x."""
     x = as_vector(x)
     if eps < 0.0:
@@ -289,7 +271,6 @@ def certify_eps_stationary(
         certified=certified,
         sound_direction="stationarity_only",
         witness=witness,
-        constants_used=constants,
     )
 
 
@@ -300,7 +281,6 @@ def certify_delta_eps(
     eps: float,
     sampling,
     rng_state: np.random.Generator | None = None,
-    constants: ConstantsTable = DEFAULT_CONSTANTS,
 ) -> StationarityCertificate:
     """Hull-minimum-norm certificate over subgradients sampled in the delta-ball.
 
@@ -352,13 +332,10 @@ def certify_delta_eps(
         certified=certified,
         sound_direction="stationarity_only",
         witness=witness,
-        constants_used=constants,
     )
 
 
-def subdiff_norm_lower_bound(
-    instance: ChannelInstance, x, constants: ConstantsTable = DEFAULT_CONSTANTS
-) -> StationarityCertificate:
+def subdiff_norm_lower_bound(instance: ChannelInstance, x) -> StationarityCertificate:
     """Per-region lower bound on subgradient norms of a channel instance.
 
     1 at the origin, at -w and at differentiable points; 1/sqrt(2) on the
@@ -378,13 +355,10 @@ def subdiff_norm_lower_bound(
         value=bound,
         certified=True,
         sound_direction="refutation_only",
-        constants_used=constants,
     )
 
 
-def near_stationarity_distance_lb(
-    instance: ChannelInstance, X, constants: ConstantsTable = DEFAULT_CONSTANTS
-) -> list[StationarityCertificate]:
+def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[StationarityCertificate]:
     """Distance from each row of X to the nearest point that could be near-stationary.
 
     On a clamped instance every eps-stationary point (eps below the instance's
@@ -403,10 +377,9 @@ def near_stationarity_distance_lb(
     return [
         StationarityCertificate(
             kind=KIND_NEAR_DISTANCE,
-            value=max(0.0, (value - instance.clamp) / constants.lipschitz_channel),
+            value=max(0.0, (value - instance.clamp) / DEFAULT_CONSTANTS.lipschitz_channel),
             certified=True,
             sound_direction="refutation_only",
-            constants_used=constants,
         )
         for value in values.tolist()
     ]

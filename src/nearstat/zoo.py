@@ -352,8 +352,10 @@ class ChannelInstance:
         grads[at_origin] = -2.0 * wbar
 
         if self.clamp is not None:
-            clamped = values < self.clamp - REGION_TOL
-            boundary = ~clamped & (np.abs(values - self.clamp) <= REGION_TOL)
+            # one rounding decides: a row is clamped, on the boundary or above it
+            gap = values - self.clamp
+            clamped = gap < -REGION_TOL
+            boundary = ~clamped & (gap <= REGION_TOL)
             codes[clamped] = _CLAMP_ACTIVE
             codes[boundary] = _CLAMP_BOUNDARY
             grads[clamped] = 0.0

@@ -330,4 +330,4 @@ def test_channel_adversary_input_validation():
 def test_channel_adversary_w_norm_floor():
     cfg = ChannelAdversaryConfig(mode=MODE_DETERMINISTIC, w_norm=1e-13)
     with pytest.raises(DegenerateInputError):
-        cfg.resolve_w_norm(5)
+        cfg.check_envelope(subgradient_method(), 5, 10)

@@ -1,0 +1,183 @@
+"""The parameter envelope of ``nearstat run``.
+
+A configuration outside it exits 2 with ``config error:`` before any game is
+played; one inside it runs to a verdict (exit 0, or exit 1 with a ``FAIL``
+line) or to a typed ``error:`` line, never to a traceback.  The CLI runs
+in-process here, so that ``play`` can be replaced by a function that fails the
+test when a game starts.
+"""
+
+import contextlib
+import io
+import os
+import shlex
+import tempfile
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nearstat import adversaries, cli, harness
+
+# deterministic and bounded, so tier-1 runs the same examples every time
+ENVELOPE_PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+SPAN_SOLVERS = ("subgrad", "steepest")
+EXPERIMENTS = ("quad_lower_bound", "det_lower_bound", "theorem1", "theorem1_randomized")
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def no_games():
+    """Fail loudly if any oracle game starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game was played for a configuration outside the envelope")
+
+    with mock.patch.object(harness, "play", refuse), mock.patch.object(adversaries, "play", refuse):
+        yield
+
+
+def assert_rejected(argv: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/out"
+        with no_games():
+            code, _, err = run_cli(["run", *argv, "--output_path", out])
+        assert code == 2, (argv, err)
+        assert err.startswith("config error:"), (argv, err)
+        assert not os.path.exists(out)
+
+
+# Each of these got past validation before it was built: it crashed with an
+# untyped traceback, exited 1, or ran with a setting silently ignored.
+REJECTED = [
+    "--solver.name smoothed",
+    "--solver.name nosuch",
+    "--solver.name subgrad --solver.bogus 1",
+    "--solver.name subgrad --solver.schedule 3",
+    "--solver.name subgrad --solver.schedule.kind nosuch",
+    "--solver.name steepest --solver.schedule.kind constant",
+    "--experiment quad_lower_bound --T 1",
+    "--experiment det_lower_bound --T 1",
+    "--experiment quad_lower_bound --T 3 --d 2",
+    "--experiment quad_lower_bound --T true",
+    "--experiment quad_lower_bound --T 3 --seed true",
+    "--experiment theorem1 --T 5 --solver.name goldstein --solver.delta 0.1",
+    "--experiment theorem1 --T 5 --adversary.mode nosuch",
+    "--experiment theorem1 --T 5 --adversary.bogus 1",
+    "--experiment quad_lower_bound --T 3 --tolerances.foo 1",
+    "--experiment theorem1_randomized --T 5 --adversary.mode deterministic_orthogonal",
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_config_outside_the_envelope_exits_two_before_play(argv):
+    assert_rejected(shlex.split(argv))
+
+
+def _flags(experiment: str, solver: str, T, d, *extra: str) -> list[str]:
+    argv = ["--experiment", experiment, "--solver.name", solver, "--T", str(T)]
+    return argv + (["--d", str(d)] if d is not None else []) + list(extra)
+
+
+def _d_floor(experiment: str, T: int) -> int:
+    """The smallest d the experiment accepts at T."""
+    if experiment == "theorem1_randomized":
+        return harness.randomized_min_d(T)
+    return T if experiment == "quad_lower_bound" else 2 * T
+
+
+@st.composite
+def outside_configs(draw) -> list[str]:
+    """One violation of the envelope, drawn over experiment x solver x T x d."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    solver = draw(st.sampled_from(SPAN_SOLVERS))
+    channel = experiment in harness.CHANNEL_EXPERIMENTS
+    T = draw(st.integers(2, adversaries.CHANNEL_T_MAX))
+    kind = draw(
+        st.sampled_from(
+            ["T_low", "T_high", "d_low", "ill_typed", "solver", "adversary", "randomized_solver"]
+        )
+    )
+    if kind == "T_low":
+        return _flags(experiment, solver, draw(st.integers(-3, 1)), None)
+    if kind == "T_high":
+        if not channel:  # only the channel envelope ends at T = 19; draw d < T instead
+            return _flags(experiment, solver, T, draw(st.integers(1, T - 1)))
+        return _flags(experiment, solver, draw(st.integers(20, 40)), None)
+    if kind == "d_low":
+        return _flags(experiment, solver, T, draw(st.integers(-2, _d_floor(experiment, T) - 1)))
+    if kind == "ill_typed":
+        field = draw(st.sampled_from(["--T", "--d", "--seed", "--trials"]))
+        value = draw(st.sampled_from(["true", "2.5", "ten", "[4]"]))
+        if field == "--trials":
+            experiment = "theorem1_randomized"
+        return _flags(experiment, solver, T, None, field, value)
+    if kind == "solver":
+        bad = draw(
+            st.sampled_from(
+                [
+                    ["--solver.bogus", "1"],
+                    ["--solver.schedule", "3"],
+                    ["--solver.schedule.kind", "nosuch"],
+                    ["--solver.schedule.scale", "-1"],
+                    ["--solver.name", "nosuch"],
+                    ["--solver.name", "smoothed"],
+                ]
+            )
+        )
+        if solver == "steepest" and bad[0].startswith("--solver.schedule"):
+            bad = ["--solver.schedule.kind", "constant"]
+        return _flags(experiment, solver, T, None, *bad)
+    if kind == "adversary":
+        bad = [
+            ["--adversary.bogus", "1"],
+            ["--adversary.mode", "nosuch"],
+            ["--adversary", "3"],
+        ]
+        if channel:
+            bad.append(["--adversary.w_norm", draw(st.sampled_from(["1e-12", "0", "-1", "small"]))])
+        if experiment == "theorem1_randomized":
+            bad.append(["--adversary.mode", "deterministic_orthogonal"])
+        return _flags(experiment, solver, T, None, *draw(st.sampled_from(bad)))
+    # a randomized-class solver against the deterministic carve
+    return _flags("theorem1", "goldstein", T, None, "--solver.delta", "0.1")
+
+
+@ENVELOPE_PROFILE
+@given(outside_configs())
+def test_drawn_config_outside_the_envelope_exits_two_before_play(argv):
+    assert_rejected(argv)
+
+
+@st.composite
+def inside_configs(draw) -> list[str]:
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    solver = draw(st.sampled_from(SPAN_SOLVERS))
+    T = draw(st.integers(2, adversaries.CHANNEL_T_MAX))
+    floor = _d_floor(experiment, T)
+    d = draw(st.integers(floor, floor + 3 * T))
+    seed = draw(st.integers(0, 2**31))
+    return _flags(experiment, solver, T, d, "--seed", str(seed), "--trials", "3")
+
+
+@ENVELOPE_PROFILE
+@given(inside_configs())
+# Known exit-1 outcomes inside the envelope: in the channel experiments
+# subgrad gets within exp(-T) of the minimizer at T = 2..4 (a typed error),
+# and steepest fails AC1/AC2 at T = 3.
+@example(_flags("theorem1", "subgrad", 3, 6))
+@example(_flags("quad_lower_bound", "steepest", 3, 6))
+def test_drawn_config_inside_the_envelope_ends_in_a_verdict_or_typed_error(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_cli(["run", *argv, "--output_path", tmp])
+    assert code in (0, 1), (argv, code, err)
+    if code == 1:
+        assert "[FAIL]" in out or err.startswith("error:"), (argv, out, err)

@@ -37,13 +37,14 @@ from nearstat.zoo import ChannelInstance, Spiral, instance_from_json, instance_t
 
 
 def test_config_from_dict_and_validate():
-    cfg = ExperimentConfig.from_dict({"experiment": "quad_lower_bound", "T": 5}).validate()
+    raw = ExperimentConfig.from_dict({"experiment": "quad_lower_bound", "T": 5})
+    cfg = raw.validate()
     assert cfg.d == 10  # d defaults to 2T
+    assert raw.d is None  # validate resolves a copy
     assert cfg.solver == {"name": "subgrad"}
     assert set(cfg.echo()) == set(ExperimentConfig._FIELDS)
     assert ExperimentConfig._FIELDS == (
-        "experiment", "T", "d", "seed", "trials", "solver", "adversary", "function",
-        "output_path", "tolerances",
+        "experiment", "T", "d", "seed", "trials", "solver", "adversary", "output_path",
     )
 
 

@@ -17,7 +17,6 @@ from nearstat.stationarity import (
     Witness,
     certify_delta_eps,
     certify_eps_stationary,
-    min_norm_brute_oracle,
     min_norm_point,
     near_stationarity_distance_lb,
     _dedup,
@@ -25,6 +24,8 @@ from nearstat.stationarity import (
 )
 from nearstat.vectorspace import derive_stream
 from nearstat.zoo import ChannelInstance, Spiral
+
+from brute_force import min_norm_brute_oracle
 
 
 # ---------------------------------------------------------------------------

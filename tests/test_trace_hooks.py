@@ -1,0 +1,44 @@
+"""The benchmark's trace hooks (``perfbench/tracing.py``) still fit the package.
+
+``perfbench/run.py --trace 1`` wraps nearstat functions by module and
+attribute name, so renaming one of them under ``src/`` would break the traced
+benchmark run without failing anything else.
+"""
+
+import importlib.util
+import pathlib
+
+import nearstat.cli  # noqa: F401  (loads every module the hooks wrap)
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _function(raw):
+    return raw.__func__ if isinstance(raw, classmethod) else raw
+
+
+def test_trace_hooks_resolve_and_come_off():
+    tracing = load_tracing()
+    originals = {}
+    for targets in tracing.TARGETS.values():
+        for module, path in targets:
+            owner, attr = tracing._resolve(module, path)
+            originals[module, path] = vars(owner)[attr]
+    undo = tracing.install(tracing.Tracer())
+    try:
+        for (module, path), raw in originals.items():
+            owner, attr = tracing._resolve(module, path)
+            wrapped = getattr(_function(vars(owner)[attr]), "__wrapped__", None)
+            assert wrapped is _function(raw), f"{module}.{path} is not traced"
+    finally:
+        tracing.uninstall(undo)
+    for (module, path), raw in originals.items():
+        owner, attr = tracing._resolve(module, path)
+        assert vars(owner)[attr] is raw, f"{module}.{path} was not restored"

@@ -319,8 +319,9 @@ def reference_channel_eval_batch(instance, X):
 
     values = raw.copy()
     if instance.clamp is not None:
-        clamped = raw < instance.clamp - REGION_TOL
-        boundary = ~clamped & (np.abs(raw - instance.clamp) <= REGION_TOL)
+        gap = raw - instance.clamp
+        clamped = gap < -REGION_TOL
+        boundary = ~clamped & (gap <= REGION_TOL)
         values[clamped] = instance.clamp
         grads[clamped] = 0.0
         diffs[clamped] = True
@@ -392,6 +393,19 @@ def test_channel_eval_batch_matches_reference_bit_for_bit(dim):
             for a, b in zip(alone, got):
                 assert np.array_equal(a[0], b[i])
     assert len(seen) == 7
+
+
+def test_clamped_channel_never_answers_below_its_floor():
+    # a value about REGION_TOL under the clamp level once passed neither the
+    # clamped nor the boundary test and kept its raw value, in hinge_active
+    g = ChannelInstance(w=[0.3, 0.0], clamp=-1.6)
+    assert g.eval([1.000000000001, 0.0]).value == -1.6
+    assert g.region([1.000000000001, 0.0]) in (REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY)
+    # the sweep along w across that level: 23 of these rows fell below it
+    X = np.outer(np.linspace(1.0 + 0.99e-12, 1.0 + 1.01e-12, 2001), [1.0, 0.0])
+    values, _, _, regions = g.eval_batch(X)
+    assert values.min() == -1.6
+    assert set(regions) <= {REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY}
 
 
 def reference_composed_eval(instance, x):
