@@ -39,6 +39,7 @@ from nearstat.vectorspace import (
     OrthonormalFrame,
     as_vector,
     extend_orthonormal,
+    row_norms,
     sample_sphere,
 )
 from nearstat.zoo import (
@@ -415,7 +416,7 @@ def build_channel_instance(
         )
 
     directions = np.stack([base.map.sqrt_apply(x - x_star) for x in iterates])
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions /= row_norms(directions)[:, None]
 
     if cfg.mode == MODE_DETERMINISTIC:
         w_dir = extend_orthonormal(None, avoid=list(directions), dim=d)

@@ -23,7 +23,7 @@ import numpy as np
 from nearstat import adversaries, solvers, stationarity, zoo
 from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError
 from nearstat.oracle_game import min_distance_to, play
-from nearstat.vectorspace import derive_stream, sample_ball_batch
+from nearstat.vectorspace import derive_stream, row_norms, sample_ball_batch
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -85,7 +85,8 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """A copy with d resolved, proven by building what the config names: the
-        solver, the chain quadratic, the rotation and the channel adversary."""
+        solver and its policy at d, the chain quadratic, the rotation and the
+        channel adversary."""
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}"
@@ -109,6 +110,7 @@ class ExperimentConfig:
         mode = adversaries.MODE_RANDOMIZED if randomized else adversaries.MODE_DETERMINISTIC
         with _config_errors():
             descriptor = solvers.build_solver(**cfg.solver)
+            descriptor.fresh_policy(d, derive_stream(cfg.seed, "algorithm"))
             acfg = channel_adversary(cfg, mode)
             if cfg.experiment in CHANNEL_EXPERIMENTS:
                 acfg.check_envelope(descriptor, cfg.T, d)
@@ -446,7 +448,7 @@ def verify_prop1(seed: int) -> list[CheckResult]:
 
     pts = sample_ball_batch(2, 1.0, 100_000, rng)
     _, grads, _ = spiral.eval_batch(pts)
-    min_inner = float(np.linalg.norm(grads, axis=1).min())
+    min_inner = float(row_norms(grads).min())
     checks.append(
         CheckResult(
             "AC4",
@@ -458,7 +460,7 @@ def verify_prop1(seed: int) -> list[CheckResult]:
 
     pts2 = sample_ball_batch(2, 2.0, 100_000, rng)
     _, grads2, _ = spiral.eval_batch(pts2)
-    max_outer = float(np.linalg.norm(grads2, axis=1).max())
+    max_outer = float(row_norms(grads2).max())
     checks.append(
         CheckResult(
             "AC4",
@@ -502,7 +504,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     B = A + rng.normal(size=(n_pairs, d)) * rng.uniform(1e-6, 1.0, size=(n_pairs, 1))
     va, _, _, _ = instance.eval_batch(A)
     vb, _, _, _ = instance.eval_batch(B)
-    gaps = np.linalg.norm(A - B, axis=1)
+    gaps = row_norms(A - B)
     ratios = np.abs(va - vb) / np.where(gaps > 0, gaps, 1.0)
     max_ratio = float(ratios.max())
     checks.append(
@@ -523,7 +525,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     n_cone = 100_000
     tang = rng.normal(size=(n_cone, d))
     tang[:, 0] = 0.0
-    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    tang /= row_norms(tang)[:, None]
     radii = rng.uniform(1e-3, 2.0, size=(n_cone, 1))
     wbar = w / np.linalg.norm(w)
     cone = radii * (0.5 * wbar + (math.sqrt(3.0) / 2.0) * tang)
@@ -533,7 +535,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     min_norm = math.inf
     for block in blocks:
         _, grads, _, _ = instance.eval_batch(block)
-        min_norm = min(min_norm, float(np.linalg.norm(grads, axis=1).min()))
+        min_norm = min(min_norm, float(row_norms(grads).min()))
     checks.append(
         CheckResult(
             "AC5",
@@ -547,16 +549,14 @@ def verify_channel(seed: int) -> list[CheckResult]:
     pts = rng.uniform(-2.0, 2.0, size=(n_cons, d))
     _, grads, diffs, regions = instance.eval_batch(pts)
     bounds = np.where(regions == zoo.REGION_HINGE_BOUNDARY, 1.0 / _SQRT2, 1.0)
-    norms = np.linalg.norm(grads, axis=1)
+    norms = row_norms(grads)
     consistent = bool(np.all(norms[diffs] >= bounds[diffs] - 1e-9))
     spot_rng = derive_stream(seed, "adversary")
     spot_idx = spot_rng.choice(n_cons, size=200, replace=False)
-    spot_ok = True
-    for i in spot_idx:
-        cert = stationarity.subdiff_norm_lower_bound(instance, pts[i])
-        if norms[i] < cert.value - 1e-9:
-            spot_ok = False
-            break
+    spot_certs = stationarity.subdiff_norm_lower_bound(instance, pts[spot_idx])
+    spot_ok = not any(
+        norm < cert.value - 1e-9 for norm, cert in zip(norms[spot_idx].tolist(), spot_certs)
+    )
     checks.append(
         CheckResult(
             "AC5",
@@ -808,7 +808,7 @@ def certify_point(
         answered = cert.certified
         if not answered and isinstance(instance, zoo.ChannelInstance):
             try:
-                bound = stationarity.subdiff_norm_lower_bound(instance, x)
+                bound = stationarity.subdiff_norm_lower_bound(instance, x[None, :])[0]
             except ClampRegionError:
                 bound = None
             if bound is not None:

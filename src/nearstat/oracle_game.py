@@ -23,7 +23,7 @@ from nearstat.errors import (
     DimensionMismatchError,
     OracleFailure,
 )
-from nearstat.vectorspace import as_vector, orthogonal_residual
+from nearstat.vectorspace import as_vector, orthogonal_residual, row_norms
 from nearstat.zoo import FirstOrderReply, Oracle, batch_oracle
 
 CLASS_DETERMINISTIC = "deterministic"
@@ -197,9 +197,9 @@ def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int 
         raise DegenerateInputError("empty transcript")
     X = np.array(transcript.queries)
     G = np.array([reply.subgrad for reply in transcript.replies])
-    x_limits = tol * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    x_limits = tol * np.maximum(1.0, row_norms(X))
     x_limits[0] = tol  # x_1 = 0, absolutely
-    g_limits = SUBGRAD_DROP_TOL * np.maximum(1.0, np.linalg.norm(G, axis=1))
+    g_limits = SUBGRAD_DROP_TOL * np.maximum(1.0, row_norms(G))
     pairs = np.stack([X, G], axis=2)  # x_t and g_t as the columns of pairs[t]
     basis = np.zeros((min(len(X), transcript.d), transcript.d))
     k = 0

@@ -33,6 +33,13 @@ SCHEDULE_LINE_SEARCH = "exact_line_search_quadratic"
 _PROBE_SCALE = 1e-3
 
 
+def _number(name: str, value):
+    """``value``, unless it is a boolean: a JSON ``true`` is no number here."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DegenerateInputError(f"{name} must be a number, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule eta_t for t = 1, 2, ...; scale must be positive."""
@@ -43,7 +50,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in (SCHEDULE_CONSTANT, SCHEDULE_INVERSE_SQRT, SCHEDULE_LINE_SEARCH):
             raise DegenerateInputError(f"unknown schedule kind {self.kind!r}")
-        if self.scale <= 0.0:
+        if _number("schedule scale", self.scale) <= 0.0:
             raise DegenerateInputError("schedule scale must be positive")
 
     def step(self, t: int) -> float:
@@ -192,9 +199,9 @@ class _SmoothedPolicy(QueryPolicy):
 def smoothed_gradient_method(
     delta: float, samples_per_step: int, schedule: StepSchedule | None = None
 ) -> AlgorithmDescriptor:
-    if delta <= 0.0:
+    if _number("delta", delta) <= 0.0:
         raise DegenerateInputError("smoothing radius must be positive")
-    if samples_per_step < 1:
+    if _number("samples_per_step", samples_per_step) < 1:
         raise DegenerateInputError("need at least one sample per step")
     schedule = schedule if schedule is not None else StepSchedule()
     return AlgorithmDescriptor(
@@ -224,13 +231,14 @@ class _GoldsteinPolicy(QueryPolicy):
         self.schedule = schedule
         self.eps_stop = eps_stop
         self.rng = rng
-        self.stencil = None
+        self.stencil = stencil
         if stencil is not None:
-            self.stencil = [np.asarray(o, dtype=float) for o in stencil]
-            for off in self.stencil:
-                if float(np.linalg.norm(off)) > delta + 1e-12:
-                    raise DegenerateInputError("stencil offset outside the delta-ball")
-            self.round_size = 1 + len(self.stencil)
+            for off in stencil:
+                if off.shape != (d,):
+                    raise DegenerateInputError(
+                        f"stencil offset has shape {off.shape}, expected ({d},)"
+                    )
+            self.round_size = 1 + len(stencil)
         else:
             if rng is None:
                 raise DegenerateInputError("ball sampling needs an rng")
@@ -278,12 +286,19 @@ def goldstein_descent(
     eps_stop: float = 1e-8,
     stencil=None,
 ) -> AlgorithmDescriptor:
-    if delta <= 0.0:
+    if _number("delta", delta) <= 0.0:
         raise DegenerateInputError("ball radius must be positive")
-    if stencil is None and samples_per_step < 1:
+    if _number("samples_per_step", samples_per_step) < 1 and stencil is None:
         raise DegenerateInputError("need at least one sample per step")
-    if eps_stop < 0.0:
+    if _number("eps_stop", eps_stop) < 0.0:
         raise DegenerateInputError("stopping threshold must be nonnegative")
+    if stencil is not None:
+        stencil = [
+            np.array([_number("stencil entry", v) for v in offset], dtype=float)
+            for offset in stencil
+        ]
+        if any(float(np.linalg.norm(offset)) > delta + 1e-12 for offset in stencil):
+            raise DegenerateInputError("stencil offset outside the delta-ball")
     schedule = schedule if schedule is not None else StepSchedule()
     return AlgorithmDescriptor(
         name="goldstein",

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
-from nearstat.vectorspace import as_vector, sample_ball
+from nearstat.vectorspace import as_vector, row_norms, sample_ball
 from nearstat.zoo import (
     REGION_CLAMP_ACTIVE,
     REGION_CLAMP_BOUNDARY,
@@ -134,7 +134,7 @@ def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
 
     P, owner = _dedup(P_in)
     m = len(P)
-    norms = np.linalg.norm(P, axis=1)
+    norms = row_norms(P)
 
     def finish(active: list[int], lam: np.ndarray, iterations: int, converged: bool):
         point = lam @ P[active]
@@ -335,27 +335,40 @@ def certify_delta_eps(
     )
 
 
-def subdiff_norm_lower_bound(instance: ChannelInstance, x) -> StationarityCertificate:
-    """Per-region lower bound on subgradient norms of a channel instance.
+def _certified_rows(X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatchError("certified points must be the rows of a matrix")
+    if not np.isfinite(X).all():
+        raise DegenerateInputError("vector has non-finite entries")
+    return X
+
+
+def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityCertificate]:
+    """Per-region lower bound on the subgradient norms of a channel instance at each row of X.
 
     1 at the origin, at -w and at differentiable points; 1/sqrt(2) on the
     hinge boundary; composed instances scale by the smallest singular value of
-    the square-root matrix, 1/sqrt(2) for the chain family.  Points in a clamp
-    region are rejected: arbitrarily small subgradients live there.
+    the square-root matrix, 1/sqrt(2) for the chain family.  The rows are
+    evaluated with one ``eval_batch`` call; one certificate per row.  A row in
+    a clamp region is rejected: arbitrarily small subgradients live there.
     """
-    x = as_vector(x)
-    region = instance.region(x)
-    if region in (REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY):
-        raise ClampRegionError(f"no positive bound holds in region {region!r}")
-    bound = 1.0 / _SQRT2 if region == REGION_HINGE_BOUNDARY else 1.0
-    if instance.affine is not None:
-        bound /= _SQRT2
-    return StationarityCertificate(
-        kind=KIND_SUBDIFF_NORM,
-        value=bound,
-        certified=True,
-        sound_direction="refutation_only",
-    )
+    regions = instance.eval_batch(_certified_rows(X))[3]
+    clamped = np.flatnonzero((regions == REGION_CLAMP_ACTIVE) | (regions == REGION_CLAMP_BOUNDARY))
+    if len(clamped):
+        row = int(clamped[0])
+        region = str(regions[row])
+        raise ClampRegionError(f"row {row}: no positive bound holds in region {region!r}")
+
+    def certificate(bound: float) -> StationarityCertificate:
+        if instance.affine is not None:
+            bound /= _SQRT2
+        return StationarityCertificate(
+            kind=KIND_SUBDIFF_NORM, value=bound, certified=True, sound_direction="refutation_only"
+        )
+
+    elsewhere, boundary = certificate(1.0), certificate(1.0 / _SQRT2)
+    return [boundary if r == REGION_HINGE_BOUNDARY else elsewhere for r in regions.tolist()]
 
 
 def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[StationarityCertificate]:
@@ -368,12 +381,7 @@ def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[Stationa
     """
     if instance.clamp is None:
         raise DegenerateInputError("distance certificates need a clamped instance")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatchError("certified points must be the rows of a matrix")
-    if not np.isfinite(X).all():
-        raise DegenerateInputError("vector has non-finite entries")
-    values = instance.eval_batch(X)[0]
+    values = instance.eval_batch(_certified_rows(X))[0]
     return [
         StationarityCertificate(
             kind=KIND_NEAR_DISTANCE,

@@ -22,6 +22,10 @@ CANDIDATE_RESIDUAL_TOL = 1e-6
 # An avoid vector whose residual against the constraints is at most this,
 # relative to max(1, its norm), adds no constraint.
 AVOID_DROP_TOL = 1e-12
+# numpy adds the squares of a row shorter than this left to right; from 8 on
+# its pairwise sum keeps 8 accumulators, so only narrower rows can be summed
+# column by column and still give numpy's bits.  Not a tuning knob.
+SEQUENTIAL_ROW_WIDTH = 8
 
 
 def as_vector(x) -> np.ndarray:
@@ -32,6 +36,27 @@ def as_vector(x) -> np.ndarray:
     if not np.isfinite(v).all():
         raise DegenerateInputError("vector has non-finite entries")
     return v
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array; ``np.linalg.norm(X, axis=1)`` bit for bit.
+
+    The squares of narrow float64 rows are summed column by column, in
+    numpy's order, with n-long temporaries: numpy's one short reduction per
+    row costs more than the arithmetic.  Anything else goes to numpy.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"row norms need a 2-d array, got shape {X.shape}")
+    d = X.shape[1]
+    if X.dtype != np.float64 or not 0 < d < SEQUENTIAL_ROW_WIDTH:
+        return np.linalg.norm(X, axis=1)
+    total = X[:, 0] * X[:, 0]
+    square = np.empty_like(total)
+    for k in range(1, d):
+        column = X[:, k]
+        total += np.multiply(column, column, out=square)
+    return np.sqrt(total, out=total)
 
 
 def frame_tolerance(dim: int) -> float:
@@ -182,7 +207,7 @@ def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray
 
 def sample_sphere_batch(dim: int, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((count, dim))
-    n = np.linalg.norm(g, axis=1, keepdims=True)
+    n = row_norms(g)[:, None]
     n[n == 0.0] = 1.0
     return radius * g / n
 

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from nearstat.errors import DegenerateInputError, DimensionMismatchError
-from nearstat.vectorspace import as_vector
+from nearstat.vectorspace import as_vector, row_norms
 
 # Absolute tolerance on the defining equalities of nondifferentiable regions.
 REGION_TOL = 1e-12
@@ -115,7 +115,7 @@ class Spiral:
         if not self.extended:
             return vals, grads, diffs
 
-        r = np.linalg.norm(X, axis=1)
+        r = row_norms(X)
         inner_seam = np.abs(r - 2.0 * d) <= REGION_TOL
         outer_seam = np.abs(r - 4.0 * d) <= REGION_TOL
         middle = (r > 2.0 * d) & ~inner_seam
@@ -328,8 +328,8 @@ class ChannelInstance:
                 Y[i] = affine.sqrt_apply(x - affine.x_star)
         wbar = self.w_bar
         S = Y + self.w
-        ny = np.linalg.norm(Y, axis=1)
-        ns = np.linalg.norm(S, axis=1)
+        ny = row_norms(Y)
+        ns = row_norms(S)
         # einsum, not a matrix-vector product: BLAS rounds a row differently
         # depending on how many rows it sees, and each row must give the same
         # bits whether it comes alone or in a block

@@ -74,6 +74,18 @@ REJECTED = [
     "--experiment theorem1 --T 5 --adversary.bogus 1",
     "--experiment quad_lower_bound --T 3 --tolerances.foo 1",
     "--experiment theorem1_randomized --T 5 --adversary.mode deterministic_orthogonal",
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
+    " --solver.stencil [[5,0]]",
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
+    " --solver.stencil [[0.01,0,0]]",
+    # a JSON true is no number
+    "--solver.name subgrad --solver.schedule.scale true",
+    "--solver.name smoothed --solver.delta true --solver.samples_per_step 4",
+    "--solver.name smoothed --solver.delta 0.1 --solver.samples_per_step true",
+    "--solver.name goldstein --solver.delta true",
+    "--solver.name goldstein --solver.delta 0.1 --solver.samples_per_step true",
+    "--solver.name goldstein --solver.delta 0.1 --solver.eps_stop true",
+    "--solver.name goldstein --solver.delta 0.1 --solver.stencil [[true,0]]",
 ]
 
 

@@ -304,7 +304,7 @@ def test_certify_point_eps_in_clamp_region_gives_only_the_witness_test():
 
 
 def test_certify_point_surfaces_other_bound_errors(monkeypatch):
-    def broken(instance, x):
+    def broken(instance, X):
         raise DegenerateInputError("broken bound")
 
     monkeypatch.setattr(stationarity, "subdiff_norm_lower_bound", broken)

@@ -239,9 +239,16 @@ def test_goldstein_validation():
         goldstein_descent(delta=-1.0)
     with pytest.raises(DegenerateInputError):
         goldstein_descent(delta=0.1, eps_stop=-1e-3)
-    desc = goldstein_descent(delta=0.1, stencil=[[0.2, 0.0]])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="outside the delta-ball"):
+        goldstein_descent(delta=0.1, stencil=[[0.2, 0.0]])
+    desc = goldstein_descent(delta=0.1, stencil=[[0.01, 0.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match="expected"):
         desc.fresh_policy(2, None)
+    for flag in ("delta", "samples_per_step", "eps_stop"):
+        with pytest.raises(DegenerateInputError, match="must be a number"):
+            goldstein_descent(**{"delta": 0.1, flag: True})
+    with pytest.raises(DegenerateInputError, match="must be a number"):
+        goldstein_descent(delta=0.1, stencil=[[True, 0.0]])
     with pytest.raises(DegenerateInputError):
         goldstein_descent(delta=0.1).fresh_policy(2, None)  # sampling needs rng
 

@@ -23,9 +23,20 @@ from nearstat.stationarity import (
     subdiff_norm_lower_bound,
 )
 from nearstat.vectorspace import derive_stream
-from nearstat.zoo import ChannelInstance, Spiral
+from nearstat.zoo import (
+    REGION_CLAMP_ACTIVE,
+    REGION_CLAMP_BOUNDARY,
+    REGION_HINGE_ACTIVE,
+    REGION_HINGE_BOUNDARY,
+    REGION_HINGE_INACTIVE,
+    REGION_MINUS_W,
+    REGION_ORIGIN,
+    ChannelInstance,
+    Spiral,
+)
 
 from brute_force import min_norm_brute_oracle
+from test_zoo import _composed_channels, _planted_channel_rows
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +248,9 @@ def test_delta_eps_batch_answers_match_scalar_calls():
 
 def test_subdiff_norm_lower_bound_by_region():
     g = ChannelInstance(w=[0.3, 0.0])
-    inactive = subdiff_norm_lower_bound(g, [-1.0, 0.0])
-    assert inactive.value == 1.0 and inactive.sound_direction == "refutation_only"
     boundary_x = np.array([0.5 - 0.3, math.sqrt(3.0) / 2.0])
-    boundary = subdiff_norm_lower_bound(g, boundary_x)
+    inactive, boundary = subdiff_norm_lower_bound(g, [[-1.0, 0.0], boundary_x])
+    assert inactive.value == 1.0 and inactive.sound_direction == "refutation_only"
     assert boundary.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     assert boundary.kind == KIND_SUBDIFF_NORM
 
@@ -251,14 +261,66 @@ def test_subdiff_norm_bound_scales_under_composition():
     base = norm_distance_instance(HardQuadratic(T=2, d=2))
     g = ChannelInstance(w=[0.3, 0.0], affine=base.map)
     far = base.map.x_star + np.array([5.0, 5.0])
-    cert = subdiff_norm_lower_bound(g, far)
+    (cert,) = subdiff_norm_lower_bound(g, [far])
     assert cert.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
 
 def test_clamp_region_refuses_norm_bound():
     g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
-    with pytest.raises(ClampRegionError):
-        subdiff_norm_lower_bound(g, [0.7, 0.0])
+    free = np.array([[-1.0, 0.0], [0.0, 0.0], [-0.3, 0.0], [0.0, 2.0]])
+    # a clamped row alone, first, among the others or last refuses the block
+    for X in ([[0.7, 0.0]], *(np.insert(free, row, [0.7, 0.0], axis=0) for row in range(5))):
+        row = int(np.flatnonzero(np.asarray(X)[:, 0] == 0.7)[0])
+        with pytest.raises(ClampRegionError, match=f"row {row}: .*'clamp_active'"):
+            subdiff_norm_lower_bound(g, X)
+    assert len(subdiff_norm_lower_bound(g, free)) == len(free)
+
+
+def _channels_with_planted_rows():
+    """Plain, clamped and composed channels, each with uniform rows and rows
+    planted on and around every region threshold."""
+    rng = np.random.default_rng(338)
+    w = rng.normal(size=4)
+    w *= 0.3 / np.linalg.norm(w)
+    origin_value = ChannelInstance(w=w).eval(np.zeros(4)).value
+    for clamp in (None, origin_value - 1.0, origin_value / 2.0):
+        X = np.vstack([rng.uniform(-1.5, 1.5, size=(100, 4)), _planted_channel_rows(w, clamp, rng)])
+        yield ChannelInstance(w=w, clamp=clamp), X
+    yield from _composed_channels("natural", rng)
+
+
+def test_subdiff_norm_lower_bound_batch_equals_one_row_calls():
+    seen = {"plain": set(), "composed": set()}  # regions of the certified rows
+    for instance, X in _channels_with_planted_rows():
+        regions = instance.eval_batch(X)[3]
+        X = X[~np.isin(regions, (REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY))]
+        regions = instance.eval_batch(X)[3]
+        seen["plain" if instance.affine is None else "composed"] |= set(regions.tolist())
+        scale = 1.0 if instance.affine is None else 1.0 / math.sqrt(2.0)
+        certs = subdiff_norm_lower_bound(instance, X)
+        assert len(certs) == len(X)
+        for x, region, cert in zip(X, regions.tolist(), certs):
+            (alone,) = subdiff_norm_lower_bound(instance, x[None, :])
+            assert cert.to_json_str() == alone.to_json_str()
+            bound = 1.0 / math.sqrt(2.0) if region == REGION_HINGE_BOUNDARY else 1.0
+            assert cert.value == pytest.approx(bound * scale, rel=1e-15)
+    every_free_region = {
+        REGION_ORIGIN, REGION_MINUS_W, REGION_HINGE_BOUNDARY, REGION_HINGE_ACTIVE,
+        REGION_HINGE_INACTIVE,
+    }
+    assert seen == {"plain": every_free_region, "composed": every_free_region}
+
+
+def test_subdiff_norm_lower_bound_rejects_bad_rows():
+    g = ChannelInstance(w=[0.3, 0.0])
+    for X in ([0.7, 0.0], np.zeros((1, 1, 2)), 1.0):
+        with pytest.raises(DimensionMismatchError):
+            subdiff_norm_lower_bound(g, X)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DegenerateInputError):
+            subdiff_norm_lower_bound(g, [[-1.0, 0.0], [bad, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        subdiff_norm_lower_bound(g, [[-1.0, 0.0, 0.0]])
 
 
 def test_near_distance_bound_from_value_gap():

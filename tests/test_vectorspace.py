@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nearstat.errors import (
     DegenerateInputError,
@@ -13,11 +15,14 @@ from nearstat.vectorspace import (
     derive_stream,
     extend_orthonormal,
     frame_tolerance,
+    row_norms,
     sample_ball,
     sample_ball_batch,
     sample_sphere,
     sample_sphere_batch,
 )
+
+from test_envelope import ENVELOPE_PROFILE
 
 
 def test_as_vector_coerces_and_rejects():
@@ -243,3 +248,68 @@ def test_sampling_rejects_bad_arguments():
         sample_sphere(0, 1.0, rng)
     with pytest.raises(DegenerateInputError):
         sample_sphere(3, -1.0, rng)
+
+
+# ---------------------------------------------------------------------------
+# row norms: numpy's bits, narrow rows summed column by column
+# ---------------------------------------------------------------------------
+
+# squares of 1e-160 underflow to zero, squares of 1e200 overflow to inf
+SPECIAL_ENTRIES = (0.0, -0.0, 1e-160, -1e-160, 1e200, -1e200)
+
+
+def _laid_out(X: np.ndarray, layout: str) -> np.ndarray:
+    """X as a C-order array, an F-order copy or a strided view with X's values."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    if layout == "F":
+        return np.asfortranarray(X)
+    n, d = X.shape
+    spread = np.full((2 * n + 1, 3 * d + 1), np.nan)
+    view = spread[2 * n - 1 :: -2, 1::3] if n else spread[:0, 1::3]
+    view[...] = X
+    return view
+
+
+def _assert_numpy_bits(X: np.ndarray) -> None:
+    with np.errstate(over="ignore"):
+        got, want = row_norms(X), np.linalg.norm(X, axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def row_blocks(draw) -> np.ndarray:
+    """Entries of random sign and magnitude, so rows differ in their low bits,
+    with drawn entries (the special ones among them) planted at drawn places."""
+    n, d = draw(st.integers(0, 64)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(n, d))
+    entries = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(allow_nan=False))
+    planted = st.tuples(st.integers(0, 10**6), entries)
+    if X.size:
+        for place, value in draw(st.lists(planted, max_size=12)):
+            X.flat[place % X.size] = value
+    return _laid_out(X, draw(st.sampled_from(["C", "F", "strided"])))
+
+
+@ENVELOPE_PROFILE
+@given(row_blocks())
+def test_row_norms_match_numpy_bit_for_bit(X):
+    _assert_numpy_bits(X)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_row_norms_match_numpy_on_tall_blocks(d, layout):
+    rng = np.random.default_rng(860 + d)
+    X = rng.standard_normal((100_000, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(100_000, 1))
+    X[rng.integers(0, 100_000, size=60), rng.integers(0, d, size=60)] = np.resize(
+        SPECIAL_ENTRIES, 60
+    )
+    _assert_numpy_bits(_laid_out(X, layout))
+
+
+def test_row_norms_reject_a_vector():
+    with pytest.raises(DimensionMismatchError):
+        row_norms(np.ones(3))
