@@ -64,6 +64,10 @@ def default_w_norm(T: int) -> float:
     return math.exp(-T) / 300.0
 
 
+# A mapped iterate direction whose singular value is at most this fraction of
+# the largest is roundoff, not a constraint on w.  Not a tuning knob.
+CARVE_RANK_TOL = 1e-12
+
 # The channel adversary's budget envelope: T >= 2 for the chain, and the
 # default ||w|| stays at or above W_NORM_FLOOR up to CHANNEL_T_MAX (19).
 CHANNEL_T_MIN = 2
@@ -370,6 +374,19 @@ class ChannelAdversaryConfig:
         return w_norm
 
 
+def carve_direction(directions: np.ndarray) -> np.ndarray:
+    """The unit w of the deterministic mode: the first standard basis vector's
+    normalized residual against the numerical row space of ``directions``.
+
+    The row space is spanned by the right singular vectors whose singular
+    values exceed ``CARVE_RANK_TOL`` times the largest, so a last-bit change of
+    the directions moves w by roundoff only.
+    """
+    _, s, Vt = np.linalg.svd(directions, full_matrices=False)
+    basis = Vt[s > CARVE_RANK_TOL * s[0]]
+    return extend_orthonormal(None, avoid=list(basis), dim=directions.shape[1])
+
+
 def build_channel_instance(
     cfg: ChannelAdversaryConfig,
     algorithm: AlgorithmDescriptor,
@@ -419,8 +436,7 @@ def build_channel_instance(
     directions /= row_norms(directions)[:, None]
 
     if cfg.mode == MODE_DETERMINISTIC:
-        w_dir = extend_orthonormal(None, avoid=list(directions), dim=d)
-        w = w_norm * w_dir
+        w = w_norm * carve_direction(directions)
     else:
         adversary_rng = rng_state.get("adversary")
         if adversary_rng is None:

@@ -14,6 +14,7 @@ from nearstat.adversaries import (
     RotationBuilder,
     affine_map_from_parameters,
     build_channel_instance,
+    carve_direction,
     chain_quadratic_oracle,
     chain_spectrum_check,
     chain_tridiagonal,
@@ -298,6 +299,31 @@ def test_channel_adversary_deterministic():
     # on its own trajectory the composed function is strictly positive
     for x in diag["transcript"].queries:
         assert instance.eval(x).value > 0.0
+
+
+def steepest_directions(T, d):
+    """The unit mapped iterate directions of steepest descent's distance game."""
+    base = norm_distance_instance(HardQuadratic(T=T, d=d))
+    transcript = play(steepest_descent_exact(), base.eval, T, d)
+    m = base.map
+    D = np.stack([m.sqrt_apply(x - m.x_star) for x in transcript.queries])
+    return D / np.linalg.norm(D, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("T,d", [(7, 14), (7, 28), (19, 38), (19, 76)])
+def test_carve_ignores_roundoff_in_the_directions(T, d):
+    # steepest's directions are numerically rank-deficient (7 of 19 at 1e-12
+    # relative); an absolute drop tolerance once turned their roundoff into
+    # constraints, and a 1-ulp change moved w by up to 1.9
+    D = steepest_directions(T, d)
+    w = carve_direction(D)
+    rng = np.random.default_rng(T * 1000 + d)
+    for _ in range(5):
+        nudged = D + rng.choice([-1.0, 1.0], size=D.shape) * np.spacing(D)
+        w_nudged = carve_direction(nudged)
+        assert np.abs(w_nudged - w).max() <= 1e-10
+        assert np.abs(nudged @ w_nudged).max() <= 1e-12
+    assert np.abs(D @ w).max() <= 1e-12
 
 
 def test_channel_adversary_randomized_alignment_is_small():
