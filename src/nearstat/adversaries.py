@@ -31,6 +31,7 @@ from nearstat.oracle_game import (
     CLASS_DETERMINISTIC,
     CLASS_LINEAR_SPAN,
     AlgorithmDescriptor,
+    Transcript,
     play,
     validate_span,
 )
@@ -42,13 +43,7 @@ from nearstat.vectorspace import (
     row_norms,
     sample_sphere,
 )
-from nearstat.zoo import (
-    AffineMap,
-    ChannelInstance,
-    FirstOrderReply,
-    NormDistance,
-    sqrt_oracle,
-)
+from nearstat.zoo import AffineMap, ChannelInstance, FirstOrderReply, NormDistance
 
 _SQRT2 = math.sqrt(2.0)
 CHAIN_END_WEIGHT = (_SQRT2 + 3.0) / (_SQRT2 + 1.0)  # k
@@ -102,37 +97,43 @@ class HardQuadratic:
         return out
 
 
-def _chain_head(c: np.ndarray, k: float) -> tuple[float, np.ndarray]:
-    """Value and derivative of the un-scaled chain part at head coordinates c."""
-    diffs = c[:-1] - c[1:]
-    val = c[0] * c[0] + float(diffs @ diffs) + (k - 1.0) * c[-1] * c[-1] - 2.0 * c[0]
-    dc = np.zeros_like(c)
-    dc[0] = 2.0 * c[0] - 2.0
-    dc[:-1] += 2.0 * diffs
-    dc[1:] -= 2.0 * diffs
-    dc[-1] += 2.0 * (k - 1.0) * c[-1]
-    return val, dc
+def chain_value_grad(
+    hq: HardQuadratic, X: np.ndarray, frame: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of the chain quadratic g at the rows of X.
 
-
-def chain_value_grad(hq: HardQuadratic, x: np.ndarray) -> tuple[float, np.ndarray]:
-    x = as_vector(x)
-    if x.shape != (hq.d,):
-        raise DimensionMismatchError(f"expected dimension {hq.d}, got {x.shape}")
-    head_val, dc = _chain_head(x[: hq.T], hq.k)
-    value = head_val / 8.0 + 0.5 * float(x @ x) + hq.b
-    grad = x.copy()
-    grad[: hq.T] += dc / 8.0
-    return value, grad
+    The chain head is ``X[:, :T]``, or ``c = U x`` for a rotation ``frame`` of
+    t <= T rows (the lazy rotation's partial frame has t < T, and c is zero past
+    t).  Products are einsum contractions over C-ordered rows, so each row has
+    the same bits alone as in a block, whatever the layout of X."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != hq.d:
+        raise DimensionMismatchError(f"expected rows of dimension {hq.d}, got shape {X.shape}")
+    if frame is None:
+        C = X[:, : hq.T]
+    else:
+        C = np.zeros((len(X), hq.T))
+        C[:, : len(frame)] = np.einsum("ij,kj->ki", frame, X)
+    first, last, diffs = C[:, 0], C[:, -1], C[:, :-1] - C[:, 1:]
+    head = first * first + np.einsum("ij,ij->i", diffs, diffs) + (hq.k - 1.0) * last * last
+    head -= 2.0 * first
+    dC = np.zeros(C.shape)
+    dC[:, 0] = 2.0 * first - 2.0
+    dC[:, :-1] += 2.0 * diffs
+    dC[:, 1:] -= 2.0 * diffs
+    dC[:, -1] += 2.0 * (hq.k - 1.0) * last
+    values = head / 8.0 + 0.5 * np.einsum("ij,ij->i", X, X) + hq.b
+    if frame is None:
+        grads = X.copy()
+        grads[:, : hq.T] += dC / 8.0
+    else:
+        grads = X + np.einsum("ij,ki->kj", frame, dC[:, : len(frame)]) / 8.0
+    return values, grads
 
 
 def chain_quadratic_oracle(hq: HardQuadratic):
     """First-order oracle for g; everywhere differentiable."""
-
-    def oracle(x):
-        value, grad = chain_value_grad(hq, x)
-        return FirstOrderReply(value, grad, True)
-
-    return oracle
+    return affine_map_from_parameters(hq.T, hq.d, hq=hq).quad_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -224,43 +225,32 @@ def affine_map_from_parameters(
     hq = hq if hq is not None else HardQuadratic(T=T, d=d)
     block = _block_sqrt(hq.T)
     tail_scale = 1.0 / _SQRT2
-    if rotation_frame is None:
+    provenance = {"T": hq.T, "d": hq.d, "k": hq.k}
+    U = None
+    if rotation_frame is not None:
+        U = np.asarray(rotation_frame, dtype=float)
+        if U.shape != (hq.T, hq.d):
+            raise DimensionMismatchError("rotation frame must be T x d")
+        provenance["rotation_frame"] = U.tolist()
 
-        def sqrt_apply(v: np.ndarray) -> np.ndarray:
-            out = v * tail_scale
-            out[: hq.T] = block @ v[: hq.T]
+    # einsum, not matrix products: BLAS rounds a row differently depending on
+    # how many rows it sees, and a row must give the same bits alone or in a
+    # block; "...j" maps one vector or the rows of a matrix
+    def sqrt_apply(V: np.ndarray) -> np.ndarray:
+        V = np.ascontiguousarray(V)
+        if U is None:
+            out = V * tail_scale
+            out[..., : hq.T] = np.einsum("ij,...j->...i", block, V[..., : hq.T])
             return out
-
-        return AffineMap(
-            x_star=hq.x_star,
-            sqrt_apply=sqrt_apply,
-            quad_oracle=chain_quadratic_oracle(hq),
-            provenance={"T": hq.T, "d": hq.d, "k": hq.k},
-        )
-
-    U = np.asarray(rotation_frame, dtype=float)
-    if U.shape != (hq.T, hq.d):
-        raise DimensionMismatchError("rotation frame must be T x d")
-    head_star = hq.x_star[: hq.T]
-    target = U.T @ head_star
-
-    def sqrt_apply_rot(v: np.ndarray) -> np.ndarray:
-        c = U @ v
-        return (v - U.T @ c) * tail_scale + U.T @ (block @ c)
-
-    def rotated_oracle(x):
-        x = as_vector(x)
-        c = U @ x
-        head_val, dc = _chain_head(c, hq.k)
-        value = head_val / 8.0 + 0.5 * float(x @ x) + hq.b
-        grad = x + (U.T @ dc) / 8.0
-        return FirstOrderReply(value, grad, True)
+        C = np.einsum("ij,...j->...i", U, V)
+        head = np.einsum("ji,...j->...i", U, np.einsum("ij,...j->...i", block, C))
+        return (V - np.einsum("ji,...j->...i", U, C)) * tail_scale + head
 
     return AffineMap(
-        x_star=target,
-        sqrt_apply=sqrt_apply_rot,
-        quad_oracle=rotated_oracle,
-        provenance={"T": hq.T, "d": hq.d, "k": hq.k, "rotation_frame": U.tolist()},
+        x_star=hq.x_star if U is None else U.T @ hq.x_star[: hq.T],
+        sqrt_apply=sqrt_apply,
+        quad_rows=functools.partial(chain_value_grad, hq, frame=U),
+        provenance=provenance,
     )
 
 
@@ -318,14 +308,8 @@ def rotation_oracle(rb: RotationBuilder):
         u = extend_orthonormal(rb.constraints)
         rb.frame.append(u)
         rb.constraints.append(u)
-        t = len(rb.frame)
-        U = rb.frame.matrix()
-        c = np.zeros(hq.T)
-        c[:t] = U @ x
-        head_val, dc = _chain_head(c, hq.k)
-        value = head_val / 8.0 + 0.5 * float(x @ x) + hq.b
-        grad = x + (U.T @ dc[:t]) / 8.0
-        return FirstOrderReply(value, grad, True)
+        values, grads = chain_value_grad(hq, x[None, :], frame=rb.frame.matrix())
+        return FirstOrderReply(values[0], grads[0], True)
 
     return oracle
 
@@ -375,16 +359,79 @@ class ChannelAdversaryConfig:
 
 
 def carve_direction(directions: np.ndarray) -> np.ndarray:
-    """The unit w of the deterministic mode: the first standard basis vector's
-    normalized residual against the numerical row space of ``directions``.
-
-    The row space is spanned by the right singular vectors whose singular
-    values exceed ``CARVE_RANK_TOL`` times the largest, so a last-bit change of
-    the directions moves w by roundoff only.
-    """
+    """The unit w of the deterministic mode, carved with :func:`extend_orthonormal`
+    against the numerical row space of ``directions``: the right singular vectors
+    whose singular values exceed ``CARVE_RANK_TOL`` times the largest.  A
+    last-bit change of the directions moves w by roundoff only."""
     _, s, Vt = np.linalg.svd(directions, full_matrices=False)
     basis = Vt[s > CARVE_RANK_TOL * s[0]]
     return extend_orthonormal(None, avoid=list(basis), dim=directions.shape[1])
+
+
+@dataclass
+class DistanceGame:
+    """An algorithm's game against the distance function, and the pick of w against it."""
+
+    base: NormDistance
+    transcript: Transcript
+    distances: np.ndarray
+    directions: np.ndarray  # the unit rows M^(1/2)(x_t - x*)
+
+    def pick_w(self, cfg: ChannelAdversaryConfig, w_norm: float, adversary_rng=None):
+        """w of norm ``w_norm``: carved in deterministic mode, drawn from the
+        sphere with ``adversary_rng`` in randomized mode.
+
+        Returns the clamped composed channel instance plus diagnostics: the
+        distance-function transcript and iterates, distances to the minimizer,
+        the alignments of w with the mapped iterate directions, and the
+        per-iterate coincidence hypothesis
+
+            alignment_t <= 1/(2 sqrt 2) - exp(-T) / (100 * distance_t),
+
+        under which the composed function agrees with the distance function at x_t.
+        """
+        if cfg.mode == MODE_DETERMINISTIC:
+            w = w_norm * carve_direction(self.directions)
+        elif adversary_rng is None:
+            raise DegenerateInputError("randomized_sphere mode needs an adversary rng")
+        else:
+            w = sample_sphere(self.base.dim, w_norm, adversary_rng)
+        alignments = self.directions @ (w / np.linalg.norm(w))
+        margin = 1.0 / (2.0 * _SQRT2) - math.exp(-self.transcript.T) / (100.0 * self.distances)
+        diagnostics = {
+            "mode": cfg.mode,
+            "w_norm": w_norm,
+            "transcript": self.transcript,
+            "iterates": [x.tolist() for x in self.transcript.queries],
+            "distances": self.distances.tolist(),
+            "alignments": alignments.tolist(),
+            "max_alignment": float(alignments.max()),
+            "coincidence_hypothesis": (alignments <= margin).tolist(),
+        }
+        return ChannelInstance(w=w, clamp=-1.0, affine=self.base.map), diagnostics
+
+
+def play_distance_game(algorithm: AlgorithmDescriptor, T: int, d: int, rng=None) -> DistanceGame:
+    """Run the algorithm on the distance function; raises when it leaves its
+    declared span or gets within exp(-T) of the minimizer."""
+    base = norm_distance_instance(HardQuadratic(T=T, d=d))
+    transcript = play(algorithm, base.eval, T, d, rng=rng)
+    if algorithm.class_tag == CLASS_LINEAR_SPAN:
+        ok, bad_index = validate_span(transcript)
+        if not ok:
+            raise AdversaryConstructionError(
+                f"algorithm {algorithm.name!r} left the declared span at query {bad_index}"
+            )
+    iterates = np.array(transcript.queries)
+    distances = np.array([float(np.linalg.norm(x - base.map.x_star)) for x in iterates])
+    if distances.min() < math.exp(-T):
+        raise AdversaryConstructionError(
+            f"iterate got within {distances.min():.3e} < exp(-T) of the minimizer; "
+            "the base lower bound failed"
+        )
+    directions = base.map.sqrt_apply(iterates - base.map.x_star)
+    directions /= row_norms(directions)[:, None]
+    return DistanceGame(base, transcript, distances, directions)
 
 
 def build_channel_instance(
@@ -394,67 +441,10 @@ def build_channel_instance(
     d: int,
     rng_state: dict[str, np.random.Generator] | None = None,
 ) -> tuple[ChannelInstance, dict]:
-    """Run the algorithm on the distance function, then pick w against its iterates.
-
-    ``rng_state`` may carry generators under the keys ``"algorithm"`` (consumed
-    by randomized solvers) and ``"adversary"`` (consumed by randomized w
-    selection).  Returns the clamped composed channel instance plus
-    diagnostics: the distance-function transcript and iterates, distances to
-    the minimizer, the alignments of w with the mapped iterate directions, and
-    the per-iterate coincidence hypothesis
-
-        alignment_t <= 1/(2 sqrt 2) - exp(-T) / (100 * distance_t),
-
-    under which the composed function agrees with the distance function at x_t.
-    """
+    """Play the distance game, then pick w against its iterates.  ``rng_state`` may
+    carry generators under the keys ``"algorithm"`` (consumed by randomized
+    solvers) and ``"adversary"`` (consumed by randomized w selection)."""
     w_norm = cfg.check_envelope(algorithm, T, d)
     rng_state = rng_state or {}
-
-    base = norm_distance_instance(HardQuadratic(T=T, d=d))
-
-    transcript = play(
-        algorithm, sqrt_oracle(base.map.quad_oracle), T, d, rng=rng_state.get("algorithm")
-    )
-    if algorithm.class_tag == CLASS_LINEAR_SPAN:
-        ok, bad_index = validate_span(transcript)
-        if not ok:
-            raise AdversaryConstructionError(
-                f"algorithm {algorithm.name!r} left the declared span at query {bad_index}"
-            )
-
-    x_star = base.map.x_star
-    iterates = transcript.queries
-    distances = np.array([float(np.linalg.norm(x - x_star)) for x in iterates])
-    floor = math.exp(-T)
-    if distances.min() < floor:
-        raise AdversaryConstructionError(
-            f"iterate got within {distances.min():.3e} < exp(-T) of the minimizer; "
-            "the base lower bound failed"
-        )
-
-    directions = np.stack([base.map.sqrt_apply(x - x_star) for x in iterates])
-    directions /= row_norms(directions)[:, None]
-
-    if cfg.mode == MODE_DETERMINISTIC:
-        w = w_norm * carve_direction(directions)
-    else:
-        adversary_rng = rng_state.get("adversary")
-        if adversary_rng is None:
-            raise DegenerateInputError("randomized_sphere mode needs an adversary rng")
-        w = sample_sphere(d, w_norm, adversary_rng)
-
-    w_bar = w / np.linalg.norm(w)
-    alignments = directions @ w_bar
-    hypothesis_margin = 1.0 / (2.0 * _SQRT2) - floor / (100.0 * distances)
-    instance = ChannelInstance(w=w, clamp=-1.0, affine=base.map)
-    diagnostics = {
-        "mode": cfg.mode,
-        "w_norm": w_norm,
-        "transcript": transcript,
-        "iterates": [x.tolist() for x in iterates],
-        "distances": distances.tolist(),
-        "alignments": alignments.tolist(),
-        "max_alignment": float(alignments.max()),
-        "coincidence_hypothesis": (alignments <= hypothesis_margin).tolist(),
-    }
-    return instance, diagnostics
+    game = play_distance_game(algorithm, T, d, rng_state.get("algorithm"))
+    return game.pick_w(cfg, w_norm, rng_state.get("adversary"))

@@ -22,7 +22,7 @@ import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
 from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError
-from nearstat.oracle_game import min_distance_to, play
+from nearstat.oracle_game import CLASS_RANDOMIZED, min_distance_to, play
 from nearstat.vectorspace import derive_stream, row_norms, sample_ball_batch
 
 _SQRT2 = math.sqrt(2.0)
@@ -275,15 +275,13 @@ def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
     rotated = rb.materialized_map()
     mind = min_distance_to(transcript, rotated.x_star)
     bound = math.exp(-cfg.T)
-    rel_errs = []
-    for q, reply in transcript.entries:
-        direct = rotated.quad_oracle(q)
-        val_err = abs(reply.value - direct.value) / max(1.0, abs(direct.value))
-        grad_err = float(
-            np.linalg.norm(reply.subgrad - direct.subgrad)
-            / max(1.0, np.linalg.norm(direct.subgrad))
-        )
-        rel_errs.append(max(val_err, grad_err))
+    values, grads = rotated.quad_rows(np.array(transcript.queries))
+    recorded_values = np.array([reply.value for reply in transcript.replies])
+    recorded_grads = np.array([reply.subgrad for reply in transcript.replies])
+    rel_errs = np.maximum(
+        np.abs(recorded_values - values) / np.maximum(1.0, np.abs(values)),
+        row_norms(recorded_grads - grads) / np.maximum(1.0, row_norms(grads)),
+    ).tolist()
     worst = max(rel_errs)
     verdicts = [
         CheckResult(
@@ -315,14 +313,9 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
     instance, diag = adversaries.build_channel_instance(
         channel_adversary(cfg), descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
     )
-    base_transcript = diag["transcript"]
     replay = play(descriptor, instance.eval, cfg.T, cfg.d, rng=None)
-    bitwise = all(
-        np.array_equal(q1, q2)
-        and r1.value == r2.value
-        and np.array_equal(r1.subgrad, r2.subgrad)
-        for (q1, r1), (q2, r2) in zip(base_transcript.entries, replay.entries)
-    )
+    # float reprs round-trip, so equal texts mean bitwise equal transcripts
+    replay_text, base_text = replay.to_jsonl(), diag["transcript"].to_jsonl()
     h_values = [reply.value for _, reply in replay.entries]
     min_h = min(h_values)
     certs = stationarity.near_stationarity_distance_lb(instance, np.array(replay.queries))
@@ -332,7 +325,7 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
         CheckResult(
             criterion="AC6",
             name="composed-channel iterates identical to distance-oracle iterates",
-            passed=bitwise,
+            passed=replay_text == base_text,
             details={"solver": descriptor.name},
         ),
         CheckResult(
@@ -367,10 +360,7 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
         },
         certificates=[c.to_json() for c in certs],
         timing_seconds=time.perf_counter() - start,
-        transcripts={
-            "transcript": replay.to_jsonl(),
-            "transcript_base": base_transcript.to_jsonl(),
-        },
+        transcripts={"transcript": replay_text, "transcript_base": base_text},
     )
 
 
@@ -379,16 +369,15 @@ def run_theorem1_randomized(cfg: ExperimentConfig) -> Report:
     streams = role_streams(cfg.seed)
     descriptor = solvers.build_solver(**cfg.solver)
     acfg = channel_adversary(cfg, adversaries.MODE_RANDOMIZED)
-    threshold = 1.0 / 3.0
+    w_norm = acfg.check_envelope(descriptor, cfg.T, cfg.d)
     max_alignments = []
-    failures = 0
+    game = None
     for _ in range(cfg.trials):
-        _, diag = adversaries.build_channel_instance(
-            acfg, descriptor, cfg.T, cfg.d, rng_state=streams
-        )
-        max_alignments.append(diag["max_alignment"])
-        if diag["max_alignment"] >= threshold:
-            failures += 1
+        # a randomized solver's game consumes the algorithm stream: one per trial
+        if game is None or descriptor.class_tag == CLASS_RANDOMIZED:
+            game = adversaries.play_distance_game(descriptor, cfg.T, cfg.d, streams["algorithm"])
+        max_alignments.append(game.pick_w(acfg, w_norm, streams["adversary"])[1]["max_alignment"])
+    failures = sum(alignment >= 1.0 / 3.0 for alignment in max_alignments)
     fraction = failures / cfg.trials
     verdict = CheckResult(
         criterion="AC7",
@@ -588,7 +577,7 @@ def verify_quadratic(seed: int) -> list[CheckResult]:
     )
 
     hq = adversaries.HardQuadratic(T=10, d=20)
-    _, grad_star = adversaries.chain_value_grad(hq, hq.x_star)
+    _, grad_star = adversaries.chain_value_grad(hq, hq.x_star[None, :])
     grad_inf = float(np.max(np.abs(grad_star)))
     checks.append(
         CheckResult(
@@ -622,12 +611,11 @@ def verify_quadratic(seed: int) -> list[CheckResult]:
     )
 
     rng = derive_stream(seed, "certifier")
-    worst_leak = 0.0
+    X = np.zeros((hq.T - 1, hq.d))
     for j in range(1, hq.T):
-        x = np.zeros(hq.d)
-        x[:j] = rng.normal(size=j)
-        _, grad = adversaries.chain_value_grad(hq, x)
-        worst_leak = max(worst_leak, float(np.max(np.abs(grad[j + 1 :]))))
+        X[j - 1, :j] = rng.normal(size=j)
+    _, grads = adversaries.chain_value_grad(hq, X)
+    worst_leak = max(float(np.max(np.abs(grad[j + 1 :]))) for j, grad in enumerate(grads, 1))
     checks.append(
         CheckResult(
             "AC3",

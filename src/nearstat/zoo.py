@@ -9,16 +9,17 @@ canonical element is returned so that runs replay exactly:
 - clamp boundary: the unclamped branch element; strictly clamped: zero,
 - Warga kinks: the midpoint element obtained from the ``sign(0) = 0`` convention.
 
-``eval_batch`` is the evaluation path: the spiral, Warga's example and every
-channel instance, plain or composed, evaluate a scalar query as row 0 of a
-one-row batch, and a row's answer has the same bits whether it is asked alone
-or in a block.  A channel labels each row with an int8 region code in one pass
-over the rows and maps the codes to the region strings with one table lookup.
-A composed instance maps its rows in and its subgradients back one row at a
-time; in the inactive hinge region it answers with the quadratic oracle's
-arithmetic, which ties its bits to the distance oracle the adversary played
-against.  :func:`batch_oracle` finds the batch form behind an oracle, so
-consumers that fix their sample points before asking (smoothed estimates,
+``eval_batch`` is the evaluation path: the spiral, Warga's example, the
+distance function and every channel instance, plain or composed, evaluate a
+scalar query as row 0 of a one-row batch, and a row's answer has the same bits
+whether it is asked alone or in a block.  A channel labels each row with an
+int8 region code in one pass over the rows and maps the codes to the region
+strings with one table lookup.  A composed instance maps its rows in and its
+subgradients back with one call each of the map's row kernel; in the inactive
+hinge region it answers as the distance function, the square root of the
+map's quadratic, which ties its bits to the distance oracle the adversary
+played against.  :func:`batch_oracle` finds the batch form behind an oracle,
+so consumers that fix their sample points before asking (smoothed estimates,
 Goldstein rounds, sampled certificates) answer them with one call.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,6 +74,12 @@ class FirstOrderReply:
 
 
 Oracle = Callable[[np.ndarray], FirstOrderReply]
+
+
+def first_row(instance, x) -> FirstOrderReply:
+    """``eval`` of every zoo instance: row 0 of a one-row ``eval_batch``."""
+    vals, grads, diffs = instance.eval_batch(as_vector(x)[None, :])[:3]
+    return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +149,7 @@ class Spiral:
         diffs[inner_seam | outer_seam] = False
         return vals, grads, diffs
 
-    def eval(self, x) -> FirstOrderReply:
-        x = as_vector(x)
-        vals, grads, diffs = self.eval_batch(x[None, :])
-        return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
-
-    __call__ = eval
+    eval = __call__ = first_row
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +177,7 @@ class Warga:
         diffs = (u != 0.0) & (a != 0.0)
         return vals, grads, diffs
 
-    def eval(self, x) -> FirstOrderReply:
-        x = as_vector(x)
-        vals, grads, diffs = self.eval_batch(x[None, :])
-        return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
-
-    __call__ = eval
+    eval = __call__ = first_row
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +185,27 @@ class Warga:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_reply(reply: FirstOrderReply, dim: int) -> FirstOrderReply:
-    v = reply.value
-    if v < 0.0:
-        raise DegenerateInputError(f"sqrt transform got negative value {v!r}")
-    if v == 0.0:
-        return FirstOrderReply(0.0, np.zeros(dim), False)
-    root = math.sqrt(v)
-    return FirstOrderReply(root, reply.subgrad / (2.0 * root), reply.differentiable)
+def sqrt_rows(values: np.ndarray, grads: np.ndarray):
+    """``(values, grads, nonzero)`` of the square root of a nonnegative function
+    from its values and gradients at rows: ``grad / (2 root)`` away from its
+    zeros, and value 0 with a zero subgradient at them."""
+    if (values < 0.0).any():
+        raise DegenerateInputError(f"sqrt transform got negative value {values.min()!r}")
+    roots = np.sqrt(values)
+    zero = roots == 0.0
+    roots[zero] = 0.0  # the root of -0.0 is -0.0
+    grads = grads / (2.0 * np.where(zero, 1.0, roots))[:, None]
+    grads[zero] = 0.0
+    return roots, grads, ~zero
 
 
 def sqrt_oracle(oracle: Oracle) -> Oracle:
+    """The square root of a nonnegative oracle, nondifferentiable at its zeros."""
+
     def wrapped(x):
-        return sqrt_reply(oracle(x), len(x))
+        reply = oracle(x)
+        vals, grads, nonzero = sqrt_rows(np.array([reply.value]), reply.subgrad[None, :])
+        return FirstOrderReply(vals[0], grads[0], reply.differentiable and bool(nonzero[0]))
 
     return wrapped
 
@@ -212,21 +217,28 @@ def sqrt_oracle(oracle: Oracle) -> Oracle:
 
 @dataclass(eq=False)
 class AffineMap:
-    """The map ``x -> M^(1/2) (x - x_star)`` plus the matching quadratic oracle.
+    """The map ``x -> M^(1/2) (x - x_star)`` plus its quadratic ``||M^(1/2)(x - x_star)||^2``.
 
-    ``sqrt_apply`` applies ``M^(1/2)``; ``quad_oracle`` (optional) evaluates
-    ``||M^(1/2)(x - x_star)||^2`` in its native form so square-root composed
-    evaluations can share its exact arithmetic.  ``provenance`` carries the
-    construction parameters for serialization.
+    ``sqrt_apply`` applies ``M^(1/2)`` to the rows of a matrix, or to one
+    vector; ``quad_rows`` gives the quadratic's values and gradients at the
+    rows of a matrix, in its native form, so the distance function and the
+    composed channel share its exact arithmetic.  Each row's bits do not
+    depend on the rows around it.  ``provenance`` carries the construction
+    parameters for serialization.
     """
 
     x_star: np.ndarray
     sqrt_apply: Callable[[np.ndarray], np.ndarray]
-    quad_oracle: Oracle | None = None
+    quad_rows: Callable[[np.ndarray], tuple]
     provenance: dict | None = None
 
     def __post_init__(self):
         self.x_star = as_vector(self.x_star)
+
+    def quad_oracle(self, x) -> FirstOrderReply:
+        """The quadratic's reply at one vector; everywhere differentiable."""
+        values, grads = self.quad_rows(as_vector(x)[None, :])
+        return FirstOrderReply(values[0], grads[0], True)
 
     @property
     def dim(self) -> int:
@@ -235,12 +247,20 @@ class AffineMap:
 
 def identity_map(x_star) -> AffineMap:
     x_star = as_vector(x_star)
-    return AffineMap(x_star=x_star, sqrt_apply=lambda v: v, provenance={"identity": True})
+
+    def quad_rows(X):
+        D = X - x_star
+        return np.einsum("ij,ij->i", D, D), 2.0 * D
+
+    return AffineMap(
+        x_star=x_star, sqrt_apply=lambda v: v, quad_rows=quad_rows, provenance={"identity": True}
+    )
 
 
 @dataclass(eq=False)
 class NormDistance:
-    """f(x) = ||M^(1/2) (x - x_star)||; gradient ``M (x - x_star) / f(x)`` away from x_star."""
+    """f(x) = ||M^(1/2) (x - x_star)||, the square root of the map's quadratic:
+    :func:`sqrt_rows` of its values and gradients."""
 
     map: AffineMap
 
@@ -248,17 +268,14 @@ class NormDistance:
     def dim(self) -> int:
         return self.map.dim
 
-    def eval(self, x) -> FirstOrderReply:
-        x = as_vector(x)
-        if x.shape != self.map.x_star.shape:
-            raise DimensionMismatchError("query dimension does not match the instance")
-        y = self.map.sqrt_apply(x - self.map.x_star)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return FirstOrderReply(0.0, np.zeros(self.dim), False)
-        return FirstOrderReply(ny, self.map.sqrt_apply(y) / ny, True)
+    eval = __call__ = first_row
 
-    __call__ = eval
+    def eval_batch(self, X: np.ndarray):
+        """``(values, grads, differentiable)`` over the rows of X."""
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
+        if X.shape[1] != self.dim:
+            raise DimensionMismatchError("query dimension does not match the instance")
+        return sqrt_rows(*self.map.quad_rows(X))
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +315,22 @@ class ChannelInstance:
     def w_bar(self) -> np.ndarray:
         return self.w / self.w_norm
 
-    def region(self, x) -> str:
-        return str(self.eval_batch(as_vector(x)[None, :])[3][0])
-
-    def eval(self, x) -> FirstOrderReply:
-        vals, grads, diffs, _ = self.eval_batch(as_vector(x)[None, :])
-        return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
-
-    __call__ = eval
+    eval = __call__ = first_row
 
     def eval_batch(self, X: np.ndarray):
         """Evaluation over the rows of X.
 
-        Returns ``(values, grads, differentiable, regions)``; :meth:`eval` and
-        :meth:`region` are row 0 of a one-row batch.  A composed instance maps
-        each row through the 1-d ``affine.sqrt_apply`` and each subgradient
-        back the same way, one row at a time, so a row's bits do not depend on
-        the rows around it.
+        Returns ``(values, grads, differentiable, regions)``; :meth:`eval` is
+        row 0 of a one-row batch.  A composed instance maps the rows through
+        ``affine.sqrt_apply`` and the unclamped subgradients back with one
+        call each, and answers its inactive hinge rows with one
+        :class:`NormDistance` call.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise DimensionMismatchError("query dimension does not match the instance")
         affine = self.affine
-        if affine is None:
-            Y = X
-        else:
-            Y = np.empty(X.shape)
-            for i, x in enumerate(X):
-                Y[i] = affine.sqrt_apply(x - affine.x_star)
+        Y = X if affine is None else affine.sqrt_apply(X - affine.x_star)
         wbar = self.w_bar
         S = Y + self.w
         ny = row_norms(Y)
@@ -364,16 +369,15 @@ class ChannelInstance:
         diffs = _CODE_DIFFERENTIABLE[codes]
 
         if affine is not None:
-            quad = affine.quad_oracle
-            for i, code in enumerate(codes.tolist()):
-                if code == _INACTIVE and quad is not None:
-                    # ||y|| is the square root of the quadratic here; its own
-                    # arithmetic makes the composed instance replay the
-                    # distance oracle bit for bit
-                    reply = sqrt_reply(quad(X[i]), self.dim)
-                    values[i], grads[i], diffs[i] = reply.value, reply.subgrad, reply.differentiable
-                elif code != _CLAMP_ACTIVE:
-                    grads[i] = affine.sqrt_apply(grads[i])
+            inactive = codes == _INACTIVE
+            mapped = ~inactive & (codes != _CLAMP_ACTIVE)
+            if mapped.any():
+                grads[mapped] = affine.sqrt_apply(grads[mapped])
+            if inactive.any():
+                # ||y|| is the distance function here; its own arithmetic
+                # makes the composed instance replay the distance oracle
+                rows = NormDistance(affine).eval_batch(X[inactive])
+                values[inactive], grads[inactive], diffs[inactive] = rows
         return values, grads, diffs, _CODE_REGIONS[codes]
 
 
@@ -391,14 +395,7 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
         type(owner), "eval", None
     ):
         return None
-    if isinstance(owner, (Spiral, Warga)):
-        evaluate = owner.eval_batch
-    elif isinstance(owner, ChannelInstance):
-
-        def evaluate(X):
-            return owner.eval_batch(X)[:3]
-
-    else:
+    if not isinstance(owner, (Spiral, Warga, NormDistance, ChannelInstance)):
         return None
 
     def answer(X):
@@ -407,7 +404,7 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
             raise DimensionMismatchError("batch queries must be the rows of a matrix")
         if not np.isfinite(X).all():
             raise DegenerateInputError("vector has non-finite entries")
-        values, grads, diffs = evaluate(X)
+        values, grads, diffs = owner.eval_batch(X)[:3]
         if not (np.isfinite(values).all() and np.isfinite(grads).all()):
             raise DegenerateInputError("oracle reply has non-finite entries")
         return values, grads, diffs
@@ -490,15 +487,12 @@ def instance_from_json(doc: dict):
         return Warga()
     if kind == "norm_distance":
         return NormDistance(map=_map_from_fields(doc))
-    if kind == "channel":
-        clamp = doc.get("clamp")
-        return ChannelInstance(w=as_vector(doc["w"]), clamp=None if clamp is None else float(clamp))
-    if kind == "channel_composed":
+    if kind in ("channel", "channel_composed"):
         clamp = doc.get("clamp")
         return ChannelInstance(
             w=as_vector(doc["w"]),
             clamp=None if clamp is None else float(clamp),
-            affine=_map_from_fields(doc),
+            affine=_map_from_fields(doc) if kind == "channel_composed" else None,
         )
     raise DegenerateInputError(f"unknown function kind {kind!r}")
 

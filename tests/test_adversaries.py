@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nearstat.adversaries import (
     CHAIN_END_WEIGHT,
+    CHANNEL_T_MAX,
     CHAIN_RATIO,
     MODE_DETERMINISTIC,
     MODE_RANDOMIZED,
@@ -30,7 +33,9 @@ from nearstat.errors import (
 from nearstat.oracle_game import CLASS_DETERMINISTIC, AlgorithmDescriptor, QueryPolicy, play
 from nearstat.solvers import steepest_descent_exact, subgradient_method
 from nearstat.vectorspace import OrthonormalFrame, derive_stream, extend_orthonormal
-from nearstat.zoo import NormDistance, sqrt_oracle
+from nearstat.zoo import ChannelInstance, NormDistance, sqrt_oracle
+
+from test_envelope import ENVELOPE_PROFILE
 
 
 def dense_quadratic_matrix(T, d):
@@ -71,9 +76,9 @@ def test_chain_value_grad_matches_dense_matrix(T, d):
     M = dense_quadratic_matrix(T, d)
     xs = hq.x_star
     rng = np.random.default_rng(T * 100 + d)
-    for _ in range(40):
-        x = rng.normal(size=d)
-        val, grad = chain_value_grad(hq, x)
+    X = rng.normal(size=(40, d))
+    values, grads = chain_value_grad(hq, X)
+    for x, val, grad in zip(X, values, grads):
         ref_val = float((x - xs) @ M @ (x - xs))
         ref_grad = 2.0 * M @ (x - xs)
         assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-14)
@@ -83,13 +88,12 @@ def test_chain_value_grad_matches_dense_matrix(T, d):
 
 def test_chain_value_at_origin_and_minimizer():
     hq = HardQuadratic(T=10, d=20)
-    val0, grad0 = chain_value_grad(hq, np.zeros(20))
+    (val0, val_star), (grad0, grad_star) = chain_value_grad(hq, np.stack([np.zeros(20), hq.x_star]))
     # g(0) = q / 8 exactly, gradient -e1 / 4 exactly
     assert val0 == CHAIN_RATIO / 8.0
     expected = np.zeros(20)
     expected[0] = -0.25
     assert np.array_equal(grad0, expected)
-    val_star, grad_star = chain_value_grad(hq, hq.x_star)
     assert abs(val_star) <= 1e-16
     assert np.abs(grad_star).max() <= 1e-12
 
@@ -147,18 +151,65 @@ def test_affine_map_matches_dense_sqrtm():
 
 
 def test_sqrt_oracle_agrees_with_norm_distance_everywhere():
-    # composing sqrt over the quadratic oracle must reproduce the distance
-    # instance: 1e4 random points, both values and subgradients to 1e-12
+    # the distance instance is the square root of the quadratic oracle, bit
+    # for bit, in a block of 1e4 random points and one point at a time
     hq = HardQuadratic(T=4, d=6)
     nd = norm_distance_instance(hq)
     composed = sqrt_oracle(nd.map.quad_oracle)
     rng = np.random.default_rng(17)
     X = rng.uniform(-2.0, 2.0, size=(10_000, 6))
-    for x in X:
-        a = nd.eval(x)
+    values, grads, diffs = nd.eval_batch(X)
+    for i, x in enumerate(X):
         b = composed(x)
-        assert abs(a.value - b.value) <= 1e-12
-        assert np.abs(a.subgrad - b.subgrad).max() <= 1e-12
+        assert (b.value, b.differentiable) == (values[i], diffs[i])
+        assert np.array_equal(b.subgrad, grads[i])
+    for i, x in enumerate(X[:500]):
+        a = nd.eval(x)
+        assert (a.value, a.differentiable) == (values[i], diffs[i])
+        assert np.array_equal(a.subgrad, grads[i])
+
+
+@st.composite
+def chain_blocks(draw):
+    """A block of rows in the chain envelope, with a rotation frame for it."""
+    T = draw(st.integers(2, CHANNEL_T_MAX))
+    d = draw(st.integers(2 * T, 4 * T))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * rng.uniform(1e-3, 3.0, size=(n, 1))
+    U = np.linalg.qr(rng.normal(size=(d, T)))[0].T
+    w = rng.normal(size=d)
+    return HardQuadratic(T=T, d=d), X, U, 0.3 * w / np.linalg.norm(w), draw(st.integers(1, T))
+
+
+@ENVELOPE_PROFILE
+@given(chain_blocks())
+def test_chain_kernels_answer_a_row_alone_as_in_a_block(case):
+    hq, X, U, w, t = case
+    natural = affine_map_from_parameters(hq.T, hq.d, hq=hq)
+    rotated = affine_map_from_parameters(hq.T, hq.d, rotation_frame=U, hq=hq)
+    kernels = [
+        natural.sqrt_apply,
+        rotated.sqrt_apply,
+        lambda X: chain_value_grad(hq, X),
+        lambda X: chain_value_grad(hq, X, frame=U),
+        lambda X: chain_value_grad(hq, X, frame=U[:t]),  # the lazy rotation's partial frame
+        NormDistance(natural).eval_batch,
+        NormDistance(rotated).eval_batch,
+        ChannelInstance(w=w, clamp=-1.0, affine=natural).eval_batch,
+        ChannelInstance(w=w, affine=rotated).eval_batch,
+    ]
+    for kernel in kernels:
+        block = kernel(X)
+        columns = kernel(np.asfortranarray(X))  # the same rows in another layout
+        for i in range(len(X)):
+            alone = kernel(X[i : i + 1])
+            for b, c, a in zip(*(out if isinstance(out, tuple) else (out,) for out in
+                                 (block, columns, alone))):
+                assert np.array_equal(b[i], a[0]) and np.array_equal(c[i], a[0])
+    for m in (natural, rotated):
+        for x in X:
+            assert np.array_equal(m.sqrt_apply(x), m.sqrt_apply(x[None, :])[0])
 
 
 def test_rotated_map_is_the_natural_map_in_new_coordinates():
@@ -167,10 +218,9 @@ def test_rotated_map_is_the_natural_map_in_new_coordinates():
     U = np.linalg.qr(rng.normal(size=(d, T)))[0].T
     rotated = affine_map_from_parameters(T, d, rotation_frame=U)
     natural = HardQuadratic(T=T, d=d)
-    for _ in range(25):
-        h = rng.normal(size=T)
-        x_nat = np.concatenate([h, np.zeros(d - T)])
-        val_nat, _ = chain_value_grad(natural, x_nat)
+    H = rng.normal(size=(25, T))
+    vals_nat, _ = chain_value_grad(natural, np.hstack([H, np.zeros((25, d - T))]))
+    for h, val_nat in zip(H, vals_nat):
         r = rotated.quad_oracle(U.T @ h)
         assert r.value == pytest.approx(val_nat, rel=1e-12, abs=1e-14)
     # sqrt_apply applied twice equals the gradient halved

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from nearstat import adversaries, cli, stationarity
+from nearstat import adversaries, cli, solvers, stationarity
 from nearstat.errors import ConfigError, DegenerateInputError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
@@ -169,6 +169,29 @@ def test_theorem1_small_end_to_end():
     assert len(report.certificates) == 5
     assert report.records["w_norm"] == pytest.approx(math.exp(-5.0) / 300.0)
     assert set(report.transcripts) == {"transcript", "transcript_base"}
+
+
+@pytest.mark.parametrize(
+    "solver", [{"name": "subgrad"}, {"name": "smoothed", "delta": 0.1, "samples_per_step": 2}]
+)
+def test_randomized_trials_match_one_build_per_trial(solver):
+    # a span solver's distance game is played once for all trials; a
+    # randomized solver's consumes the algorithm stream, so it plays one per trial
+    cfg = ExperimentConfig(
+        experiment="theorem1_randomized", T=5, d=120, trials=12, seed=31, solver=solver
+    ).validate()
+    report = run_experiment(cfg)
+    streams = role_streams(cfg.seed)
+    descriptor = solvers.build_solver(**cfg.solver)
+    acfg = adversaries.ChannelAdversaryConfig(mode=adversaries.MODE_RANDOMIZED)
+    per_trial = [
+        adversaries.build_channel_instance(acfg, descriptor, cfg.T, cfg.d, rng_state=streams)[1]
+        for _ in range(cfg.trials)
+    ]
+    assert report.records["max_alignments"] == [diag["max_alignment"] for diag in per_trial]
+    assert len({diag["transcript"].to_jsonl() for diag in per_trial}) == (
+        1 if solver["name"] == "subgrad" else cfg.trials
+    )
 
 
 def test_theorem1_randomized_few_trials():

@@ -27,7 +27,6 @@ from nearstat.zoo import (
     instance_to_json,
     instance_to_json_str,
     sqrt_oracle,
-    sqrt_reply,
 )
 
 
@@ -134,14 +133,19 @@ def test_warga_descent_direction_exists_at_origin():
 # ---------------------------------------------------------------------------
 
 
-def test_sqrt_reply_cases():
-    r = sqrt_reply(FirstOrderReply(4.0, [8.0, 0.0], True), 2)
-    assert r.value == 2.0 and np.array_equal(r.subgrad, [2.0, 0.0])
-    z = sqrt_reply(FirstOrderReply(0.0, [1.0, 1.0], True), 2)
-    assert z.value == 0.0 and np.array_equal(z.subgrad, [0.0, 0.0])
-    assert not z.differentiable
+def test_sqrt_oracle_cases():
+    def constant(value, subgrad):
+        return sqrt_oracle(lambda x: FirstOrderReply(value, subgrad, True))
+
+    r = constant(4.0, [8.0, 0.0])(np.zeros(2))
+    assert r.value == 2.0 and np.array_equal(r.subgrad, [2.0, 0.0]) and r.differentiable
+    for zero in (0.0, -0.0):
+        z = constant(zero, [1.0, 1.0])(np.zeros(2))
+        assert z.value == 0.0 and not np.signbit(z.value)
+        assert np.array_equal(z.subgrad, [0.0, 0.0])
+        assert not z.differentiable
     with pytest.raises(DegenerateInputError):
-        sqrt_reply(FirstOrderReply(-1e-9, [0.0], True), 1)
+        constant(-1e-9, [0.0])(np.zeros(1))
 
 
 def test_sqrt_oracle_gives_unit_gradients_of_distance():
@@ -172,32 +176,37 @@ def test_identity_norm_distance():
 # ---------------------------------------------------------------------------
 
 
+def region_of(g, x):
+    """The region label eval_batch gives the one row x."""
+    return g.eval_batch(np.array([x], dtype=float))[3][0]
+
+
 def test_channel_canonical_regions_and_values():
     g = ChannelInstance(w=[0.3, 0.0])
     r0 = g.eval([0.0, 0.0])
     assert r0.value == pytest.approx(-0.6, abs=1e-15)
     assert np.array_equal(r0.subgrad, [-2.0, 0.0])
-    assert g.region([0.0, 0.0]) == REGION_ORIGIN
+    assert region_of(g, [0.0, 0.0]) == REGION_ORIGIN
 
     rm = g.eval([-0.3, 0.0])
     assert rm.value == pytest.approx(0.3, abs=1e-15)
     assert np.array_equal(rm.subgrad, [-3.0, 0.0])
-    assert g.region([-0.3, 0.0]) == REGION_MINUS_W
+    assert region_of(g, [-0.3, 0.0]) == REGION_MINUS_W
 
     # deep in the channel: x + w = wbar
     ra = g.eval([0.7, 0.0])
-    assert g.region([0.7, 0.0]) == REGION_HINGE_ACTIVE
+    assert region_of(g, [0.7, 0.0]) == REGION_HINGE_ACTIVE
     assert ra.value == pytest.approx(-1.3, abs=1e-15)
     assert np.allclose(ra.subgrad, [-1.0, 0.0], atol=1e-15)
 
     # behind the channel the function is the plain norm
     rb = g.eval([-1.0, 0.0])
-    assert g.region([-1.0, 0.0]) == REGION_HINGE_INACTIVE
+    assert region_of(g, [-1.0, 0.0]) == REGION_HINGE_INACTIVE
     assert rb.value == 1.0 and np.array_equal(rb.subgrad, [-1.0, 0.0])
 
     # x + w on the 60-degree cone around w: the hinge vanishes identically
     xb = np.array([0.5 - 0.3, math.sqrt(3.0) / 2.0])
-    assert g.region(xb) == REGION_HINGE_BOUNDARY
+    assert region_of(g, xb) == REGION_HINGE_BOUNDARY
     assert np.linalg.norm(g.eval(xb).subgrad) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -251,7 +260,7 @@ def _assert_scalar_calls_are_batch_rows(g, X):
         assert np.array_equal(r.subgrad, grads[i])
         assert np.array_equal(np.signbit(r.subgrad), np.signbit(grads[i]))
         assert r.differentiable == bool(diffs[i])
-        assert g.region(x) == regions[i]
+        assert region_of(g, x) == regions[i]
         alone = g.eval_batch(x[None, :])
         for a, b in zip(alone, (vals, grads, diffs, regions)):
             assert np.array_equal(a[0], b[i])
@@ -400,7 +409,7 @@ def test_clamped_channel_never_answers_below_its_floor():
     # clamped nor the boundary test and kept its raw value, in hinge_active
     g = ChannelInstance(w=[0.3, 0.0], clamp=-1.6)
     assert g.eval([1.000000000001, 0.0]).value == -1.6
-    assert g.region([1.000000000001, 0.0]) in (REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY)
+    assert region_of(g, [1.000000000001, 0.0]) in (REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY)
     # the sweep along w across that level: 23 of these rows fell below it
     X = np.outer(np.linspace(1.0 + 0.99e-12, 1.0 + 1.01e-12, 2001), [1.0, 0.0])
     values, _, _, regions = g.eval_batch(X)
@@ -446,8 +455,8 @@ def reference_composed_eval(instance, x):
         if abs(raw - instance.clamp) <= REGION_TOL:
             region, diff = REGION_CLAMP_BOUNDARY, False
             raw = max(instance.clamp, raw)
-    if region == REGION_HINGE_INACTIVE and affine.quad_oracle is not None:
-        return sqrt_reply(affine.quad_oracle(x), instance.dim), region, margin
+    if region == REGION_HINGE_INACTIVE:
+        return sqrt_oracle(affine.quad_oracle)(x), region, margin
     return FirstOrderReply(raw, affine.sqrt_apply(grad_y), diff), region, margin
 
 
@@ -470,8 +479,7 @@ def test_composed_channel_matches_reference_composed_eval(kind):
                 continue
             assert regions[i] == region
             assert bool(diffs[i]) == want.differentiable
-            quad_backed = region == REGION_HINGE_INACTIVE and g.affine.quad_oracle is not None
-            if quad_backed or region == REGION_CLAMP_ACTIVE:
+            if region in (REGION_HINGE_INACTIVE, REGION_CLAMP_ACTIVE):
                 assert vals[i] == want.value
                 assert np.array_equal(grads[i], want.subgrad)
             else:
@@ -513,7 +521,7 @@ def test_batch_oracle_rejects_non_finite_rows():
 def test_channel_clamp_floor():
     g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
     r = g.eval([0.7, 0.0])  # raw value -1.3 sits below the floor
-    assert g.region([0.7, 0.0]) == REGION_CLAMP_ACTIVE
+    assert region_of(g, [0.7, 0.0]) == REGION_CLAMP_ACTIVE
     assert r.value == -1.0 and np.array_equal(r.subgrad, [0.0, 0.0])
     # the clamp never moves values above the floor elsewhere
     assert g.eval([0.0, 0.0]).value == pytest.approx(-0.6, abs=1e-15)
