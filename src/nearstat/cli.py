@@ -9,6 +9,7 @@ runtime or verdict failure, 2 configuration problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -155,6 +156,7 @@ def cmd_figure_data(args, extra) -> int:
     return 0
 
 
+@functools.cache  # about 1 ms a build, and a process may run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearstat",

@@ -40,6 +40,13 @@ def _number(name: str, value):
     return value
 
 
+def _count(name: str, value) -> int:
+    """``value``, unless it is no ``int``: a float or a JSON ``true`` counts nothing."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DegenerateInputError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule eta_t for t = 1, 2, ...; scale must be positive."""
@@ -201,7 +208,7 @@ def smoothed_gradient_method(
 ) -> AlgorithmDescriptor:
     if _number("delta", delta) <= 0.0:
         raise DegenerateInputError("smoothing radius must be positive")
-    if _number("samples_per_step", samples_per_step) < 1:
+    if _count("samples_per_step", samples_per_step) < 1:
         raise DegenerateInputError("need at least one sample per step")
     schedule = schedule if schedule is not None else StepSchedule()
     return AlgorithmDescriptor(
@@ -288,7 +295,7 @@ def goldstein_descent(
 ) -> AlgorithmDescriptor:
     if _number("delta", delta) <= 0.0:
         raise DegenerateInputError("ball radius must be positive")
-    if _number("samples_per_step", samples_per_step) < 1 and stencil is None:
+    if _count("samples_per_step", samples_per_step) < 1 and stencil is None:
         raise DegenerateInputError("need at least one sample per step")
     if _number("eps_stop", eps_stop) < 0.0:
         raise DegenerateInputError("stopping threshold must be nonnegative")

@@ -1,10 +1,13 @@
 """End-to-end tests driving the command line through a real subprocess."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
+from nearstat import cli
 from nearstat.zoo import ChannelInstance, instance_to_json
 
 
@@ -242,3 +245,16 @@ def test_figure_data_rejects_non_grid_flags():
     proc = run_cli("figure-data", "--figure", "fig1", "--nu", "3")
     assert proc.returncode == 2
     assert "--grid.<field>" in proc.stderr
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    subparsers = argparse.ArgumentParser.add_subparsers  # called once per build
+    with mock.patch.object(
+        argparse.ArgumentParser, "add_subparsers", autospec=True, side_effect=subparsers
+    ) as built:
+        for _ in range(3):
+            argv = ["figure-data", "--figure", "fig3", "--grid.nu", "2", "--grid.nv", "2"]
+            assert cli.main(argv) == 0
+    assert built.call_count == 1
+    assert capsys.readouterr().out.count("u,v,value") == 3

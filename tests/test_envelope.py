@@ -86,6 +86,11 @@ REJECTED = [
     "--solver.name goldstein --solver.delta 0.1 --solver.samples_per_step true",
     "--solver.name goldstein --solver.delta 0.1 --solver.eps_stop true",
     "--solver.name goldstein --solver.delta 0.1 --solver.stencil [[true,0]]",
+    # a sample count is an integer
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
+    " --solver.samples_per_step 2.5",
+    "--experiment quad_lower_bound --solver.name smoothed --solver.delta 0.1"
+    " --solver.samples_per_step 2.5",
 ]
 
 

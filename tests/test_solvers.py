@@ -244,9 +244,12 @@ def test_goldstein_validation():
     desc = goldstein_descent(delta=0.1, stencil=[[0.01, 0.0, 0.0]])
     with pytest.raises(DegenerateInputError, match="expected"):
         desc.fresh_policy(2, None)
-    for flag in ("delta", "samples_per_step", "eps_stop"):
+    for flag in ("delta", "eps_stop"):
         with pytest.raises(DegenerateInputError, match="must be a number"):
             goldstein_descent(**{"delta": 0.1, flag: True})
+    for count in (True, 2.5):
+        with pytest.raises(DegenerateInputError, match="must be an integer"):
+            goldstein_descent(delta=0.1, samples_per_step=count)
     with pytest.raises(DegenerateInputError, match="must be a number"):
         goldstein_descent(delta=0.1, stencil=[[True, 0.0]])
     with pytest.raises(DegenerateInputError):
