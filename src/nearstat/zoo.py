@@ -76,7 +76,7 @@ class FirstOrderReply:
 Oracle = Callable[[np.ndarray], FirstOrderReply]
 
 
-def first_row(instance, x) -> FirstOrderReply:
+def _first_row(instance, x) -> FirstOrderReply:
     """``eval`` of every zoo instance: row 0 of a one-row ``eval_batch``."""
     vals, grads, diffs = instance.eval_batch(as_vector(x)[None, :])[:3]
     return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
@@ -149,7 +149,7 @@ class Spiral:
         diffs[inner_seam | outer_seam] = False
         return vals, grads, diffs
 
-    eval = __call__ = first_row
+    eval = __call__ = _first_row
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ class Warga:
         diffs = (u != 0.0) & (a != 0.0)
         return vals, grads, diffs
 
-    eval = __call__ = first_row
+    eval = __call__ = _first_row
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ class NormDistance:
     def dim(self) -> int:
         return self.map.dim
 
-    eval = __call__ = first_row
+    eval = __call__ = _first_row
 
     def eval_batch(self, X: np.ndarray):
         """``(values, grads, differentiable)`` over the rows of X."""
@@ -315,7 +315,7 @@ class ChannelInstance:
     def w_bar(self) -> np.ndarray:
         return self.w / self.w_norm
 
-    eval = __call__ = first_row
+    eval = __call__ = _first_row
 
     def eval_batch(self, X: np.ndarray):
         """Evaluation over the rows of X.
