@@ -402,7 +402,7 @@ class DistanceGame:
             "mode": cfg.mode,
             "w_norm": w_norm,
             "transcript": self.transcript,
-            "iterates": [x.tolist() for x in self.transcript.queries],
+            "iterates": self.transcript.queries.tolist(),
             "distances": self.distances.tolist(),
             "alignments": alignments.tolist(),
             "max_alignment": float(alignments.max()),
@@ -422,8 +422,8 @@ def play_distance_game(algorithm: AlgorithmDescriptor, T: int, d: int, rng=None)
             raise AdversaryConstructionError(
                 f"algorithm {algorithm.name!r} left the declared span at query {bad_index}"
             )
-    iterates = np.array(transcript.queries)
-    distances = np.array([float(np.linalg.norm(x - base.map.x_star)) for x in iterates])
+    iterates = transcript.queries
+    distances = np.array([float(np.linalg.norm(row)) for row in iterates - base.map.x_star])
     if distances.min() < math.exp(-T):
         raise AdversaryConstructionError(
             f"iterate got within {distances.min():.3e} < exp(-T) of the minimizer; "

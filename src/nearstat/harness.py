@@ -22,7 +22,7 @@ import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
 from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError
-from nearstat.oracle_game import CLASS_RANDOMIZED, min_distance_to, play
+from nearstat.oracle_game import CLASS_RANDOMIZED, Transcript, min_distance_to, play
 from nearstat.vectorspace import derive_stream, row_norms, sample_ball_batch
 
 _SQRT2 = math.sqrt(2.0)
@@ -275,12 +275,10 @@ def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
     rotated = rb.materialized_map()
     mind = min_distance_to(transcript, rotated.x_star)
     bound = math.exp(-cfg.T)
-    values, grads = rotated.quad_rows(np.array(transcript.queries))
-    recorded_values = np.array([reply.value for reply in transcript.replies])
-    recorded_grads = np.array([reply.subgrad for reply in transcript.replies])
+    values, grads = rotated.quad_rows(transcript.queries)
     rel_errs = np.maximum(
-        np.abs(recorded_values - values) / np.maximum(1.0, np.abs(values)),
-        row_norms(recorded_grads - grads) / np.maximum(1.0, row_norms(grads)),
+        np.abs(transcript.values - values) / np.maximum(1.0, np.abs(values)),
+        row_norms(transcript.subgrads - grads) / np.maximum(1.0, row_norms(grads)),
     ).tolist()
     worst = max(rel_errs)
     verdicts = [
@@ -313,19 +311,20 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
     instance, diag = adversaries.build_channel_instance(
         channel_adversary(cfg), descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
     )
-    replay = play(descriptor, instance.eval, cfg.T, cfg.d, rng=None)
-    # float reprs round-trip, so equal texts mean bitwise equal transcripts
-    replay_text, base_text = replay.to_jsonl(), diag["transcript"].to_jsonl()
-    h_values = [reply.value for _, reply in replay.entries]
+    replay, base = play(descriptor, instance.eval, cfg.T, cfg.d, rng=None), diag["transcript"]
+    identical = replay.same_bits(base)
+    replay_text = replay.to_jsonl()
+    base_text = replay_text if identical else base.to_jsonl()
+    h_values = replay.values.tolist()
     min_h = min(h_values)
-    certs = stationarity.near_stationarity_distance_lb(instance, np.array(replay.queries))
+    certs = stationarity.near_stationarity_distance_lb(instance, replay.queries)
     min_cert = min(c.value for c in certs)
     h_at_zero = instance.eval(np.zeros(cfg.d)).value
     verdicts = [
         CheckResult(
             criterion="AC6",
             name="composed-channel iterates identical to distance-oracle iterates",
-            passed=replay_text == base_text,
+            passed=identical,
             details={"solver": descriptor.name},
         ),
         CheckResult(
@@ -461,10 +460,10 @@ def verify_prop1(seed: int) -> list[CheckResult]:
 
     descriptor = solvers.goldstein_descent(delta=1.0, stencil=stencil)
     policy = descriptor.fresh_policy(2, None)
-    entries = []
-    for _ in range(1 + len(stencil) + 1):
-        q = policy.next_query(entries)
-        entries.append((q, spiral.eval(q)))
+    transcript = Transcript(T=1 + len(stencil) + 1, d=2)
+    for _ in range(transcript.T):
+        q = policy.next_query(transcript)
+        transcript.append(q, spiral.eval(q))
     stopped_small = (
         policy.stopped and bool(policy.min_norm_history) and policy.min_norm_history[0] <= 1e-8
     )

@@ -6,15 +6,15 @@ per-game query policies); the oracle side is any callable mapping a query
 vector to a :class:`~nearstat.zoo.FirstOrderReply`.  A policy may fix a block
 of queries before any is answered; :func:`play` answers such a block with one
 batched call when the oracle has a batch form, and every row still counts as
-one query.  Transcripts record the full interaction and serialize to JSON
-lines for replay.
+one query.  Transcripts record the full interaction as row arrays, which
+policies read, and serialize to JSON lines for replay.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,46 +35,102 @@ CLASS_RANDOMIZED = "randomized"
 SUBGRAD_DROP_TOL = 1e-14
 
 
-@dataclass
 class Transcript:
-    """Ordered record of one oracle game."""
+    """Ordered record of one oracle game, held as row arrays.
 
-    T: int
-    d: int
-    entries: list[tuple[np.ndarray, FirstOrderReply]] = field(default_factory=list)
+    Row t of :attr:`queries`, :attr:`values`, :attr:`subgrads` and
+    :attr:`differentiable` is the t-th query and its reply.  The arrays are
+    preallocated for the budget T; answers go in a block at a time with
+    :meth:`extend` (one row with :meth:`append`), and the properties are
+    read-only views of the rows filled so far.
+    """
+
+    def __init__(self, T: int, d: int):
+        self.T = T
+        self.d = d
+        # queries, values, subgradients, flags; read through read-only views
+        self._columns = (np.empty((T, d)), np.empty(T), np.empty((T, d)), np.empty(T, dtype=bool))
+        self._views = tuple(column.view() for column in self._columns)
+        for view in self._views:
+            view.flags.writeable = False
+        self._length = 0
+
+    def _reserve(self, n: int) -> int:
+        stop = self._length + n
+        if stop > self.T:
+            raise DegenerateInputError(
+                f"transcript holds {self._length} of T = {self.T} entries, no room for {n} more"
+            )
+        return stop
+
+    def _write(self, stop: int, *rows) -> None:
+        """Fill the rows up to ``stop`` with one slice write per array."""
+        for column, block in zip(self._columns, rows):
+            column[self._length : stop] = block
+        self._length = stop
+
+    def extend(self, queries, values, subgrads, differentiable) -> None:
+        """Record a block of answered queries: rows of queries and subgradients,
+        one value and one flag per row."""
+        n = len(queries)
+        stop = self._reserve(n)
+        if (
+            np.shape(queries) != (n, self.d)
+            or np.shape(subgrads) != (n, self.d)
+            or np.shape(values) != (n,)
+            or np.shape(differentiable) != (n,)
+        ):
+            raise DimensionMismatchError("entry dimension does not match the game")
+        self._write(stop, queries, values, subgrads, differentiable)
 
     def append(self, query: np.ndarray, reply: FirstOrderReply) -> None:
-        if len(self.entries) >= self.T:
-            raise DegenerateInputError("transcript already holds T entries")
+        """Record one scalar reply as a one-row block."""
+        stop = self._reserve(1)
         if query.shape != (self.d,) or reply.subgrad.shape != (self.d,):
             raise DimensionMismatchError("entry dimension does not match the game")
-        self.entries.append((query, reply))
+        self._write(stop, query, reply.value, reply.subgrad, reply.differentiable)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._length
 
     @property
-    def queries(self) -> list[np.ndarray]:
-        return [q for q, _ in self.entries]
+    def queries(self) -> np.ndarray:
+        return self._views[0][: self._length]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._views[1][: self._length]
+
+    @property
+    def subgrads(self) -> np.ndarray:
+        return self._views[2][: self._length]
+
+    @property
+    def differentiable(self) -> np.ndarray:
+        return self._views[3][: self._length]
+
+    def same_bits(self, other: "Transcript") -> bool:
+        """Whether both record the same rows bit for bit; -0.0 and 0.0 differ,
+        as in their JSON texts."""
+        return (len(self), self.d) == (len(other), other.d) and all(
+            mine[: len(self)].tobytes() == theirs[: len(other)].tobytes()
+            for mine, theirs in zip(self._views, other._views)
+        )
 
     @property
     def replies(self) -> list[FirstOrderReply]:
-        return [r for _, r in self.entries]
+        """One reply object per row, built on request."""
+        return [
+            FirstOrderReply(v, g, f)
+            for v, g, f in zip(self.values.tolist(), self.subgrads, self.differentiable.tolist())
+        ]
 
     def to_jsonl(self) -> str:
-        lines = []
-        for i, (q, r) in enumerate(self.entries, start=1):
-            lines.append(
-                json.dumps(
-                    {
-                        "index": i,
-                        "query": q.tolist(),
-                        "value": r.value,
-                        "subgrad": r.subgrad.tolist(),
-                        "differentiable": r.differentiable,
-                    }
-                )
-            )
+        rows = zip(*(view[: self._length].tolist() for view in self._views))
+        lines = [
+            json.dumps({"index": i, "query": q, "value": v, "subgrad": g, "differentiable": f})
+            for i, (q, v, g, f) in enumerate(rows, start=1)
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -82,29 +138,34 @@ class Transcript:
         rows = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not rows:
             raise DegenerateInputError("empty transcript document")
-        d = len(rows[0]["query"])
-        t = cls(T=T if T is not None else len(rows), d=d)
-        for row in rows:
-            reply = FirstOrderReply(row["value"], np.array(row["subgrad"], dtype=float), row["differentiable"])
-            t.append(np.array(row["query"], dtype=float), reply)
+        t = cls(T=T if T is not None else len(rows), d=len(rows[0]["query"]))
+        try:
+            queries, values, subgrads = (
+                np.array([row[key] for row in rows], dtype=float)
+                for key in ("query", "value", "subgrad")
+            )
+        except ValueError as exc:
+            raise DimensionMismatchError(f"transcript rows differ in shape: {exc}") from exc
+        if not (np.isfinite(values).all() and np.isfinite(subgrads).all()):
+            raise DegenerateInputError("oracle reply has non-finite entries")
+        t.extend(queries, values, subgrads, [row["differentiable"] for row in rows])
         return t
 
 
 class QueryPolicy:
     """Per-game algorithm state: produces queries from the history.
 
-    A policy implements :meth:`next_query`, or :meth:`next_queries` when it
-    fixes several queries before seeing any of their replies.
+    A policy reads the game so far from the transcript's arrays and
+    implements :meth:`next_query`, or :meth:`next_queries` when it fixes
+    several queries before seeing any of their replies.
     """
 
-    def next_query(self, entries: list[tuple[np.ndarray, FirstOrderReply]]) -> np.ndarray:
+    def next_query(self, transcript: Transcript) -> np.ndarray:
         raise NotImplementedError
 
-    def next_queries(
-        self, entries: list[tuple[np.ndarray, FirstOrderReply]], budget: int
-    ) -> np.ndarray:
+    def next_queries(self, transcript: Transcript, budget: int) -> np.ndarray:
         """The next block of queries as rows, at least one and at most ``budget``."""
-        return np.asarray(self.next_query(entries), dtype=float)[None, :]
+        return np.asarray(self.next_query(transcript), dtype=float)[None, :]
 
 
 @dataclass(frozen=True)
@@ -138,9 +199,9 @@ def play(
     """Run one game of exactly T queries and return the transcript.
 
     Each block the policy hands over is answered with one batched call when
-    the oracle has a batch form (:func:`~nearstat.zoo.batch_oracle`), and one
-    row at a time through ``oracle`` otherwise; each row is one transcript
-    entry and one unit of the budget.
+    the oracle has a batch form (:func:`~nearstat.zoo.batch_oracle`) and
+    recorded with one block write; otherwise each row goes through ``oracle``
+    on its own.  Each row is one transcript entry and one unit of the budget.
     """
     if T < 1 or d < 1:
         raise DegenerateInputError("need T >= 1 and d >= 1")
@@ -149,7 +210,7 @@ def play(
     transcript = Transcript(T=T, d=d)
     while len(transcript) < T:
         remaining = T - len(transcript)
-        block = np.asarray(policy.next_queries(transcript.entries, remaining), dtype=float)
+        block = np.asarray(policy.next_queries(transcript, remaining), dtype=float)
         if block.ndim != 2 or block.shape[1] != d:
             raise DimensionMismatchError("algorithm produced a query of wrong dimension")
         if not 1 <= len(block) <= remaining:
@@ -162,20 +223,18 @@ def play(
             for x in block:
                 transcript.append(x, _ask(oracle, x))
         else:
-            for x, reply in zip(block, _ask_batch(batch, block)):
-                transcript.append(x, reply)
+            transcript.extend(block, *_ask_batch(batch, block))
     return transcript
 
 
-def _ask_batch(batch, block: np.ndarray) -> list[FirstOrderReply]:
+def _ask_batch(batch, block: np.ndarray) -> tuple:
     try:
-        values, grads, diffs = batch(block)
+        return batch(block)
     except Exception as exc:
         raise OracleFailure(
             f"oracle failed on the block of {len(block)} queries starting at {block[0]!r}: {exc}",
             query=block[0],
         ) from exc
-    return [FirstOrderReply(v, g, bool(dif)) for v, g, dif in zip(values, grads, diffs)]
 
 
 def _ask(oracle: Oracle, x: np.ndarray) -> FirstOrderReply:
@@ -195,8 +254,7 @@ def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int 
     """
     if len(transcript) == 0:
         raise DegenerateInputError("empty transcript")
-    X = np.array(transcript.queries)
-    G = np.array([reply.subgrad for reply in transcript.replies])
+    X, G = transcript.queries, transcript.subgrads
     x_limits = tol * np.maximum(1.0, row_norms(X))
     x_limits[0] = tol  # x_1 = 0, absolutely
     g_limits = SUBGRAD_DROP_TOL * np.maximum(1.0, row_norms(G))
@@ -221,4 +279,4 @@ def min_distance_to(transcript: Transcript, target) -> float:
     target = as_vector(target)
     if target.shape != (transcript.d,):
         raise DimensionMismatchError("target dimension does not match the game")
-    return min(float(np.linalg.norm(q - target)) for q in transcript.queries)
+    return min(float(np.linalg.norm(row)) for row in transcript.queries - target)

@@ -23,7 +23,7 @@ from nearstat.oracle_game import (
     QueryPolicy,
 )
 from nearstat.stationarity import min_norm_point
-from nearstat.vectorspace import sample_ball
+from nearstat.vectorspace import ball_norm_limit, sample_ball
 from nearstat.zoo import batch_oracle
 
 SCHEDULE_CONSTANT = "constant"
@@ -78,12 +78,11 @@ class _SubgradientPolicy(QueryPolicy):
         self.d = d
         self.schedule = schedule
 
-    def next_query(self, entries):
-        if not entries:
+    def next_query(self, transcript):
+        t = len(transcript)
+        if not t:
             return np.zeros(self.d)
-        t = len(entries)
-        x, reply = entries[-1]
-        return x - self.schedule.step(t) * reply.subgrad
+        return transcript.queries[-1] - self.schedule.step(t) * transcript.subgrads[-1]
 
 
 def subgradient_method(schedule: StepSchedule | None = None) -> AlgorithmDescriptor:
@@ -114,22 +113,23 @@ class _SteepestPolicy(QueryPolicy):
         # curvature estimate is pure cancellation noise
         return float(np.linalg.norm(g)) > 1e-9 * max(1.0, float(np.linalg.norm(x)))
 
-    def next_query(self, entries):
-        if not entries:
+    def next_query(self, transcript):
+        t = len(transcript)
+        if not t:
             return np.zeros(self.d)
-        if len(entries) % 2 == 1:
-            x, reply = entries[-1]
-            if not self._resolvable(x, reply.subgrad):
+        if t % 2 == 1:
+            x, g = transcript.queries[-1], transcript.subgrads[-1]
+            if not self._resolvable(x, g):
                 return x.copy()
             s = _PROBE_SCALE * max(1.0, float(np.linalg.norm(x)))
-            return x - s * reply.subgrad
-        (x, reply), (probe, probe_reply) = entries[-2], entries[-1]
-        g = reply.subgrad
+            return x - s * g
+        x, g = transcript.queries[-2], transcript.subgrads[-2]
+        value, probe_value = transcript.values[-2:].tolist()
         gn2 = float(g @ g)
         if not self._resolvable(x, g):
             return x.copy()
         s = _PROBE_SCALE * max(1.0, float(np.linalg.norm(x)))
-        kappa = (probe_reply.value - reply.value + s * gn2) / (s * s)
+        kappa = (probe_value - value + s * gn2) / (s * s)
         if not np.isfinite(kappa) or kappa <= 0.0:
             raise DegenerateInputError(
                 f"line-search curvature {kappa!r} is unusable; oracle is not a"
@@ -187,12 +187,12 @@ class _SmoothedPolicy(QueryPolicy):
         self.pending = 0
         self.steps_done = 0
 
-    def next_query(self, entries):
-        return self.next_queries(entries, 1)[0]
+    def next_query(self, transcript):
+        return self.next_queries(transcript, 1)[0]
 
-    def next_queries(self, entries, budget):
+    def next_queries(self, transcript, budget):
         if self.pending == self.samples:
-            grads = np.stack([reply.subgrad for _, reply in entries[-self.samples :]])
+            grads = transcript.subgrads[-self.samples :]
             self.steps_done += 1
             self.center = self.center - self.schedule.step(self.steps_done) * grads.mean(axis=0)
             self.pending = 0
@@ -257,13 +257,12 @@ class _GoldsteinPolicy(QueryPolicy):
         self.stop_step: int | None = None
         self.min_norm_history: list[float] = []
 
-    def next_query(self, entries):
-        return self.next_queries(entries, 1)[0]
+    def next_query(self, transcript):
+        return self.next_queries(transcript, 1)[0]
 
-    def next_queries(self, entries, budget):
+    def next_queries(self, transcript, budget):
         if not self.stopped and self.pending == self.round_size:
-            grads = [reply.subgrad for _, reply in entries[-self.round_size :]]
-            result = min_norm_point(grads)
+            result = min_norm_point(transcript.subgrads[-self.round_size :])
             self.min_norm_history.append(result.norm)
             self.steps_done += 1
             self.pending = 0
@@ -304,7 +303,7 @@ def goldstein_descent(
             np.array([_number("stencil entry", v) for v in offset], dtype=float)
             for offset in stencil
         ]
-        if any(float(np.linalg.norm(offset)) > delta + 1e-12 for offset in stencil):
+        if any(float(np.linalg.norm(offset)) > ball_norm_limit(delta) for offset in stencil):
             raise DegenerateInputError("stencil offset outside the delta-ball")
     schedule = schedule if schedule is not None else StepSchedule()
     return AlgorithmDescriptor(

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
-from nearstat.vectorspace import as_vector, row_norms, sample_ball
+from nearstat.vectorspace import as_vector, ball_norm_limit, row_norms, sample_ball
 from nearstat.zoo import (
     REGION_CLAMP_ACTIVE,
     REGION_CLAMP_BOUNDARY,
@@ -40,7 +40,7 @@ KIND_SUBDIFF_NORM = "subdiff_norm_lower_bound"
 WITNESS_KINDS = frozenset({KIND_EPS_WITNESS, KIND_DELTA_EPS_WITNESS})
 
 DEDUP_TOL = 1e-14
-# Entries of the difference array compared at once by _dedup.
+# Entries of each pairwise comparison array built at once by _dedup.
 _DEDUP_BLOCK_ENTRIES = 1 << 18
 DEFAULT_WOLFE_TOL = 1e-10
 
@@ -87,29 +87,31 @@ def _affine_min_norm(P: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
-def _dedup(P: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Representative rows of P and, per input row, its representative's position.
+def _dedup(P: np.ndarray) -> np.ndarray:
+    """Indices of the representative rows of P, ascending.
 
     Rows are scanned in order; a row within ``DEDUP_TOL`` (max-abs) of an
-    earlier representative joins the first such one, any other row becomes a
-    representative.  The pairwise comparisons run in row blocks of bounded
-    size; only the rows close to an earlier row go through the sequential scan.
+    earlier representative is a copy of it, any other row becomes a
+    representative.  Two rows are close when every column is: the pairwise
+    comparisons run one column at a time over row blocks of bounded size, and
+    only the rows close to an earlier row go through the sequential scan.
     """
-    m, d = P.shape
-    block = max(1, _DEDUP_BLOCK_ENTRIES // (m * d))
+    m = len(P)
+    columns = P.T
+    block = max(1, _DEDUP_BLOCK_ENTRIES // m)
     pairs = []  # (row, earlier close row), ordered by row then earlier row
     for start in range(0, m, block):
         stop = min(m, start + block)
-        close = np.abs(P[start:stop, None, :] - P[None, :stop, :]).max(axis=2) <= DEDUP_TOL
+        close = np.ones((stop - start, stop), dtype=bool)
+        for column in columns:
+            close &= np.abs(np.subtract.outer(column[start:stop], column[:stop])) <= DEDUP_TOL
         rows, cols = np.nonzero(np.tril(close, k=start - 1))
         pairs.extend(zip((rows + start).tolist(), cols.tolist()))
-    rep_of = list(range(m))
+    is_rep = [True] * m
     for i, j in pairs:
-        if rep_of[i] == i and rep_of[j] == j:
-            rep_of[i] = j
-    is_rep = np.array([r == i for i, r in enumerate(rep_of)])
-    position = np.cumsum(is_rep) - 1
-    return P[is_rep], position[rep_of].tolist()
+        if is_rep[i] and is_rep[j]:  # j's status is settled: its pairs came first
+            is_rep[i] = False
+    return np.flatnonzero(is_rep)
 
 
 def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
@@ -132,19 +134,16 @@ def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
     if tol <= 0.0:
         raise DegenerateInputError("tolerance must be positive")
 
-    P, owner = _dedup(P_in)
+    rep_rows = _dedup(P_in)
+    P = P_in[rep_rows]
     m = len(P)
     norms = row_norms(P)
 
     def finish(active: list[int], lam: np.ndarray, iterations: int, converged: bool):
+        # a representative's mass goes to its own row, the first of its copies
         point = lam @ P[active]
         coeffs = np.zeros(len(P_in))
-        rep_coeff = np.zeros(m)
-        rep_coeff[active] = np.maximum(lam, 0.0)
-        for i, pos in enumerate(owner):
-            if rep_coeff[pos] > 0.0:
-                coeffs[i] = rep_coeff[pos]
-                rep_coeff[pos] = 0.0
+        coeffs[rep_rows[active]] = np.where(lam > 0.0, lam, 0.0)
         return MinNormResult(
             coefficients=coeffs,
             point=point,
@@ -207,11 +206,12 @@ def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
 
 @dataclass(frozen=True)
 class Witness:
-    """A convex combination certifying a small hull element."""
+    """A convex combination certifying a small hull element: points and
+    subgradients as rows, one coefficient per row."""
 
-    points: list
-    subgradients: list
-    coefficients: list
+    points: np.ndarray
+    subgradients: np.ndarray
+    coefficients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,9 @@ class StationarityCertificate:
         }
         if self.witness is not None:
             doc["witness"] = {
-                "points": [list(map(float, p)) for p in self.witness.points],
-                "subgradients": [list(map(float, g)) for g in self.witness.subgradients],
-                "coefficients": [float(c) for c in self.witness.coefficients],
+                "points": self.witness.points.tolist(),
+                "subgradients": self.witness.subgradients.tolist(),
+                "coefficients": self.witness.coefficients.tolist(),
             }
         return doc
 
@@ -263,7 +263,7 @@ def certify_eps_stationary(oracle, x, eps: float) -> StationarityCertificate:
     witness = None
     if certified:
         witness = Witness(
-            points=[x.copy()], subgradients=[np.asarray(reply.subgrad)], coefficients=[1.0]
+            points=x[None, :].copy(), subgradients=reply.subgrad[None, :], coefficients=np.ones(1)
         )
     return StationarityCertificate(
         kind=KIND_EPS_WITNESS,
@@ -297,34 +297,40 @@ def certify_delta_eps(
     if eps < 0.0:
         raise DegenerateInputError("eps must be nonnegative")
     d = len(x)
+    misshaped = False
     if isinstance(sampling, (int, np.integer)):
         if sampling < 0:
             raise DegenerateInputError("sample count must be nonnegative")
         if rng_state is None:
             raise DegenerateInputError("ball sampling needs an rng")
-        offsets = [np.zeros(d)] + [sample_ball(d, delta, rng_state) for _ in range(sampling)]
+        offsets = np.zeros((1 + sampling, d))
+        for row in offsets[1:]:
+            row[:] = sample_ball(d, delta, rng_state)
     else:
-        offsets = [as_vector(o) for o in sampling]
-        if not offsets:
+        stencil = [as_vector(o) for o in sampling]
+        if not stencil:
             raise DegenerateInputError("stencil sampling needs at least one offset")
-    points = []
-    for off in offsets:
-        if off.shape != (d,):
-            raise DimensionMismatchError("stencil offset dimension mismatch")
-        if float(np.linalg.norm(off)) > delta + 1e-12:
-            raise DegenerateInputError("sampled point left the delta-ball")
-        points.append(x + off)
+        # the first offending offset decides the error, so the ball check
+        # covers the offsets before the first one of the wrong shape
+        fit = next((i for i, o in enumerate(stencil) if o.shape != (d,)), len(stencil))
+        offsets = np.array(stencil[:fit]).reshape(fit, d)
+        misshaped = fit < len(stencil)
+    if (row_norms(offsets) > ball_norm_limit(delta)).any():
+        raise DegenerateInputError("sampled point left the delta-ball")
+    if misshaped:
+        raise DimensionMismatchError("stencil offset dimension mismatch")
+    points = x + offsets
     batch = batch_oracle(oracle)
     if batch is not None:
-        grads = list(batch(np.stack(points))[1])
+        grads = batch(points)[1]
     else:
-        grads = [np.asarray(oracle(p).subgrad) for p in points]
+        grads = [oracle(p).subgrad for p in points]
     result = min_norm_point(grads, tol=DEFAULT_WOLFE_TOL)
     certified = result.converged and result.norm <= eps
     witness = None
     if certified:
         witness = Witness(
-            points=points, subgradients=grads, coefficients=list(result.coefficients)
+            points=points, subgradients=np.asarray(grads), coefficients=result.coefficients
         )
     return StationarityCertificate(
         kind=KIND_DELTA_EPS_WITNESS,

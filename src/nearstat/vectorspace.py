@@ -8,6 +8,7 @@ named stream from a single master seed and replay results exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -26,6 +27,9 @@ AVOID_DROP_TOL = 1e-12
 # its pairwise sum keeps 8 accumulators, so only narrower rows can be summed
 # column by column and still give numpy's bits.  Not a tuning knob.
 SEQUENTIAL_ROW_WIDTH = 8
+# A point lies in the closed ball of radius r when its norm exceeds r by at
+# most this times max(1, r): roundoff of a point on the sphere, at any scale.
+BALL_SLACK = 1e-12
 
 
 def as_vector(x) -> np.ndarray:
@@ -57,6 +61,11 @@ def row_norms(X: np.ndarray) -> np.ndarray:
         column = X[:, k]
         total += np.multiply(column, column, out=square)
     return np.sqrt(total, out=total)
+
+
+def ball_norm_limit(radius: float) -> float:
+    """The largest norm a point of the closed ball of ``radius`` may show after roundoff."""
+    return radius + BALL_SLACK * max(1.0, radius)
 
 
 def frame_tolerance(dim: int) -> float:
@@ -185,16 +194,20 @@ def derive_stream(seed: int, role: str) -> np.random.Generator:
 
 
 def sample_sphere(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the sphere of the given radius (normalized Gaussian)."""
+    """Uniform draw from the sphere of the given radius (normalized Gaussian).
+
+    The norm is ``math.sqrt(g.dot(g))``, which is what ``np.linalg.norm``
+    computes for a vector, without its per-call overhead.
+    """
     if dim < 1:
         raise DegenerateInputError("sphere dimension must be >= 1")
     if radius < 0:
         raise DegenerateInputError("sphere radius must be nonnegative")
     g = rng.standard_normal(dim)
-    n = np.linalg.norm(g)
+    n = math.sqrt(g.dot(g))
     while n == 0.0:  # probability zero, but keep the draw well defined
         g = rng.standard_normal(dim)
-        n = np.linalg.norm(g)
+        n = math.sqrt(g.dot(g))
     return (radius / n) * g
 
 

@@ -80,7 +80,7 @@ def test_ac2_lazy_rotation_matches_materialized_map():
         tr = play(solvers.build_solver("subgrad"), adv.rotation_oracle(rb), T, d)
         rmap = rb.materialized_map()
         bounds_ok &= min_distance_to(tr, rmap.x_star) >= math.exp(-T)
-        for query, reply in tr.entries:
+        for query, reply in zip(tr.queries, tr.replies):
             dense = rmap.quad_oracle(query)
             worst_rel = max(
                 worst_rel,

@@ -242,7 +242,7 @@ class _DenseProbe(QueryPolicy):
         self.d = d
         self.rng = np.random.default_rng(77)
 
-    def next_query(self, entries):
+    def next_query(self, transcript):
         return self.rng.normal(size=self.d)
 
 
@@ -275,7 +275,7 @@ def test_rotation_oracle_orthogonality_and_materialization():
             assert abs(U[t] @ transcript.queries[s]) <= 1e-10
 
     mat = rb.materialized_map()
-    for x, reply in transcript.entries:
+    for x, reply in zip(transcript.queries, transcript.replies):
         check = mat.quad_oracle(x)
         denom = max(1.0, abs(reply.value))
         assert abs(check.value - reply.value) / denom <= 1e-12
@@ -324,7 +324,7 @@ def test_rotation_rows_stay_orthonormal_at_the_largest_budget(descriptor):
         u = extend_orthonormal(earlier, avoid=transcript.queries[: t + 1])
         assert np.abs(U[t] - u).max() <= 1e-13 * np.sqrt(d)
     mat = rb.materialized_map()
-    for x, reply in transcript.entries:  # the AC2 replay error of det_lower_bound
+    for x, reply in zip(transcript.queries, transcript.replies):  # det_lower_bound's AC2 error
         direct = mat.quad_oracle(x)
         assert abs(reply.value - direct.value) / max(1.0, abs(direct.value)) <= 1e-12
         assert np.linalg.norm(reply.subgrad - direct.subgrad) <= 1e-12 * max(

@@ -142,9 +142,40 @@ def test_run_randomized_defaults_to_a_dimension_it_can_pass(tmp_path):
     assert not (tmp_path / "small").exists()
 
 
+# A two-point stencil on the sphere of radius 1e5: its computed norm is one
+# rounding, 1.5e-11, above delta.
+WIDE_DELTA = "100000.0"
+WIDE_STENCIL = (
+    "[[99435.51387344218, 10610.305402036709], [-99435.51387344218, -10610.305402036709]]"
+)
+
+
+def test_run_goldstein_stencil_on_a_wide_sphere_passes(tmp_path):
+    proc = run_cli(
+        "run", "--experiment", "quad_lower_bound", "--solver.name", "goldstein",
+        "--solver.delta", WIDE_DELTA, "--solver.stencil", WIDE_STENCIL, "--T", "2", "--d", "2",
+        "--output_path", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [v["criterion"] for v in report["verdicts"]] == ["AC1"] and report["all_passed"]
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
+
+
+def test_certify_stencil_on_a_wide_sphere_gives_a_certificate():
+    proc = run_cli(
+        "certify", "--function", '{"kind": "warga"}', "--point", "0,0", "--notion", "delta_eps",
+        "--delta", WIDE_DELTA, "--eps", "1e-3", "--stencil", WIDE_STENCIL,
+    )
+    assert "delta-ball" not in proc.stderr
+    (cert,) = json.loads(proc.stdout)
+    assert cert["kind"] == "delta_eps_witness"
+    # the two stencil gradients of Warga do not cancel: nothing is certified
+    assert proc.returncode == 1 and cert["certified"] is False
 
 
 def test_certify_prints_certificates_and_succeeds():

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from nearstat import adversaries, cli, solvers, stationarity
+from nearstat import adversaries, cli, harness, solvers, stationarity
 from nearstat.errors import ConfigError, DegenerateInputError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
@@ -169,6 +169,45 @@ def test_theorem1_small_end_to_end():
     assert len(report.certificates) == 5
     assert report.records["w_norm"] == pytest.approx(math.exp(-5.0) / 300.0)
     assert set(report.transcripts) == {"transcript", "transcript_base"}
+
+
+def _flip_zero_sign(t):
+    subgrads = t.subgrads.copy()
+    subgrads[0, -1] = -subgrads[0, -1]  # beyond the chain: a zero
+    assert subgrads[0, -1] == 0.0
+    return subgrads, t.differentiable
+
+
+def _flip_flag(t):
+    flags = t.differentiable.copy()
+    flags[-1] = not flags[-1]
+    return t.subgrads, flags
+
+
+@pytest.mark.parametrize("tamper", [_flip_zero_sign, _flip_flag])
+def test_theorem1_ac6_is_bitwise(monkeypatch, tamper):
+    # a replay that differs from the distance game only in one zero's sign or
+    # in one flag fails AC6, and each transcript file holds its own game
+    cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "T": 5}).validate()
+    clean = run_experiment(cfg).transcripts
+    assert clean["transcript"] == clean["transcript_base"]
+    real_play = harness.play
+    replays = []
+
+    def tampered_play(*args, **kwargs):
+        t = real_play(*args, **kwargs)
+        changed = Transcript(T=t.T, d=t.d)
+        changed.extend(t.queries, t.values, *tamper(t))
+        replays.append(changed)
+        return changed
+
+    monkeypatch.setattr(harness, "play", tampered_play)
+    report = run_experiment(cfg)
+    ac6 = [v for v in report.verdicts if v.criterion == "AC6"]
+    assert [v.passed for v in ac6] == [False, True, True, True]
+    texts = report.transcripts
+    assert texts["transcript"] == replays[0].to_jsonl() != clean["transcript"]
+    assert texts["transcript_base"] == clean["transcript_base"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nearstat.errors import DegenerateInputError, DimensionMismatchError, OracleFailure
 from nearstat.oracle_game import (
@@ -11,9 +15,23 @@ from nearstat.oracle_game import (
     play,
     validate_span,
 )
-from nearstat.adversaries import HardQuadratic, RotationBuilder, chain_quadratic_oracle, rotation_oracle
-from nearstat.solvers import steepest_descent_exact, subgradient_method
-from nearstat.zoo import FirstOrderReply, sqrt_oracle
+from nearstat.adversaries import (
+    ChannelAdversaryConfig,
+    HardQuadratic,
+    RotationBuilder,
+    build_channel_instance,
+    chain_quadratic_oracle,
+    rotation_oracle,
+)
+from nearstat.solvers import (
+    goldstein_descent,
+    smoothed_gradient_method,
+    steepest_descent_exact,
+    subgradient_method,
+)
+from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga, batch_oracle, sqrt_oracle
+
+from test_envelope import ENVELOPE_PROFILE
 
 
 def norm_oracle(x):
@@ -28,8 +46,8 @@ class _Scripted(QueryPolicy):
     def __init__(self, d):
         self.d = d
 
-    def next_query(self, entries):
-        return np.eye(self.d)[len(entries) % self.d]
+    def next_query(self, transcript):
+        return np.eye(self.d)[len(transcript) % self.d]
 
 
 def scripted_descriptor(d):
@@ -83,13 +101,11 @@ def test_jsonl_round_trip_is_exact():
     tr = play(scripted_descriptor(4), norm_oracle, T=3, d=4)
     back = Transcript.from_jsonl(tr.to_jsonl())
     assert back.T == 3 and back.d == 4
-    for (q1, r1), (q2, r2) in zip(tr.entries, back.entries):
-        assert np.array_equal(q1, q2)
-        assert r1.value == r2.value
-        assert np.array_equal(r1.subgrad, r2.subgrad)
-        assert r1.differentiable == r2.differentiable
-    with pytest.raises(DegenerateInputError):
-        Transcript.from_jsonl("")
+    for name in ("queries", "values", "subgrads", "differentiable"):
+        assert getattr(tr, name).tobytes() == getattr(back, name).tobytes()
+    for empty in ("", "\n", "  \n\n"):
+        with pytest.raises(DegenerateInputError):
+            Transcript.from_jsonl(empty)
 
 
 def test_validate_span_accepts_subgradient_method():
@@ -116,7 +132,7 @@ def test_validate_span_flags_violations():
 def reference_validate_span(transcript, tol=1e-8):
     """The per-vector Gram-Schmidt loop that the matrix kernel replaced."""
     basis = []
-    for t, (x, reply) in enumerate(transcript.entries, start=1):
+    for t, (x, reply) in enumerate(zip(transcript.queries, transcript.replies), start=1):
         xn = np.linalg.norm(x)
         if t == 1:
             if xn > tol:
@@ -164,7 +180,7 @@ def span_transcripts(rng):
 def perturbed(transcript, rng, scale):
     t = Transcript(T=transcript.T, d=transcript.d)
     bad = int(rng.integers(len(transcript)))
-    for i, (x, reply) in enumerate(transcript.entries):
+    for i, (x, reply) in enumerate(zip(transcript.queries, transcript.replies)):
         t.append(x + scale * rng.normal(size=len(x)) if i == bad else x, reply)
     return t
 
@@ -187,3 +203,150 @@ def test_min_distance_to():
     t.append(np.array([3.0, 0.0]), FirstOrderReply(3.0, np.array([1.0, 0.0]), True))
     assert min_distance_to(t, [0.0, 4.0]) == 4.0
     assert min_distance_to(t, [3.0, 0.0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the block path: one batched call and one block write per answered block
+# ---------------------------------------------------------------------------
+
+
+def block_games():
+    """(descriptor, oracle with a batch form, T, d, seed) of games answered in blocks."""
+    spiral, channel = Spiral(), ChannelInstance(w=[0.02, -0.01, 0.015])
+    for fn in (spiral, Warga(), channel):
+        yield goldstein_descent(delta=0.5, samples_per_step=8), fn, 31, fn.dim, 5
+        yield smoothed_gradient_method(delta=0.5, samples_per_step=6), fn, 29, fn.dim, 6
+    T, d = 6, 12
+    composed, _ = build_channel_instance(ChannelAdversaryConfig(), subgradient_method(), T, d)
+    yield subgradient_method(), composed, T, d, None
+
+
+@pytest.mark.parametrize("desc, fn, T, d, seed", list(block_games()))
+def test_block_write_matches_one_append_per_row(desc, fn, T, d, seed):
+    assert batch_oracle(fn.eval) is not None
+    rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
+    block = play(desc, fn.eval, T, d, rng=rngs[0])
+    scalar = play(desc, lambda x: fn.eval(x), T, d, rng=rngs[1])  # a closure: no batch form
+    assert block.to_jsonl() == scalar.to_jsonl()
+
+
+class _Fixed(QueryPolicy):
+    def __init__(self, block):
+        self.block = block
+
+    def next_queries(self, transcript, budget):
+        return self.block
+
+
+def fixed_descriptor(block):
+    return AlgorithmDescriptor("fixed", CLASS_DETERMINISTIC, {}, lambda d, rng: _Fixed(block))
+
+
+class _ShortSpiral(Spiral):
+    """Answers every block but its last row."""
+
+    def eval_batch(self, X):
+        return tuple(part[:-1] for part in super().eval_batch(X))
+
+
+class _WideSpiral(Spiral):
+    def eval_batch(self, X):
+        values, grads, *rest = super().eval_batch(X)
+        return values, np.hstack([grads, grads]), *rest
+
+
+class _NanSpiral(Spiral):
+    def eval_batch(self, X):
+        values, grads, *rest = super().eval_batch(X)
+        return values, np.where(grads > 0.0, np.nan, grads), *rest
+
+
+def test_block_reply_of_the_wrong_shape_or_non_finite_is_rejected():
+    desc = fixed_descriptor(np.array([[0.1, 0.2], [0.3, -0.4]]))
+    for fn in (_ShortSpiral(), _WideSpiral()):
+        with pytest.raises(DimensionMismatchError):
+            play(desc, fn.eval, 2, 2)
+    with pytest.raises(OracleFailure, match="non-finite"):
+        play(desc, _NanSpiral().eval, 2, 2)
+    with pytest.raises(DimensionMismatchError):
+        play(fixed_descriptor(np.zeros((2, 3))), Spiral().eval, 2, 2)
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        play(fixed_descriptor(np.array([[0.0, np.inf]])), Spiral().eval, 1, 2)
+
+
+def test_transcript_views_are_read_only():
+    tr = play(scripted_descriptor(3), norm_oracle, T=2, d=3)
+    for name in ("queries", "values", "subgrads", "differentiable"):
+        view = getattr(tr, name)
+        assert len(view) == 2 and not view.flags.writeable
+    with pytest.raises(DegenerateInputError):
+        tr.extend(np.zeros((1, 3)), [0.0], np.zeros((1, 3)), [True])
+
+
+# ---------------------------------------------------------------------------
+# JSON lines: today's text, exact round trips, typed errors
+# ---------------------------------------------------------------------------
+
+# signed zeros, subnormals and entries near the top of the range
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300)
+
+
+@st.composite
+def transcript_rows(draw):
+    """Rows of a game, (queries, values, subgradients, flags), with special entries planted."""
+    T, d = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, G = (rng.standard_normal((T, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(T, d)) for _ in "QG")
+    V = rng.standard_normal(T)
+    planted = st.tuples(st.integers(0, 10**6), st.sampled_from(SPECIAL_ENTRIES))
+    for place, value in draw(st.lists(planted, max_size=12)):
+        rows = (Q, V, G)[place % 3]
+        rows.flat[place // 3 % rows.size] = value
+    return Q, V, G, rng.random(T) < 0.5
+
+
+def reference_jsonl(Q, V, G, flags) -> str:
+    """The text of one ``json.dumps`` per row, as the transcript wrote it row by row."""
+    lines = [
+        json.dumps(
+            {
+                "index": i,
+                "query": q.tolist(),
+                "value": float(v),
+                "subgrad": g.tolist(),
+                "differentiable": bool(f),
+            }
+        )
+        for i, (q, v, g, f) in enumerate(zip(Q, V, G, flags), start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@ENVELOPE_PROFILE
+@given(transcript_rows())
+def test_jsonl_text_and_round_trip_over_drawn_rows(rows):
+    Q, V, G, flags = rows
+    t = Transcript(T=len(Q), d=Q.shape[1])
+    t.extend(Q, V, G, flags)
+    text = t.to_jsonl()
+    assert text == reference_jsonl(Q, V, G, flags)
+    back = Transcript.from_jsonl(text)
+    assert (back.T, back.d) == Q.shape
+    for got, want in ((back.queries, Q), (back.values, V), (back.subgrads, G)):
+        assert got.tobytes() == want.tobytes()
+    assert back.differentiable.tolist() == flags.tolist()
+    assert back.same_bits(t) and t.same_bits(back)
+    lines = text.splitlines()
+    for key in ("query", "subgrad"):
+        last = json.loads(lines[-1])
+        last[key] = last[key] + [1.0]
+        with pytest.raises(DimensionMismatchError):
+            Transcript.from_jsonl("\n".join(lines[:-1] + [json.dumps(last)]))
+    with pytest.raises(DegenerateInputError):
+        Transcript.from_jsonl(text, T=len(Q) - 1)
+
+
+def test_jsonl_with_a_non_finite_reply_is_rejected():
+    line = '{"index": 1, "query": [0.0], "value": NaN, "subgrad": [1.0], "differentiable": true}'
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        Transcript.from_jsonl(line)

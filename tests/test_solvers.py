@@ -10,6 +10,7 @@ from nearstat.oracle_game import (
     CLASS_RANDOMIZED,
     AlgorithmDescriptor,
     QueryPolicy,
+    Transcript,
     play,
 )
 from nearstat.solvers import (
@@ -192,14 +193,14 @@ def test_goldstein_early_stop_freezes_center():
     stencil = [[0.0, 0.05], [0.0, -0.05]]
     desc = goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6)
     policy = desc.fresh_policy(2, None)
-    entries = []
+    transcript = Transcript(T=5, d=2)
     for _ in range(5):
-        x = policy.next_query(entries)
-        entries.append((x, f.eval(x)))
+        x = policy.next_query(transcript)
+        transcript.append(x, f.eval(x))
     assert policy.stopped and policy.stop_step == 1
     assert policy.min_norm_history[0] <= 1e-8
-    assert np.array_equal(entries[3][0], [0.0, 0.0])
-    assert np.array_equal(entries[4][0], [0.0, 0.0])
+    assert np.array_equal(transcript.queries[3], [0.0, 0.0])
+    assert np.array_equal(transcript.queries[4], [0.0, 0.0])
 
 
 def test_goldstein_does_not_stop_on_an_unconverged_solve(monkeypatch):
@@ -214,14 +215,15 @@ def test_goldstein_does_not_stop_on_an_unconverged_solve(monkeypatch):
     f = Spiral(delta=0.05)
     stencil = [[0.0, 0.05], [0.0, -0.05]]
     policy = goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6).fresh_policy(2, None)
-    entries = []
+    transcript = Transcript(T=7, d=2)
     for _ in range(7):
-        x = policy.next_query(entries)
-        entries.append((x, f.eval(x)))
+        x = policy.next_query(transcript)
+        transcript.append(x, f.eval(x))
     assert policy.min_norm_history[0] <= 1e-8
     assert not policy.stopped and policy.stop_step is None
     assert policy.steps_done == 2
-    assert np.array_equal(entries[4][0], entries[3][0] + [0.0, 0.05])  # a new round, not parked
+    queries = transcript.queries
+    assert np.array_equal(queries[4], queries[3] + [0.0, 0.05])  # a new round, not parked
 
 
 def test_goldstein_sampled_round_structure():
@@ -265,8 +267,8 @@ class _OneAtATime(QueryPolicy):
     def __init__(self, inner):
         self.inner = inner
 
-    def next_query(self, entries):
-        return self.inner.next_queries(entries, 1)[0]
+    def next_query(self, transcript):
+        return self.inner.next_queries(transcript, 1)[0]
 
 
 def one_at_a_time(desc):
@@ -308,10 +310,8 @@ def test_block_play_matches_one_query_at_a_time(fn_name, solver, T):
     block = play(desc, fn.eval, T, fn.dim, rng=rng_block)
     single = play(one_at_a_time(desc), lambda x: fn.eval(x), T, fn.dim, rng=rng_single)
     assert len(block) == len(single) == T
-    for (q1, r1), (q2, r2) in zip(block.entries, single.entries):
-        assert np.array_equal(q1, q2)
-        assert r1.value == r2.value and r1.differentiable == r2.differentiable
-        assert np.array_equal(r1.subgrad, r2.subgrad)
+    for name in ("queries", "values", "subgrads", "differentiable"):
+        assert getattr(block, name).tobytes() == getattr(single, name).tobytes()
     assert block.to_jsonl() == single.to_jsonl()
     assert rng_block.random() == rng_single.random()
 
@@ -340,7 +340,7 @@ def test_block_failure_names_a_query_of_the_block():
     block = np.array([[0.0, 0.0], [1.5e308, 0.0]])
 
     class Fixed(QueryPolicy):
-        def next_queries(self, entries, budget):
+        def next_queries(self, transcript, budget):
             return block
 
     desc = AlgorithmDescriptor("fixed", CLASS_RANDOMIZED, {}, lambda d, rng: Fixed())

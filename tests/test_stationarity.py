@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nearstat import stationarity
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
@@ -36,6 +38,7 @@ from nearstat.zoo import (
 )
 
 from brute_force import min_norm_brute_oracle
+from test_envelope import ENVELOPE_PROFILE
 from test_zoo import _composed_channels, _planted_channel_rows
 
 
@@ -80,17 +83,12 @@ def test_duplicate_points_share_one_coefficient():
 
 
 def reference_dedup(P):
-    """The row-by-row scan that _dedup vectorizes."""
-    reps, owner = [], []
+    """The row-by-row scan that _dedup vectorizes: indices of the representatives."""
+    reps = []
     for i, p in enumerate(P):
-        for pos, r in enumerate(reps):
-            if np.max(np.abs(p - P[r])) <= DEDUP_TOL:
-                owner.append(pos)
-                break
-        else:
-            owner.append(len(reps))
+        if all(np.max(np.abs(p - P[r])) > DEDUP_TOL for r in reps):
             reps.append(i)
-    return P[reps], owner
+    return reps
 
 
 @pytest.mark.parametrize("block_entries", [None, 7])
@@ -109,18 +107,16 @@ def test_dedup_matches_reference_scan(block_entries, monkeypatch):
         for i in rng.integers(0, m, size=m // 2):
             j = int(rng.integers(0, m))
             P[i] = P[j] + rng.choice(shifts) * rng.choice([-1.0, 1.0], size=dim)
-        reps, owner = _dedup(P)
-        want_reps, want_owner = reference_dedup(P)
-        assert np.array_equal(reps, want_reps)
-        assert owner == want_owner
+        assert _dedup(P).tolist() == reference_dedup(P)
 
 
 def test_dedup_chain_within_tolerance_keeps_scan_order():
     # 0 and 1 tol apart merge; 2 tol is too far from the first representative
     # even though it is within tol of the merged middle point
     P = np.array([[0.0], [DEDUP_TOL], [2.0 * DEDUP_TOL], [0.0]])
-    reps, owner = _dedup(P)
-    assert np.array_equal(reps, P[[0, 2]]) and owner == [0, 0, 1, 0]
+    assert _dedup(P).tolist() == [0, 2]
+    coeffs = min_norm_point(P).coefficients  # the mass sits on row 0, the origin
+    assert coeffs.tolist() == [1.0, 0.0, 0.0, 0.0] and not np.signbit(coeffs).any()
 
 
 def test_min_norm_result_invariants_random():
@@ -147,6 +143,42 @@ def test_agrees_with_brute_enumeration_small():
         dim = int(rng.integers(1, 5))
         P = rng.normal(size=(m, dim))
         assert min_norm_point(P).norm == pytest.approx(min_norm_brute_oracle(P), abs=1e-6)
+
+
+@st.composite
+def point_sets_with_copies(draw):
+    """Up to six rows in dimension <= 5: distinct base rows, then exact copies
+    and copies within half the dedup tolerance, each placed after its original.
+    Returns the rows, which of them are copies, and the rows' scale."""
+    k, dim = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    base = rng.standard_normal((k, dim)) * scale
+    rows, sources = list(base), list(range(k))  # a copy sits after its base row
+    for _ in range(draw(st.integers(0, 6 - k))):
+        i = draw(st.integers(0, k - 1))
+        shift = draw(st.sampled_from([0.0, 0.5])) * DEDUP_TOL
+        at = draw(st.integers(sources.index(i) + 1, len(rows)))
+        rows.insert(at, base[i] + shift * rng.choice([-1.0, 1.0], size=dim))
+        sources.insert(at, i)
+    copies = [i in sources[:p] for p, i in enumerate(sources)]
+    return np.array(rows), np.array(copies), scale
+
+
+@ENVELOPE_PROFILE
+@given(point_sets_with_copies())
+def test_min_norm_point_against_brute_force_with_planted_copies(drawn):
+    P, copies, scale = drawn
+    r = min_norm_point(P)
+    assert r.converged
+    assert r.norm == pytest.approx(min_norm_brute_oracle(P), abs=1e-6 * scale)
+    # a copy's mass stays with its first occurrence: every copy holds +0.0, and
+    # the originals hold what the solve over the originals alone gives
+    assert not np.signbit(r.coefficients).any()
+    assert r.coefficients[copies].tolist() == [0.0] * copies.sum()
+    alone = min_norm_point(P[~copies])
+    assert r.coefficients[~copies].tobytes() == alone.coefficients.tobytes()
+    assert r.point.tobytes() == alone.point.tobytes()
 
 
 def test_min_norm_input_validation():
@@ -229,6 +261,14 @@ def test_delta_eps_ball_sampling_needs_rng_and_stays_inside():
         certify_delta_eps(
             f.eval, [0.0, 0.0], delta=0.05, eps=0.1, sampling=[[0.0, 0.06]]
         )
+    # the first offending offset decides which error is raised
+    for stencil, error in (
+        ([[0.0, 0.06], [0.01]], DegenerateInputError),
+        ([[0.01], [0.0, 0.06]], DimensionMismatchError),
+        ([[0.0, 0.01], [0.01, 0.0, 0.0], [0.0, 0.06]], DimensionMismatchError),
+    ):
+        with pytest.raises(error):
+            certify_delta_eps(f.eval, [0.0, 0.0], delta=0.05, eps=0.1, sampling=stencil)
 
 
 def test_delta_eps_batch_answers_match_scalar_calls():

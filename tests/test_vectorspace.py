@@ -12,6 +12,7 @@ from nearstat.vectorspace import (
     CANDIDATE_RESIDUAL_TOL,
     OrthonormalFrame,
     as_vector,
+    ball_norm_limit,
     derive_stream,
     extend_orthonormal,
     frame_tolerance,
@@ -233,6 +234,28 @@ def test_sphere_and_ball_sampling_radii():
     assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
     Y = sample_ball_batch(3, 1.0, 1000, rng)
     assert np.linalg.norm(Y, axis=1).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sphere_and_ball_draws_keep_the_numpy_norm_formula(d):
+    # the sampler's plain norm gives today's draws bit for bit, in today's order
+    for seed in range(25):
+        for radius in (1.0, 0.37, 1e5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = ref.standard_normal(d)
+            want = (radius / np.linalg.norm(g)) * g
+            assert sample_sphere(d, radius, rng).tobytes() == want.tobytes()
+            g = ref.standard_normal(d)
+            u = (1.0 / np.linalg.norm(g)) * g
+            want = (radius * ref.random() ** (1.0 / d)) * u
+            assert sample_ball(d, radius, rng).tobytes() == want.tobytes()
+            assert rng.random() == ref.random()
+
+
+def test_ball_norm_limit_allows_one_rounding_at_any_scale():
+    for radius in (1e-3, 0.5, 1.0):
+        assert ball_norm_limit(radius) == radius + 1e-12
+    assert ball_norm_limit(1e5) == 1e5 + 1e-7
 
 
 def test_ball_sampling_is_not_concentrated_at_center():
