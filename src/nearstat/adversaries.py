@@ -33,6 +33,7 @@ from nearstat.oracle_game import (
     AlgorithmDescriptor,
     Transcript,
     play,
+    query_distances,
     validate_span,
 )
 from nearstat.vectorspace import (
@@ -423,7 +424,7 @@ def play_distance_game(algorithm: AlgorithmDescriptor, T: int, d: int, rng=None)
                 f"algorithm {algorithm.name!r} left the declared span at query {bad_index}"
             )
     iterates = transcript.queries
-    distances = np.array([float(np.linalg.norm(row)) for row in iterates - base.map.x_star])
+    distances = query_distances(transcript, base.map.x_star)
     if distances.min() < math.exp(-T):
         raise AdversaryConstructionError(
             f"iterate got within {distances.min():.3e} < exp(-T) of the minimizer; "

@@ -4,10 +4,10 @@ A game is a fixed budget of T sequential queries.  The algorithm side is an
 :class:`AlgorithmDescriptor` (a declared class tag plus a factory for
 per-game query policies); the oracle side is any callable mapping a query
 vector to a :class:`~nearstat.zoo.FirstOrderReply`.  A policy may fix a block
-of queries before any is answered; :func:`play` answers such a block with one
-batched call when the oracle has a batch form, and every row still counts as
-one query.  Transcripts record the full interaction as row arrays, which
-policies read, and serialize to JSON lines for replay.
+of queries before any is answered; :func:`play` answers every block with one
+call of the oracle's batch form, and every row still counts as one query.
+Transcripts record the full interaction as row arrays, which policies read,
+and serialize to JSON lines for replay.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class Transcript:
     Row t of :attr:`queries`, :attr:`values`, :attr:`subgrads` and
     :attr:`differentiable` is the t-th query and its reply.  The arrays are
     preallocated for the budget T; answers go in a block at a time with
-    :meth:`extend` (one row with :meth:`append`), and the properties are
-    read-only views of the rows filled so far.
+    :meth:`extend`, and the properties are read-only views of the rows filled
+    so far.
     """
 
     def __init__(self, T: int, d: int):
@@ -55,25 +55,15 @@ class Transcript:
             view.flags.writeable = False
         self._length = 0
 
-    def _reserve(self, n: int) -> int:
+    def extend(self, queries, values, subgrads, differentiable) -> None:
+        """Record a block of answered queries with one slice write per array:
+        rows of queries and subgradients, one value and one flag per row."""
+        n = len(queries)
         stop = self._length + n
         if stop > self.T:
             raise DegenerateInputError(
                 f"transcript holds {self._length} of T = {self.T} entries, no room for {n} more"
             )
-        return stop
-
-    def _write(self, stop: int, *rows) -> None:
-        """Fill the rows up to ``stop`` with one slice write per array."""
-        for column, block in zip(self._columns, rows):
-            column[self._length : stop] = block
-        self._length = stop
-
-    def extend(self, queries, values, subgrads, differentiable) -> None:
-        """Record a block of answered queries: rows of queries and subgradients,
-        one value and one flag per row."""
-        n = len(queries)
-        stop = self._reserve(n)
         if (
             np.shape(queries) != (n, self.d)
             or np.shape(subgrads) != (n, self.d)
@@ -81,14 +71,9 @@ class Transcript:
             or np.shape(differentiable) != (n,)
         ):
             raise DimensionMismatchError("entry dimension does not match the game")
-        self._write(stop, queries, values, subgrads, differentiable)
-
-    def append(self, query: np.ndarray, reply: FirstOrderReply) -> None:
-        """Record one scalar reply as a one-row block."""
-        stop = self._reserve(1)
-        if query.shape != (self.d,) or reply.subgrad.shape != (self.d,):
-            raise DimensionMismatchError("entry dimension does not match the game")
-        self._write(stop, query, reply.value, reply.subgrad, reply.differentiable)
+        for column, block in zip(self._columns, (queries, values, subgrads, differentiable)):
+            column[self._length : stop] = block
+        self._length = stop
 
     def __len__(self) -> int:
         return self._length
@@ -198,10 +183,10 @@ def play(
 ) -> Transcript:
     """Run one game of exactly T queries and return the transcript.
 
-    Each block the policy hands over is answered with one batched call when
-    the oracle has a batch form (:func:`~nearstat.zoo.batch_oracle`) and
-    recorded with one block write; otherwise each row goes through ``oracle``
-    on its own.  Each row is one transcript entry and one unit of the budget.
+    Each block the policy hands over is answered with one call of the
+    oracle's batch form (:func:`~nearstat.zoo.batch_oracle`) and recorded
+    with one block write.  Each row is one transcript entry and one unit of
+    the budget.
     """
     if T < 1 or d < 1:
         raise DegenerateInputError("need T >= 1 and d >= 1")
@@ -219,29 +204,22 @@ def play(
             )
         if not np.isfinite(block).all():
             raise DegenerateInputError("vector has non-finite entries")
-        if batch is None:
-            for x in block:
-                transcript.append(x, _ask(oracle, x))
-        else:
-            transcript.extend(block, *_ask_batch(batch, block))
+        transcript.extend(block, *_ask(batch, block))
     return transcript
 
 
-def _ask_batch(batch, block: np.ndarray) -> tuple:
+def _ask(batch, block: np.ndarray) -> tuple:
+    """The oracle's answers to a block; a reply of the wrong shape is the
+    game's dimension error, any other failure the oracle's."""
     try:
         return batch(block)
+    except DimensionMismatchError:
+        raise
     except Exception as exc:
         raise OracleFailure(
             f"oracle failed on the block of {len(block)} queries starting at {block[0]!r}: {exc}",
             query=block[0],
         ) from exc
-
-
-def _ask(oracle: Oracle, x: np.ndarray) -> FirstOrderReply:
-    try:
-        return oracle(x)
-    except Exception as exc:
-        raise OracleFailure(f"oracle failed on query {x!r}: {exc}", query=x) from exc
 
 
 def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int | None]:
@@ -272,11 +250,12 @@ def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int 
     return True, None
 
 
-def min_distance_to(transcript: Transcript, target) -> float:
-    """Minimum Euclidean distance from any recorded query to ``target``."""
+def query_distances(transcript: Transcript, target) -> np.ndarray:
+    """Euclidean distance from each recorded query to ``target``, one 1-d
+    ``np.linalg.norm`` per row: :func:`row_norms` rounds differently."""
     if len(transcript) == 0:
         raise DegenerateInputError("empty transcript")
     target = as_vector(target)
     if target.shape != (transcript.d,):
         raise DimensionMismatchError("target dimension does not match the game")
-    return min(float(np.linalg.norm(row)) for row in transcript.queries - target)
+    return np.array([np.linalg.norm(row) for row in transcript.queries - target])

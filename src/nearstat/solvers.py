@@ -23,7 +23,7 @@ from nearstat.oracle_game import (
     QueryPolicy,
 )
 from nearstat.stationarity import min_norm_point
-from nearstat.vectorspace import ball_norm_limit, sample_ball
+from nearstat.vectorspace import ball_norm_limit, sample_ball_batch
 from nearstat.zoo import batch_oracle
 
 SCHEDULE_CONSTANT = "constant"
@@ -155,24 +155,16 @@ def smoothed_estimates(oracle, x, offsets) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     points = x + np.atleast_2d(np.asarray(offsets, dtype=float))
-    batch = batch_oracle(oracle)
-    if batch is not None:
-        values, grads, _ = batch(points)
-        return values, grads
-    values = np.empty(len(points))
-    grads = np.empty_like(points)
-    for i, point in enumerate(points):
-        reply = oracle(point)
-        values[i] = reply.value
-        grads[i] = reply.subgrad
+    values, grads, _ = batch_oracle(oracle)(points)
     return values, grads
 
 
 class _SmoothedPolicy(QueryPolicy):
     """Steps along the negative ball-average of sampled subgradients.
 
-    Each round's samples are fixed before any is answered and go out as one
-    block.
+    Each round's samples are drawn with one sampler call when the round
+    starts; :meth:`next_queries` hands out slices of them, so a game's rows do
+    not depend on how many rows each call asks for.
     """
 
     def __init__(self, d: int, rng, delta: float, samples_per_step: int, schedule: StepSchedule):
@@ -196,11 +188,11 @@ class _SmoothedPolicy(QueryPolicy):
             self.steps_done += 1
             self.center = self.center - self.schedule.step(self.steps_done) * grads.mean(axis=0)
             self.pending = 0
-        count = min(self.samples - self.pending, budget)
-        self.pending += count
-        return np.stack(
-            [self.center + sample_ball(self.d, self.delta, self.rng) for _ in range(count)]
-        )
+        if self.pending == 0:
+            self.round = self.center + sample_ball_batch(self.d, self.delta, self.samples, self.rng)
+        rows = self.round[self.pending : self.pending + budget]
+        self.pending += len(rows)
+        return rows
 
 
 def smoothed_gradient_method(
@@ -227,7 +219,7 @@ class _GoldsteinPolicy(QueryPolicy):
     """Minimum-norm hull step over delta-ball subgradients, with early stop.
 
     Each round queries the center then the ball samples (or a fixed stencil),
-    all fixed before any is answered and sent as one block, solves for the
+    all drawn when the round starts and handed out in slices, solves for the
     minimum-norm convex combination, and either stops (all further queries
     sit at the center) or steps along its negation.
     """
@@ -238,13 +230,14 @@ class _GoldsteinPolicy(QueryPolicy):
         self.schedule = schedule
         self.eps_stop = eps_stop
         self.rng = rng
-        self.stencil = stencil
+        self.stencil = None
         if stencil is not None:
             for off in stencil:
                 if off.shape != (d,):
                     raise DegenerateInputError(
                         f"stencil offset has shape {off.shape}, expected ({d},)"
                     )
+            self.stencil = np.array(stencil).reshape(len(stencil), d)
             self.round_size = 1 + len(stencil)
         else:
             if rng is None:
@@ -254,8 +247,6 @@ class _GoldsteinPolicy(QueryPolicy):
         self.pending = 0
         self.steps_done = 0
         self.stopped = False
-        self.stop_step: int | None = None
-        self.min_norm_history: list[float] = []
 
     def next_query(self, transcript):
         return self.next_queries(transcript, 1)[0]
@@ -263,26 +254,22 @@ class _GoldsteinPolicy(QueryPolicy):
     def next_queries(self, transcript, budget):
         if not self.stopped and self.pending == self.round_size:
             result = min_norm_point(transcript.subgrads[-self.round_size :])
-            self.min_norm_history.append(result.norm)
             self.steps_done += 1
             self.pending = 0
             if result.converged and result.norm <= self.eps_stop:
                 self.stopped = True
-                self.stop_step = self.steps_done
             else:
                 self.center = self.center - self.schedule.step(self.steps_done) * result.point
         if self.stopped:
             return np.tile(self.center, (budget, 1))
-        rows = []
-        for slot in range(self.pending, min(self.round_size, self.pending + budget)):
-            if slot == 0:
-                rows.append(self.center)
-            elif self.stencil is not None:
-                rows.append(self.center + self.stencil[slot - 1])
-            else:
-                rows.append(self.center + sample_ball(self.d, self.delta, self.rng))
+        if self.pending == 0:
+            offsets = self.stencil
+            if offsets is None:
+                offsets = sample_ball_batch(self.d, self.delta, self.round_size - 1, self.rng)
+            self.round = np.vstack([self.center, self.center + offsets])
+        rows = self.round[self.pending : self.pending + budget]
         self.pending += len(rows)
-        return np.stack(rows)
+        return rows
 
 
 def goldstein_descent(

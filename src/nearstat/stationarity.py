@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
-from nearstat.vectorspace import as_vector, ball_norm_limit, row_norms, sample_ball
+from nearstat.vectorspace import as_vector, ball_norm_limit, row_norms, sample_ball_batch
 from nearstat.zoo import (
     REGION_CLAMP_ACTIVE,
     REGION_CLAMP_BOUNDARY,
@@ -288,8 +288,8 @@ def certify_delta_eps(
     plus the center) or a sequence of offsets from x (a stencil, each of norm
     at most delta).  A value <= eps certifies (delta, eps)-stationarity; a
     larger value certifies nothing, which is why ``sound_direction`` says
-    ``stationarity_only``.  The sampled points are answered with one batched
-    call when the oracle has a batch form.
+    ``stationarity_only``.  The ball draws are one sampler call, and the
+    points are answered with one call of the oracle's batch form.
     """
     x = as_vector(x)
     if delta <= 0.0:
@@ -303,9 +303,7 @@ def certify_delta_eps(
             raise DegenerateInputError("sample count must be nonnegative")
         if rng_state is None:
             raise DegenerateInputError("ball sampling needs an rng")
-        offsets = np.zeros((1 + sampling, d))
-        for row in offsets[1:]:
-            row[:] = sample_ball(d, delta, rng_state)
+        offsets = np.vstack([np.zeros(d), sample_ball_batch(d, delta, sampling, rng_state)])
     else:
         stencil = [as_vector(o) for o in sampling]
         if not stencil:
@@ -320,18 +318,12 @@ def certify_delta_eps(
     if misshaped:
         raise DimensionMismatchError("stencil offset dimension mismatch")
     points = x + offsets
-    batch = batch_oracle(oracle)
-    if batch is not None:
-        grads = batch(points)[1]
-    else:
-        grads = [oracle(p).subgrad for p in points]
+    grads = batch_oracle(oracle)(points)[1]
     result = min_norm_point(grads, tol=DEFAULT_WOLFE_TOL)
     certified = result.converged and result.norm <= eps
     witness = None
     if certified:
-        witness = Witness(
-            points=points, subgradients=np.asarray(grads), coefficients=result.coefficients
-        )
+        witness = Witness(points=points, subgradients=grads, coefficients=result.coefficients)
     return StationarityCertificate(
         kind=KIND_DELTA_EPS_WITNESS,
         value=result.norm,

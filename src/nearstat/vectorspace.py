@@ -8,7 +8,6 @@ named stream from a single master seed and replay results exactly.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
@@ -193,39 +192,41 @@ def derive_stream(seed: int, role: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_sphere(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the sphere of the given radius (normalized Gaussian).
+def sample_sphere_batch(dim: int, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform draws from the sphere of the given radius, as rows.
 
-    The norm is ``math.sqrt(g.dot(g))``, which is what ``np.linalg.norm``
-    computes for a vector, without its per-call overhead.
+    The one sampler kernel: one ``(count, dim)`` block of normals, each row
+    scaled to the radius by its :func:`row_norms` norm.  A row of norm zero
+    (probability zero) is drawn again before anything else is drawn.
     """
     if dim < 1:
         raise DegenerateInputError("sphere dimension must be >= 1")
     if radius < 0:
         raise DegenerateInputError("sphere radius must be nonnegative")
-    g = rng.standard_normal(dim)
-    n = math.sqrt(g.dot(g))
-    while n == 0.0:  # probability zero, but keep the draw well defined
-        g = rng.standard_normal(dim)
-        n = math.sqrt(g.dot(g))
-    return (radius / n) * g
-
-
-def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the closed ball: sphere direction scaled by ``r * U**(1/d)``."""
-    u = sample_sphere(dim, 1.0, rng)
-    scale = radius * rng.random() ** (1.0 / dim)
-    return scale * u
-
-
-def sample_sphere_batch(dim: int, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((count, dim))
-    n = row_norms(g)[:, None]
-    n[n == 0.0] = 1.0
-    return radius * g / n
+    n = row_norms(g)
+    while not n.all():
+        zero = n == 0.0
+        g[zero] = rng.standard_normal((int(zero.sum()), dim))
+        n[zero] = row_norms(g[zero])
+    return radius * g / n[:, None]
 
 
 def sample_ball_batch(dim: int, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform draws from the closed ball, as rows: sphere directions
+    scaled by ``r * U**(1/d)``, the block of normals first, then ``count`` uniforms."""
+    if radius < 0:
+        raise DegenerateInputError("ball radius must be nonnegative")
     u = sample_sphere_batch(dim, 1.0, count, rng)
     scale = radius * rng.random(count) ** (1.0 / dim)
     return u * scale[:, None]
+
+
+def sample_sphere(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """One sphere draw: row 0 of a one-row :func:`sample_sphere_batch`."""
+    return sample_sphere_batch(dim, radius, 1, rng)[0]
+
+
+def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """One ball draw: row 0 of a one-row :func:`sample_ball_batch`."""
+    return sample_ball_batch(dim, radius, 1, rng)[0]

@@ -18,9 +18,10 @@ strings with one table lookup.  A composed instance maps its rows in and its
 subgradients back with one call each of the map's row kernel; in the inactive
 hinge region it answers as the distance function, the square root of the
 map's quadratic, which ties its bits to the distance oracle the adversary
-played against.  :func:`batch_oracle` finds the batch form behind an oracle,
-so consumers that fix their sample points before asking (smoothed estimates,
-Goldstein rounds, sampled certificates) answer them with one call.
+played against.  :func:`batch_oracle` gives every oracle a batch form, the
+instance's ``eval_batch`` or one call per row of any other oracle, so
+consumers that fix their sample points before asking (games, smoothed
+estimates, sampled certificates) have one path.
 """
 
 from __future__ import annotations
@@ -381,22 +382,20 @@ class ChannelInstance:
         return values, grads, diffs, _CODE_REGIONS[codes]
 
 
-def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
-    """The batch form behind ``oracle``, or None when it has none.
+def batch_oracle(oracle) -> Callable[[np.ndarray], tuple]:
+    """The batch form of ``oracle``: a function of the rows of X returning
+    ``(values, subgradients, differentiable)``, each row bitwise equal to the
+    scalar reply at that row.
 
-    ``oracle`` may be a zoo instance or its bound ``eval``.  The result maps
-    the rows of X to ``(values, subgradients, differentiable)``, each row
-    bitwise equal to the scalar reply at that row, and rejects non-finite
-    queries and replies as the scalar path does.  Closures and stateful
-    oracles have no batch form.
+    A zoo instance, or its bound ``eval``, answers with ``eval_batch``; any
+    other oracle (a closure, a stateful oracle) is asked once per row, in
+    order.  Non-finite queries and replies are rejected, and so is a reply
+    of another shape than the queries.
     """
     owner = getattr(oracle, "__self__", oracle)
-    if owner is not oracle and getattr(oracle, "__func__", None) is not getattr(
-        type(owner), "eval", None
-    ):
-        return None
-    if not isinstance(owner, (Spiral, Warga, NormDistance, ChannelInstance)):
-        return None
+    native = isinstance(owner, (Spiral, Warga, NormDistance, ChannelInstance)) and (
+        owner is oracle or getattr(oracle, "__func__", None) is getattr(type(owner), "eval", None)
+    )
 
     def answer(X):
         X = np.asarray(X, dtype=float)
@@ -404,7 +403,16 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple] | None:
             raise DimensionMismatchError("batch queries must be the rows of a matrix")
         if not np.isfinite(X).all():
             raise DegenerateInputError("vector has non-finite entries")
+        if not native:  # each FirstOrderReply has checked its own entries
+            replies = [oracle(x) for x in X]
+            if any(r.subgrad.shape != X.shape[1:] for r in replies):
+                raise DimensionMismatchError("oracle reply dimension does not match the query")
+            grads = np.array([r.subgrad for r in replies]).reshape(X.shape)
+            diffs = np.array([r.differentiable for r in replies], dtype=bool)
+            return np.array([r.value for r in replies]), grads, diffs
         values, grads, diffs = owner.eval_batch(X)[:3]
+        if np.shape(values) != X.shape[:1] or np.shape(grads) != X.shape:
+            raise DimensionMismatchError("oracle replies do not match the queries in shape")
         if not (np.isfinite(values).all() and np.isfinite(grads).all()):
             raise DegenerateInputError("oracle reply has non-finite entries")
         return values, grads, diffs

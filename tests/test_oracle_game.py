@@ -11,8 +11,8 @@ from nearstat.oracle_game import (
     AlgorithmDescriptor,
     QueryPolicy,
     Transcript,
-    min_distance_to,
     play,
+    query_distances,
     validate_span,
 )
 from nearstat.adversaries import (
@@ -29,7 +29,7 @@ from nearstat.solvers import (
     steepest_descent_exact,
     subgradient_method,
 )
-from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga, batch_oracle, sqrt_oracle
+from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga, sqrt_oracle
 
 from test_envelope import ENVELOPE_PROFILE
 
@@ -56,14 +56,24 @@ def scripted_descriptor(d):
     )
 
 
-def test_transcript_append_guards():
+def record(t, x, reply):
+    """Write one answered query as a one-row block."""
+    t.extend(np.asarray(x, dtype=float)[None, :], [reply.value], reply.subgrad[None, :],
+             [reply.differentiable])
+
+
+def test_transcript_extend_guards():
     t = Transcript(T=2, d=3)
-    t.append(np.zeros(3), FirstOrderReply(0.0, np.zeros(3), False))
+    record(t, np.zeros(3), FirstOrderReply(0.0, np.zeros(3), False))
     with pytest.raises(DimensionMismatchError):
-        t.append(np.zeros(2), FirstOrderReply(0.0, np.zeros(3), False))
-    t.append(np.ones(3), FirstOrderReply(1.0, np.ones(3), True))
+        record(t, np.zeros(2), FirstOrderReply(0.0, np.zeros(3), False))
+    with pytest.raises(DimensionMismatchError):
+        record(t, np.zeros(3), FirstOrderReply(0.0, np.zeros(2), False))
+    with pytest.raises(DimensionMismatchError):
+        t.extend(np.zeros((1, 3)), [0.0, 1.0], np.zeros((1, 3)), [True])
+    record(t, np.ones(3), FirstOrderReply(1.0, np.ones(3), True))
     with pytest.raises(DegenerateInputError):
-        t.append(np.zeros(3), FirstOrderReply(0.0, np.zeros(3), False))
+        record(t, np.zeros(3), FirstOrderReply(0.0, np.zeros(3), False))
     assert len(t) == 2
     assert len(t.queries) == len(t.replies) == 2
 
@@ -117,14 +127,14 @@ def test_validate_span_accepts_subgradient_method():
 def test_validate_span_flags_violations():
     # nonzero first query (violations are reported with 1-based indices)
     t = Transcript(T=1, d=2)
-    t.append(np.array([1.0, 0.0]), FirstOrderReply(1.0, np.array([1.0, 0.0]), True))
+    record(t, [1.0, 0.0], FirstOrderReply(1.0, np.array([1.0, 0.0]), True))
     ok, idx = validate_span(t)
     assert not ok and idx == 1
 
     # second query leaves the span of the first reply
     t2 = Transcript(T=2, d=2)
-    t2.append(np.zeros(2), FirstOrderReply(0.0, np.array([0.0, 1.0]), True))
-    t2.append(np.array([1.0, 0.0]), FirstOrderReply(1.0, np.array([1.0, 0.0]), True))
+    record(t2, np.zeros(2), FirstOrderReply(0.0, np.array([0.0, 1.0]), True))
+    record(t2, [1.0, 0.0], FirstOrderReply(1.0, np.array([1.0, 0.0]), True))
     ok2, idx2 = validate_span(t2)
     assert not ok2 and idx2 == 2
 
@@ -172,7 +182,7 @@ def span_transcripts(rng):
         x = np.zeros(d)
         for _ in range(T):
             g = rng.normal(size=len(G)) @ G
-            t.append(x, FirstOrderReply(0.0, g, True))
+            record(t, x, FirstOrderReply(0.0, g, True))
             x = x + rng.normal() * g
         yield t
 
@@ -181,7 +191,7 @@ def perturbed(transcript, rng, scale):
     t = Transcript(T=transcript.T, d=transcript.d)
     bad = int(rng.integers(len(transcript)))
     for i, (x, reply) in enumerate(zip(transcript.queries, transcript.replies)):
-        t.append(x + scale * rng.normal(size=len(x)) if i == bad else x, reply)
+        record(t, x + scale * rng.normal(size=len(x)) if i == bad else x, reply)
     return t
 
 
@@ -197,12 +207,16 @@ def test_validate_span_matches_the_loop_reference():
     assert outcomes == {True, False}
 
 
-def test_min_distance_to():
+def test_query_distances():
     t = Transcript(T=2, d=2)
-    t.append(np.zeros(2), FirstOrderReply(0.0, np.zeros(2), False))
-    t.append(np.array([3.0, 0.0]), FirstOrderReply(3.0, np.array([1.0, 0.0]), True))
-    assert min_distance_to(t, [0.0, 4.0]) == 4.0
-    assert min_distance_to(t, [3.0, 0.0]) == 0.0
+    record(t, np.zeros(2), FirstOrderReply(0.0, np.zeros(2), False))
+    record(t, [3.0, 0.0], FirstOrderReply(3.0, np.array([1.0, 0.0]), True))
+    assert query_distances(t, [0.0, 4.0]).tolist() == [4.0, 5.0]
+    assert query_distances(t, [3.0, 0.0]).min() == 0.0
+    with pytest.raises(DimensionMismatchError):
+        query_distances(t, [0.0, 0.0, 0.0])
+    with pytest.raises(DegenerateInputError):
+        query_distances(Transcript(T=1, d=2), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +236,10 @@ def block_games():
 
 
 @pytest.mark.parametrize("desc, fn, T, d, seed", list(block_games()))
-def test_block_write_matches_one_append_per_row(desc, fn, T, d, seed):
-    assert batch_oracle(fn.eval) is not None
+def test_block_write_matches_per_row_answers(desc, fn, T, d, seed):
     rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
     block = play(desc, fn.eval, T, d, rng=rngs[0])
-    scalar = play(desc, lambda x: fn.eval(x), T, d, rng=rngs[1])  # a closure: no batch form
+    scalar = play(desc, lambda x: fn.eval(x), T, d, rng=rngs[1])  # a closure: asked row by row
     assert block.to_jsonl() == scalar.to_jsonl()
 
 
@@ -261,13 +274,44 @@ class _NanSpiral(Spiral):
         return values, np.where(grads > 0.0, np.nan, grads), *rest
 
 
+def widened_after(rows):
+    """A closure answering as the spiral, with one extra subgradient entry from row ``rows`` on."""
+    asked = []
+
+    def oracle(x):
+        asked.append(x)
+        reply = Spiral().eval(x)
+        if len(asked) > rows:
+            return FirstOrderReply(reply.value, np.append(reply.subgrad, 0.0), True)
+        return reply
+
+    return oracle
+
+
+def failing_at(row):
+    asked = []
+
+    def oracle(x):
+        asked.append(x)
+        if len(asked) > row:
+            raise ValueError("boom")
+        return Spiral().eval(x)
+
+    return oracle
+
+
 def test_block_reply_of_the_wrong_shape_or_non_finite_is_rejected():
-    desc = fixed_descriptor(np.array([[0.1, 0.2], [0.3, -0.4]]))
-    for fn in (_ShortSpiral(), _WideSpiral()):
+    block = np.array([[0.1, 0.2], [0.3, -0.4]])
+    desc = fixed_descriptor(block)
+    # every reply too wide, or only the second (a ragged block), through the per-row answers
+    for oracle in (_ShortSpiral().eval, _WideSpiral().eval, widened_after(0), widened_after(1)):
         with pytest.raises(DimensionMismatchError):
-            play(desc, fn.eval, 2, 2)
+            play(desc, oracle, 2, 2)
     with pytest.raises(OracleFailure, match="non-finite"):
         play(desc, _NanSpiral().eval, 2, 2)
+    with pytest.raises(OracleFailure, match="boom") as info:
+        play(desc, failing_at(1), 2, 2)
+    assert any(np.array_equal(info.value.query, q) for q in block)
     with pytest.raises(DimensionMismatchError):
         play(fixed_descriptor(np.zeros((2, 3))), Spiral().eval, 2, 2)
     with pytest.raises(DegenerateInputError, match="non-finite"):

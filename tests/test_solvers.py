@@ -23,7 +23,8 @@ from nearstat.solvers import (
     steepest_descent_exact,
     subgradient_method,
 )
-from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga
+from nearstat.stationarity import min_norm_point
+from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga, batch_oracle
 
 
 def isotropic_quadratic(a, c):
@@ -192,13 +193,8 @@ def test_goldstein_early_stop_freezes_center():
     f = Spiral(delta=0.05)
     stencil = [[0.0, 0.05], [0.0, -0.05]]
     desc = goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6)
-    policy = desc.fresh_policy(2, None)
-    transcript = Transcript(T=5, d=2)
-    for _ in range(5):
-        x = policy.next_query(transcript)
-        transcript.append(x, f.eval(x))
-    assert policy.stopped and policy.stop_step == 1
-    assert policy.min_norm_history[0] <= 1e-8
+    transcript = play(desc, f.eval, 5, 2)
+    assert min_norm_point(transcript.subgrads[:3]).norm <= 1e-8
     assert np.array_equal(transcript.queries[3], [0.0, 0.0])
     assert np.array_equal(transcript.queries[4], [0.0, 0.0])
 
@@ -214,16 +210,11 @@ def test_goldstein_does_not_stop_on_an_unconverged_solve(monkeypatch):
     monkeypatch.setattr(solvers, "min_norm_point", unconverged)
     f = Spiral(delta=0.05)
     stencil = [[0.0, 0.05], [0.0, -0.05]]
-    policy = goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6).fresh_policy(2, None)
-    transcript = Transcript(T=7, d=2)
-    for _ in range(7):
-        x = policy.next_query(transcript)
-        transcript.append(x, f.eval(x))
-    assert policy.min_norm_history[0] <= 1e-8
-    assert not policy.stopped and policy.stop_step is None
-    assert policy.steps_done == 2
+    transcript = play(goldstein_descent(delta=0.05, stencil=stencil, eps_stop=1e-6), f.eval, 8, 2)
+    assert solved(transcript.subgrads[:3]).norm <= 1e-8
     queries = transcript.queries
-    assert np.array_equal(queries[4], queries[3] + [0.0, 0.05])  # a new round, not parked
+    for start in (3, 6):  # a new round after each solve, not parked
+        assert np.array_equal(queries[start + 1], queries[start] + [0.0, 0.05])
 
 
 def test_goldstein_sampled_round_structure():
@@ -302,18 +293,32 @@ def block_solvers(dim):
 @pytest.mark.parametrize("solver", ["goldstein", "goldstein_stencil", "smoothed"])
 @pytest.mark.parametrize("T", [1, 5, 27, 40])
 def test_block_play_matches_one_query_at_a_time(fn_name, solver, T):
-    # budgets that end inside a round must not draw past the budget either,
-    # so the generator's next draw matches too
+    # a round is drawn when it starts, so the rows, and the generator's next
+    # draw, do not depend on how many rows each call asks for; budgets that
+    # end inside a round included
     fn = BLOCK_FUNCTIONS[fn_name]
     desc = block_solvers(fn.dim)[solver]
-    rng_block, rng_single = np.random.default_rng(21), np.random.default_rng(21)
-    block = play(desc, fn.eval, T, fn.dim, rng=rng_block)
-    single = play(one_at_a_time(desc), lambda x: fn.eval(x), T, fn.dim, rng=rng_single)
-    assert len(block) == len(single) == T
-    for name in ("queries", "values", "subgrads", "differentiable"):
-        assert getattr(block, name).tobytes() == getattr(single, name).tobytes()
-    assert block.to_jsonl() == single.to_jsonl()
-    assert rng_block.random() == rng_single.random()
+    rngs = [np.random.default_rng(21) for _ in range(3)]
+    block = play(desc, fn.eval, T, fn.dim, rng=rngs[0])
+    single = play(one_at_a_time(desc), lambda x: fn.eval(x), T, fn.dim, rng=rngs[1])
+    looped = next_query_loop(desc, fn, T, rngs[2])
+    assert len(block) == len(single) == len(looped) == T
+    for other in (single, looped):
+        for name in ("queries", "values", "subgrads", "differentiable"):
+            assert getattr(block, name).tobytes() == getattr(other, name).tobytes()
+        assert block.to_jsonl() == other.to_jsonl()
+    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def next_query_loop(desc, fn, T, rng):
+    """The game without ``play``: one ``next_query`` call and one answered row at a time."""
+    policy = desc.fresh_policy(fn.dim, rng)
+    transcript = Transcript(T=T, d=fn.dim)
+    answer = batch_oracle(fn)
+    while len(transcript) < T:
+        x = policy.next_query(transcript)[None, :]
+        transcript.extend(x, *answer(x))
+    return transcript
 
 
 class _CountingSpiral(Spiral):

@@ -237,19 +237,52 @@ def test_sphere_and_ball_sampling_radii():
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_sphere_and_ball_draws_keep_the_numpy_norm_formula(d):
-    # the sampler's plain norm gives today's draws bit for bit, in today's order
+def test_sphere_and_ball_draws_are_row_0_of_the_kernel(d):
+    # one block of normals, then the uniforms; a scalar draw is row 0 of a
+    # one-row block and leaves the stream where that block leaves it
     for seed in range(25):
         for radius in (1.0, 0.37, 1e5):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            g = ref.standard_normal(d)
-            want = (radius / np.linalg.norm(g)) * g
-            assert sample_sphere(d, radius, rng).tobytes() == want.tobytes()
-            g = ref.standard_normal(d)
-            u = (1.0 / np.linalg.norm(g)) * g
-            want = (radius * ref.random() ** (1.0 / d)) * u
-            assert sample_ball(d, radius, rng).tobytes() == want.tobytes()
-            assert rng.random() == ref.random()
+            for count in (1, 5):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                g = ref.standard_normal((count, d))
+                want = radius * g / np.linalg.norm(g, axis=1)[:, None]
+                assert sample_sphere_batch(d, radius, count, rng).tobytes() == want.tobytes()
+                g = ref.standard_normal((count, d))
+                u = 1.0 * g / np.linalg.norm(g, axis=1)[:, None]
+                want = u * (radius * ref.random(count) ** (1.0 / d))[:, None]
+                assert sample_ball_batch(d, radius, count, rng).tobytes() == want.tobytes()
+                assert rng.random() == ref.random()
+            for one, kernel in ((sample_sphere, sample_sphere_batch), (sample_ball, sample_ball_batch)):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert one(d, radius, rng).tobytes() == kernel(d, radius, 1, ref)[0].tobytes()
+                assert rng.random() == ref.random()
+
+
+class _ZeroRowFirst:
+    """A generator whose first block of normals has an all-zero row 1."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(5)
+        self.blocks = []
+
+    def standard_normal(self, size):
+        g = self.rng.standard_normal(size)
+        if not self.blocks:
+            g[1] = 0.0
+        self.blocks.append(size)
+        return g
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def test_a_zero_normal_row_is_drawn_again():
+    stub = _ZeroRowFirst()
+    X = sample_ball_batch(3, 2.0, 4, stub)
+    assert stub.blocks == [(4, 3), (1, 3)]
+    assert 0.0 < np.linalg.norm(X, axis=1).min() and np.linalg.norm(X, axis=1).max() <= 2.0
+    X = sample_sphere_batch(3, 2.0, 4, _ZeroRowFirst())
+    assert np.allclose(np.linalg.norm(X, axis=1), 2.0, rtol=0.0, atol=1e-12)
 
 
 def test_ball_norm_limit_allows_one_rounding_at_any_scale():
@@ -267,10 +300,11 @@ def test_ball_sampling_is_not_concentrated_at_center():
 
 def test_sampling_rejects_bad_arguments():
     rng = np.random.default_rng(0)
-    with pytest.raises(DegenerateInputError):
-        sample_sphere(0, 1.0, rng)
-    with pytest.raises(DegenerateInputError):
-        sample_sphere(3, -1.0, rng)
+    for sample in (sample_sphere, sample_ball):
+        with pytest.raises(DegenerateInputError):
+            sample(0, 1.0, rng)
+        with pytest.raises(DegenerateInputError):
+            sample(3, -1.0, rng)
 
 
 # ---------------------------------------------------------------------------

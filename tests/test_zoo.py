@@ -3,8 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nearstat.adversaries import affine_map_from_parameters
+from nearstat.adversaries import (
+    HardQuadratic,
+    RotationBuilder,
+    affine_map_from_parameters,
+    chain_quadratic_oracle,
+    rotation_oracle,
+)
 from nearstat.errors import DegenerateInputError, DimensionMismatchError
 from nearstat.zoo import (
     REGION_CLAMP_ACTIVE,
@@ -28,6 +36,8 @@ from nearstat.zoo import (
     instance_to_json_str,
     sqrt_oracle,
 )
+
+from test_envelope import ENVELOPE_PROFILE
 
 
 def test_reply_coercion_and_finiteness():
@@ -489,6 +499,48 @@ def test_composed_channel_matches_reference_composed_eval(kind):
     assert ties <= 0.02 * rows
 
 
+@st.composite
+def threshold_rows(draw):
+    """A channel parameter w, a clamp level below g(0) and rows y within a few
+    REGION_TOL of every region threshold: ||y||, ||y + w||, the hinge, and the
+    clamp level +- REGION_TOL with the sliver between those two roundings."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.normal(size=dim)
+    w *= draw(st.sampled_from([1e-3, 0.02, 0.3])) / np.linalg.norm(w)
+    w_norm = np.linalg.norm(w)
+    wbar = w / w_norm
+    depth = draw(st.floats(1e-3, 1.0))
+    tols = REGION_TOL * np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6)))
+    units = rng.normal(size=(len(tols), dim))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    tang = units - np.outer(units @ wbar, wbar)
+    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    # s = y + w at 60 degrees from w has hinge 0; a step of h/3 along w moves it by about h
+    cone = rng.uniform(1e-3, 2.0, size=(len(tols), 1)) * (0.5 * wbar + (math.sqrt(3.0) / 2.0) * tang)
+    Y = np.vstack([
+        np.abs(tols)[:, None] * units,
+        -w + np.abs(tols)[:, None] * units,
+        cone + (tols / 3.0)[:, None] * wbar - w,
+        # at t wbar the unclamped value is -t - 2|w|: clamp + tols at t = depth - tols
+        (depth - tols)[:, None] * wbar,
+    ])
+    return w, -2.0 * w_norm - depth, Y
+
+
+@ENVELOPE_PROFILE
+@given(threshold_rows())
+def test_channel_rows_near_every_threshold_answer_alone_as_in_a_block(case):
+    w, clamp, Y = case
+    dim = len(w)
+    affine = affine_map_from_parameters(max(2, dim // 2), dim)
+    root = np.stack([affine.sqrt_apply(e) for e in np.eye(dim)], axis=1)
+    X = affine.x_star + np.linalg.solve(root, Y.T).T  # mapped back onto Y up to roundoff
+    for level in (None, clamp):
+        _assert_scalar_calls_are_batch_rows(ChannelInstance(w=w, clamp=level), Y)
+        _assert_scalar_calls_are_batch_rows(ChannelInstance(w=w, clamp=level, affine=affine), X)
+
+
 def test_batch_oracle_finds_the_batch_form():
     rng = np.random.default_rng(15)
     X = rng.uniform(-1, 1, size=(20, 2))
@@ -503,8 +555,27 @@ def test_batch_oracle_finds_the_batch_form():
                 r = fn.eval(x)
                 assert (r.value, r.differentiable) == (vals[i], diffs[i])
                 assert np.array_equal(r.subgrad, grads[i])
-    for oracle in (lambda x: Spiral().eval(x), sqrt_oracle(Warga())):
-        assert batch_oracle(oracle) is None
+
+
+
+def test_batch_oracle_asks_any_other_oracle_row_by_row():
+    # a closure, the square root of the chain oracle and the stateful rotation
+    # oracle: the rows are asked in order, and each keeps its scalar reply's bits
+    rng = np.random.default_rng(16)
+    hq = HardQuadratic(T=6, d=12)
+    cases = [
+        (lambda: (lambda x: Spiral().eval(x)), rng.uniform(-1, 1, size=(20, 2))),
+        (lambda: sqrt_oracle(chain_quadratic_oracle(hq)), rng.normal(size=(20, 12))),
+        (lambda: rotation_oracle(RotationBuilder(base=hq)), rng.normal(size=(6, 12))),
+    ]
+    for make, X in cases:
+        vals, grads, diffs = batch_oracle(make())(X)
+        scalar = make()
+        for i, x in enumerate(X):
+            r = scalar(x)
+            assert (r.value, r.differentiable) == (vals[i], diffs[i])
+            assert grads[i].tobytes() == r.subgrad.tobytes()
+        assert grads.shape == X.shape and diffs.dtype == bool
 
 
 def test_batch_oracle_rejects_non_finite_rows():
