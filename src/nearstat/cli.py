@@ -117,7 +117,7 @@ def cmd_certify(args, extra) -> int:
         stencil=stencil,
         seed=args.seed,
     )
-    print(json.dumps(certs, indent=2))
+    print(json.dumps(certs))
     return 0 if answered else 1
 
 

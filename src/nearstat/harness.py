@@ -206,7 +206,7 @@ class Report:
         }
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return json.dumps(self.to_json())
 
 
 def resolve_output_dir(config_path: str | None) -> str:
@@ -828,6 +828,6 @@ def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:
     diag["config"] = cfg.echo()
     return {
         "instance.json": zoo.instance_to_json_str(instance) + "\n",
-        "diagnostics.json": json.dumps(diag, indent=2) + "\n",
+        "diagnostics.json": json.dumps(diag) + "\n",
         "transcript.jsonl": transcript.to_jsonl(),
     }

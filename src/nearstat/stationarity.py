@@ -15,7 +15,6 @@ Analytic per-region lower bounds on channel subgradient norms live here too.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -57,6 +56,8 @@ class ConstantsTable:
 
 
 DEFAULT_CONSTANTS = ConstantsTable()
+# the table as a document; each certificate gets its own shallow copy
+_CONSTANTS_DOC = asdict(DEFAULT_CONSTANTS)
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ class StationarityCertificate:
             "value": self.value,
             "certified": self.certified,
             "sound_direction": self.sound_direction,
-            "constants": asdict(DEFAULT_CONSTANTS),
+            "constants": dict(_CONSTANTS_DOC),
             "witness": None,
         }
         if self.witness is not None:
@@ -247,9 +248,6 @@ class StationarityCertificate:
                 "coefficients": self.witness.coefficients.tolist(),
             }
         return doc
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def certify_eps_stationary(oracle, x, eps: float) -> StationarityCertificate:

@@ -7,7 +7,9 @@ import subprocess
 import sys
 from unittest import mock
 
-from nearstat import cli
+import numpy as np
+
+from nearstat import adversaries, cli, harness, solvers
 from nearstat.zoo import ChannelInstance, instance_to_json
 
 
@@ -289,3 +291,58 @@ def test_parser_is_built_once_per_process(capsys):
             assert cli.main(argv) == 0
     assert built.call_count == 1
     assert capsys.readouterr().out.count("u,v,value") == 3
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: one compact line each, parsing to the in-process result
+# ---------------------------------------------------------------------------
+
+
+def one_line_json(text: str):
+    assert text.endswith("\n") and text.count("\n") == 1
+    return json.loads(text)
+
+
+def test_certify_prints_one_line_with_every_witness_float():
+    function = instance_to_json(ChannelInstance(w=[0.02, -0.01, 0.015]))
+    proc = run_cli(
+        "certify", "--function", json.dumps(function), "--point", "[0.01, 0.02, 0.0]",
+        "--notion", "delta_eps", "--delta", "0.5", "--eps", "1e-6", "--seed", "3",
+    )
+    assert proc.returncode == 0
+    printed = one_line_json(proc.stdout)
+    certs, answered = harness.certify_point(
+        function, [0.01, 0.02, 0.0], "delta_eps", eps=1e-6, delta=0.5, seed=3
+    )
+    assert answered and printed == certs
+    witness, expected = printed[0]["witness"], certs[0]["witness"]
+    for key in ("points", "subgradients", "coefficients"):
+        assert np.asarray(witness[key]).tobytes() == np.asarray(expected[key]).tobytes()
+
+
+def test_run_writes_report_json_on_one_line(tmp_path):
+    doc = {"experiment": "theorem1", "T": 5, "output_path": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(cfg)).returncode == 0
+    written = one_line_json((tmp_path / "out" / "report.json").read_text())
+    expected = harness.run_experiment(harness.ExperimentConfig.from_dict(doc)).to_json()
+    assert written.pop("timing_seconds") > 0.0
+    del expected["timing_seconds"]  # wall time, the one field a rerun moves
+    assert written == expected
+
+
+def test_adversary_writes_diagnostics_json_on_one_line(tmp_path):
+    doc = {"experiment": "theorem1", "T": 5, "output_path": str(tmp_path / "adv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli("adversary", "--config", str(cfg_path)).returncode == 0
+    written = one_line_json((tmp_path / "adv" / "diagnostics.json").read_text())
+    cfg = harness.ExperimentConfig.from_dict(doc).validate()
+    _, diag = adversaries.build_channel_instance(
+        harness.channel_adversary(cfg), solvers.build_solver(**cfg.solver), cfg.T, cfg.d,
+        rng_state=harness.role_streams(cfg.seed),
+    )
+    del diag["transcript"]  # written to transcript.jsonl instead
+    diag["config"] = cfg.echo()
+    assert written == diag

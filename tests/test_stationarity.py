@@ -219,7 +219,7 @@ def test_certificate_witness_discipline():
 def test_certificate_json_round_trip():
     g = ChannelInstance(w=[0.3, 0.0])
     cert = certify_eps_stationary(g.eval, [0.0, 0.0], eps=2.0)
-    doc = json.loads(cert.to_json_str())
+    doc = json.loads(json.dumps(cert.to_json()))
     assert doc["kind"] == KIND_EPS_WITNESS
     assert doc["certified"] is True
     assert doc["value"] == 2.0
@@ -282,7 +282,7 @@ def test_delta_eps_batch_answers_match_scalar_calls():
             certify_delta_eps(oracle, x, 0.5, 1e-6, 64, rng_state=derive_stream(3, "certifier"))
             for oracle in (instance.eval, lambda p: instance.eval(p))
         ]
-        assert certs[0].to_json_str() == certs[1].to_json_str()
+        assert json.dumps(certs[0].to_json()) == json.dumps(certs[1].to_json())
         assert certs[0].certified
 
 
@@ -341,7 +341,7 @@ def test_subdiff_norm_lower_bound_batch_equals_one_row_calls():
         assert len(certs) == len(X)
         for x, region, cert in zip(X, regions.tolist(), certs):
             (alone,) = subdiff_norm_lower_bound(instance, x[None, :])
-            assert cert.to_json_str() == alone.to_json_str()
+            assert json.dumps(cert.to_json()) == json.dumps(alone.to_json())
             bound = 1.0 / math.sqrt(2.0) if region == REGION_HINGE_BOUNDARY else 1.0
             assert cert.value == pytest.approx(bound * scale, rel=1e-15)
     every_free_region = {
