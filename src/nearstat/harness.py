@@ -205,9 +205,6 @@ class Report:
             "all_passed": self.all_passed,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
-
 
 def resolve_output_dir(config_path: str | None) -> str:
     if config_path:
@@ -220,8 +217,7 @@ def write_report_files(report: Report, out_dir: str) -> list[str]:
     written = []
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
-        fh.write(report.to_json_str())
-        fh.write("\n")
+        fh.write(json.dumps(report.to_json()) + "\n")
     written.append(report_path)
     for name, jsonl in report.transcripts.items():
         path = os.path.join(out_dir, f"{name}.jsonl")

@@ -25,6 +25,12 @@ def run_cli(*argv, env_extra=None):
     )
 
 
+def one_line_json(text: str):
+    """A JSON document on one line, then a newline, parsed."""
+    assert text.endswith("\n") and text.count("\n") == 1
+    return json.loads(text)
+
+
 def channel_doc() -> str:
     return json.dumps(instance_to_json(ChannelInstance(w=[0.3, 0.0], clamp=-1.0)))
 
@@ -68,7 +74,12 @@ def test_run_reads_config_and_writes_reports(tmp_path):
     proc = run_cli("run", "--config", str(cfg), "--output_path", str(tmp_path / "out"))
     assert proc.returncode == 0
     assert "[PASS] AC1" in proc.stdout
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = one_line_json((tmp_path / "out" / "report.json").read_text())
+    config = harness.ExperimentConfig.from_dict(report["config"])
+    expected = harness.run_experiment(config).to_json()
+    assert report.pop("timing_seconds") > 0.0
+    del expected["timing_seconds"]  # wall time, the one field a rerun moves
+    assert report == expected
     assert report["config"]["T"] == 2
     assert len(report["records"]["distances"]) == 2
     transcript_lines = (tmp_path / "out" / "transcript.jsonl").read_text().splitlines()
@@ -190,6 +201,23 @@ def test_certify_prints_certificates_and_succeeds():
     assert certs[0]["value"] == 2.0
 
 
+def test_certify_prints_one_line_with_every_witness_float():
+    function = instance_to_json(ChannelInstance(w=[0.02, -0.01, 0.015]))
+    proc = run_cli(
+        "certify", "--function", json.dumps(function), "--point", "[0.01, 0.02, 0.0]",
+        "--notion", "delta_eps", "--delta", "0.5", "--eps", "1e-6", "--seed", "3",
+    )
+    assert proc.returncode == 0
+    printed = one_line_json(proc.stdout)
+    certs, answered = harness.certify_point(
+        function, [0.01, 0.02, 0.0], "delta_eps", eps=1e-6, delta=0.5, seed=3
+    )
+    assert answered and printed == certs
+    witness, expected = printed[0]["witness"], certs[0]["witness"]
+    for key in ("points", "subgradients", "coefficients"):
+        assert np.asarray(witness[key]).tobytes() == np.asarray(expected[key]).tobytes()
+
+
 def test_certify_refutation_counts_as_answered():
     # eps below the region-wise gradient-norm floor: the bound refutes it
     proc = run_cli(
@@ -245,6 +273,15 @@ def test_adversary_writes_instance_files(tmp_path):
     assert names == ["diagnostics.json", "instance.json", "transcript.jsonl"]
     doc = json.loads((tmp_path / "adv" / "instance.json").read_text())
     assert doc["kind"] == "channel_composed"
+    written = one_line_json((tmp_path / "adv" / "diagnostics.json").read_text())
+    config = harness.ExperimentConfig.from_dict(written["config"]).validate()
+    _, diag = adversaries.build_channel_instance(
+        harness.channel_adversary(config), solvers.build_solver(**config.solver), config.T,
+        config.d, rng_state=harness.role_streams(config.seed),
+    )
+    del diag["transcript"]  # written to transcript.jsonl instead
+    diag["config"] = config.echo()
+    assert written == diag
 
 
 def test_adversary_w_norm_below_floor_exits_two(tmp_path):
@@ -291,58 +328,3 @@ def test_parser_is_built_once_per_process(capsys):
             assert cli.main(argv) == 0
     assert built.call_count == 1
     assert capsys.readouterr().out.count("u,v,value") == 3
-
-
-# ---------------------------------------------------------------------------
-# JSON documents: one compact line each, parsing to the in-process result
-# ---------------------------------------------------------------------------
-
-
-def one_line_json(text: str):
-    assert text.endswith("\n") and text.count("\n") == 1
-    return json.loads(text)
-
-
-def test_certify_prints_one_line_with_every_witness_float():
-    function = instance_to_json(ChannelInstance(w=[0.02, -0.01, 0.015]))
-    proc = run_cli(
-        "certify", "--function", json.dumps(function), "--point", "[0.01, 0.02, 0.0]",
-        "--notion", "delta_eps", "--delta", "0.5", "--eps", "1e-6", "--seed", "3",
-    )
-    assert proc.returncode == 0
-    printed = one_line_json(proc.stdout)
-    certs, answered = harness.certify_point(
-        function, [0.01, 0.02, 0.0], "delta_eps", eps=1e-6, delta=0.5, seed=3
-    )
-    assert answered and printed == certs
-    witness, expected = printed[0]["witness"], certs[0]["witness"]
-    for key in ("points", "subgradients", "coefficients"):
-        assert np.asarray(witness[key]).tobytes() == np.asarray(expected[key]).tobytes()
-
-
-def test_run_writes_report_json_on_one_line(tmp_path):
-    doc = {"experiment": "theorem1", "T": 5, "output_path": str(tmp_path / "out")}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert run_cli("run", "--config", str(cfg)).returncode == 0
-    written = one_line_json((tmp_path / "out" / "report.json").read_text())
-    expected = harness.run_experiment(harness.ExperimentConfig.from_dict(doc)).to_json()
-    assert written.pop("timing_seconds") > 0.0
-    del expected["timing_seconds"]  # wall time, the one field a rerun moves
-    assert written == expected
-
-
-def test_adversary_writes_diagnostics_json_on_one_line(tmp_path):
-    doc = {"experiment": "theorem1", "T": 5, "output_path": str(tmp_path / "adv")}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert run_cli("adversary", "--config", str(cfg_path)).returncode == 0
-    written = one_line_json((tmp_path / "adv" / "diagnostics.json").read_text())
-    cfg = harness.ExperimentConfig.from_dict(doc).validate()
-    _, diag = adversaries.build_channel_instance(
-        harness.channel_adversary(cfg), solvers.build_solver(**cfg.solver), cfg.T, cfg.d,
-        rng_state=harness.role_streams(cfg.seed),
-    )
-    del diag["transcript"]  # written to transcript.jsonl instead
-    diag["config"] = cfg.echo()
-    assert written == diag
