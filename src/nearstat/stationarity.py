@@ -23,9 +23,10 @@ import numpy as np
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
 from nearstat.vectorspace import as_vector, ball_norm_limit, row_norms, sample_ball_batch
 from nearstat.zoo import (
-    REGION_CLAMP_ACTIVE,
-    REGION_CLAMP_BOUNDARY,
-    REGION_HINGE_BOUNDARY,
+    CODE_CLAMP_ACTIVE,
+    CODE_CLAMP_BOUNDARY,
+    CODE_HINGE_BOUNDARY,
+    REGION_NAMES,
     ChannelInstance,
     batch_oracle,
 )
@@ -349,11 +350,11 @@ def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityC
     evaluated with one ``eval_batch`` call; one certificate per row.  A row in
     a clamp region is rejected: arbitrarily small subgradients live there.
     """
-    regions = instance.eval_batch(_certified_rows(X))[3]
-    clamped = np.flatnonzero((regions == REGION_CLAMP_ACTIVE) | (regions == REGION_CLAMP_BOUNDARY))
+    codes = instance.eval_batch(_certified_rows(X))[3]
+    clamped = np.flatnonzero((codes == CODE_CLAMP_ACTIVE) | (codes == CODE_CLAMP_BOUNDARY))
     if len(clamped):
         row = int(clamped[0])
-        region = str(regions[row])
+        region = REGION_NAMES[codes[row]]
         raise ClampRegionError(f"row {row}: no positive bound holds in region {region!r}")
 
     def certificate(bound: float) -> StationarityCertificate:
@@ -364,7 +365,7 @@ def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityC
         )
 
     elsewhere, boundary = certificate(1.0), certificate(1.0 / _SQRT2)
-    return [boundary if r == REGION_HINGE_BOUNDARY else elsewhere for r in regions.tolist()]
+    return [boundary if c == CODE_HINGE_BOUNDARY else elsewhere for c in codes.tolist()]
 
 
 def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[StationarityCertificate]:

@@ -13,8 +13,9 @@ canonical element is returned so that runs replay exactly:
 distance function and every channel instance, plain or composed, evaluate a
 scalar query as row 0 of a one-row batch, and a row's answer has the same bits
 whether it is asked alone or in a block.  A channel labels each row with an
-int8 region code in one pass over the rows and maps the codes to the region
-strings with one table lookup.  A composed instance maps its rows in and its
+int8 region code in one pass over the rows and returns the codes, not
+names: ``REGION_NAMES[code]`` names a row's region, and a histogram of the
+regions is one ``np.bincount``.  A composed instance maps its rows in and its
 subgradients back with one call each of the map's row kernel; in the inactive
 hinge region it answers as the distance function, the square root of the
 map's quadratic, which ties its bits to the distance oracle the adversary
@@ -50,13 +51,13 @@ REGION_CLAMP_BOUNDARY = "clamp_boundary"
 
 # ChannelInstance.eval_batch labels each row with an int8 region code, an
 # index into these two tables; a later code overrides an earlier one
-_CODE_REGIONS = np.array(
-    [REGION_HINGE_INACTIVE, REGION_HINGE_ACTIVE, REGION_HINGE_BOUNDARY, REGION_MINUS_W,
-     REGION_ORIGIN, REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY],
-    dtype="<U16",
+REGION_NAMES = (
+    REGION_HINGE_INACTIVE, REGION_HINGE_ACTIVE, REGION_HINGE_BOUNDARY, REGION_MINUS_W,
+    REGION_ORIGIN, REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY,
 )
 _CODE_DIFFERENTIABLE = np.array([True, True, False, False, False, True, False])
-_INACTIVE, _ACTIVE, _BOUNDARY, _MINUS_W, _ORIGIN, _CLAMP_ACTIVE, _CLAMP_BOUNDARY = range(7)
+(CODE_HINGE_INACTIVE, CODE_HINGE_ACTIVE, CODE_HINGE_BOUNDARY, CODE_MINUS_W, CODE_ORIGIN,
+ CODE_CLAMP_ACTIVE, CODE_CLAMP_BOUNDARY) = range(len(REGION_NAMES))
 
 
 @dataclass(frozen=True)
@@ -321,8 +322,9 @@ class ChannelInstance:
     def eval_batch(self, X: np.ndarray):
         """Evaluation over the rows of X.
 
-        Returns ``(values, grads, differentiable, regions)``; :meth:`eval` is
-        row 0 of a one-row batch.  A composed instance maps the rows through
+        Returns ``(values, grads, differentiable, codes)``, where ``codes``
+        holds each row's int8 region code, an index into ``REGION_NAMES``;
+        :meth:`eval` is row 0 of a one-row batch.  A composed instance maps the rows through
         ``affine.sqrt_apply`` and the unclamped subgradients back with one
         call each, and answers its inactive hinge rows with one
         :class:`NormDistance` call.
@@ -344,13 +346,13 @@ class ChannelInstance:
 
         at_origin = ny <= REGION_TOL
         at_minus_w = ns <= REGION_TOL
-        codes = (hinge > 0.0).astype(np.int8)  # _ACTIVE (1) or _INACTIVE (0)
-        codes[np.abs(hinge) <= REGION_TOL] = _BOUNDARY
-        codes[at_minus_w] = _MINUS_W
-        codes[at_origin] = _ORIGIN
+        codes = (hinge > 0.0).astype(np.int8)  # CODE_HINGE_ACTIVE (1) or CODE_HINGE_INACTIVE (0)
+        codes[np.abs(hinge) <= REGION_TOL] = CODE_HINGE_BOUNDARY
+        codes[at_minus_w] = CODE_MINUS_W
+        codes[at_origin] = CODE_ORIGIN
 
         grads = Y / np.where(ny > 0.0, ny, 1.0)[:, None]
-        active = np.flatnonzero(codes == _ACTIVE)
+        active = np.flatnonzero(codes == CODE_HINGE_ACTIVE)
         if len(active):
             sbar = S.take(active, axis=0) / ns.take(active)[:, None]
             grads[active] = grads.take(active, axis=0) - (4.0 * wbar - 2.0 * sbar)
@@ -362,16 +364,16 @@ class ChannelInstance:
             gap = values - self.clamp
             clamped = gap < -REGION_TOL
             boundary = ~clamped & (gap <= REGION_TOL)
-            codes[clamped] = _CLAMP_ACTIVE
-            codes[boundary] = _CLAMP_BOUNDARY
+            codes[clamped] = CODE_CLAMP_ACTIVE
+            codes[boundary] = CODE_CLAMP_BOUNDARY
             grads[clamped] = 0.0
             values[boundary] = np.maximum(self.clamp, values[boundary])
             values[clamped] = self.clamp
         diffs = _CODE_DIFFERENTIABLE[codes]
 
         if affine is not None:
-            inactive = codes == _INACTIVE
-            mapped = ~inactive & (codes != _CLAMP_ACTIVE)
+            inactive = codes == CODE_HINGE_INACTIVE
+            mapped = ~inactive & (codes != CODE_CLAMP_ACTIVE)
             if mapped.any():
                 grads[mapped] = affine.sqrt_apply(grads[mapped])
             if inactive.any():
@@ -379,7 +381,7 @@ class ChannelInstance:
                 # makes the composed instance replay the distance oracle
                 rows = NormDistance(affine).eval_batch(X[inactive])
                 values[inactive], grads[inactive], diffs[inactive] = rows
-        return values, grads, diffs, _CODE_REGIONS[codes]
+        return values, grads, diffs, codes
 
 
 def batch_oracle(oracle) -> Callable[[np.ndarray], tuple]:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from nearstat import adversaries, cli, harness, solvers, stationarity
+from nearstat import adversaries, cli, harness, solvers, stationarity, zoo
 from nearstat.errors import ConfigError, DegenerateInputError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
@@ -28,6 +28,7 @@ from nearstat.harness import (
     write_report_files,
 )
 from nearstat.oracle_game import Transcript
+from nearstat.vectorspace import row_norms, sample_ball_batch
 from nearstat.zoo import ChannelInstance, Spiral, instance_from_json, instance_to_json
 
 
@@ -274,6 +275,70 @@ def test_verify_report_records_seconds_per_suite(tmp_path, capsys):
         "(verify:prop1", "(verify:channel", "(verify:quadratic", "(verify:remark", "(verify:all"
     ]
     assert list(run_verify("remark", seed=3).records["suite_seconds"]) == ["remark"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 3 * 8192])
+def test_row_blocks_cover_every_row_once_in_order(n):
+    blocks = [np.arange(n)[rows] for rows in harness._row_blocks(n)]
+    assert all(0 < len(b) <= harness.VERIFY_BLOCK_ROWS for b in blocks)
+    assert len(blocks) == -(-n // harness.VERIFY_BLOCK_ROWS)
+    assert np.array_equal(np.concatenate([np.arange(0), *blocks]), np.arange(n))
+
+
+def whole_array_channel_checks(seed):
+    """verify_channel's (details, passed) as it computed them before it
+    streamed its rows: every sample group drawn first from the same stream
+    calls, and one eval_batch per group (the 700k bulk in 100k-row calls)."""
+    rng = harness.derive_stream(seed, "certifier")
+    w = np.array([0.3, 0.0, 0.0, 0.0])
+    instance = ChannelInstance(w=w)
+    A = rng.uniform(-2.0, 2.0, size=(100_000, 4))
+    B = A + rng.normal(size=(100_000, 4)) * rng.uniform(1e-6, 1.0, size=(100_000, 1))
+    gaps = row_norms(A - B)
+    diff = np.abs(instance.eval_batch(A)[0] - instance.eval_batch(B)[0])
+    max_ratio = float((diff / np.where(gaps > 0, gaps, 1.0)).max())
+
+    bulk = rng.uniform(-2.0, 2.0, size=(700_000, 4))
+    near_zero = rng.normal(size=(100_000, 4)) * rng.uniform(0.0, 1e-6, size=(100_000, 1))
+    near_minus_w = -w + rng.normal(size=(100_000, 4)) * rng.uniform(0.0, 1e-6, size=(100_000, 1))
+    tang = rng.normal(size=(100_000, 4))
+    tang[:, 0] = 0.0
+    tang /= row_norms(tang)[:, None]
+    wbar = w / np.linalg.norm(w)
+    cone = rng.uniform(1e-3, 2.0, size=(100_000, 1)) * (0.5 * wbar + (math.sqrt(3.0) / 2.0) * tang)
+    cone += rng.normal(size=(100_000, 4)) * rng.uniform(0.0, 1e-9, size=(100_000, 1))
+    groups = [*np.array_split(bulk, 7), near_zero, near_minus_w, cone - w]
+    min_norm = min(float(row_norms(instance.eval_batch(X)[1]).min()) for X in groups)
+
+    pts = rng.uniform(-2.0, 2.0, size=(100_000, 4))
+    _, grads, diffs, codes = instance.eval_batch(pts)
+    norms = row_norms(grads)
+    bounds = np.where(codes == zoo.CODE_HINGE_BOUNDARY, 1.0 / math.sqrt(2.0), 1.0)
+    spot_idx = harness.derive_stream(seed, "adversary").choice(100_000, size=200, replace=False)
+    spot_certs = stationarity.subdiff_norm_lower_bound(instance, pts[spot_idx])
+    consistent = bool(np.all(norms[diffs] >= bounds[diffs] - 1e-9)) and all(
+        norm >= cert.value - 1e-9 for norm, cert in zip(norms[spot_idx].tolist(), spot_certs)
+    )
+    return [
+        ({"max_ratio": max_ratio, "pairs": 100_000}, max_ratio <= 7.0 + 1e-6),
+        ({"min_subgradient_norm": min_norm, "samples": 1_000_000},
+         min_norm >= 1.0 / math.sqrt(2.0) - 1e-6),
+        ({"points": 100_000, "certified_spot_checks": 200}, consistent),
+    ]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_streamed_verify_suites_keep_every_detail(seed):
+    channel = harness.verify_channel(seed)
+    assert [(c.details, c.passed) for c in channel] == whole_array_channel_checks(seed)
+
+    rng = harness.derive_stream(seed, "certifier")
+    spiral = Spiral(delta=1.0)
+    inner = row_norms(spiral.eval_batch(sample_ball_batch(2, 1.0, 100_000, rng))[1])
+    outer = row_norms(spiral.eval_batch(sample_ball_batch(2, 2.0, 100_000, rng))[1])
+    prop1 = harness.verify_prop1(seed)
+    assert prop1[1].details == {"min_gradient_norm": float(inner.min())}
+    assert prop1[2].details == {"max_gradient_norm": float(outer.max())}
 
 
 # ---------------------------------------------------------------------------

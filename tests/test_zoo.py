@@ -21,6 +21,7 @@ from nearstat.zoo import (
     REGION_HINGE_BOUNDARY,
     REGION_HINGE_INACTIVE,
     REGION_MINUS_W,
+    REGION_NAMES,
     REGION_ORIGIN,
     REGION_TOL,
     ChannelInstance,
@@ -186,9 +187,14 @@ def test_identity_norm_distance():
 # ---------------------------------------------------------------------------
 
 
+def region_names(codes):
+    """The region names of eval_batch's int8 region codes, through the name table."""
+    return np.array(REGION_NAMES)[codes]
+
+
 def region_of(g, x):
-    """The region label eval_batch gives the one row x."""
-    return g.eval_batch(np.array([x], dtype=float))[3][0]
+    """The name of the region eval_batch gives the one row x."""
+    return REGION_NAMES[g.eval_batch(np.array([x], dtype=float))[3][0]]
 
 
 def test_channel_canonical_regions_and_values():
@@ -394,16 +400,19 @@ def test_channel_eval_batch_matches_reference_bit_for_bit(dim):
         X = np.vstack([rng.uniform(-1.5, 1.5, size=(300, dim)), _planted_channel_rows(w, clamp, rng)])
         got = g.eval_batch(X)
         want = reference_channel_eval_batch(g, X)
-        for a, b in zip(got, want):
+        for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+        assert got[3].dtype == np.int8
+        names = region_names(got[3])
+        assert np.array_equal(names, want[3])
         assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
         assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
-        seen |= set(got[3])
+        seen |= set(names)
         if clamp is not None:
-            assert {REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY} <= set(got[3])
+            assert {REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY} <= set(names)
             # rows just under the clamp level take max(clamp, raw)
-            on_level = got[3] == REGION_CLAMP_BOUNDARY
+            on_level = names == REGION_CLAMP_BOUNDARY
             assert np.any(got[0][on_level] == clamp)
             assert np.any(got[0][on_level] > clamp)
         for i, x in enumerate(X):
@@ -421,9 +430,9 @@ def test_clamped_channel_never_answers_below_its_floor():
     assert region_of(g, [1.000000000001, 0.0]) in (REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY)
     # the sweep along w across that level: 23 of these rows fell below it
     X = np.outer(np.linspace(1.0 + 0.99e-12, 1.0 + 1.01e-12, 2001), [1.0, 0.0])
-    values, _, _, regions = g.eval_batch(X)
+    values, _, _, codes = g.eval_batch(X)
     assert values.min() == -1.6
-    assert set(regions) <= {REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY}
+    assert set(region_names(codes)) <= {REGION_CLAMP_ACTIVE, REGION_CLAMP_BOUNDARY}
 
 
 def reference_composed_eval(instance, x):
@@ -475,7 +484,8 @@ def test_composed_channel_matches_reference_composed_eval(kind):
     seen = set()
     ties = rows = 0
     for g, X in _composed_channels(kind, rng):
-        vals, grads, diffs, regions = g.eval_batch(X)
+        vals, grads, diffs, codes = g.eval_batch(X)
+        regions = region_names(codes)
         seen |= set(regions)
         rows += len(X)
         for i, x in enumerate(X):
