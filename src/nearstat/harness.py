@@ -413,12 +413,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 # Rows per eval_batch call in the sampled checks.  Each sample group is
-# drawn whole, from the same stream calls as ever, and checked at once in
-# blocks of this many rows, each reduced on the spot; the temporaries of one
-# block of the d = 4 channel (1.2 MB at their peak under tracemalloc, its
-# outputs included) stay in a 2 MB per-core L2 cache.
-# eval_batch answers each row with the same bits in any block, so the block
-# size moves no detail.
+# drawn whole and checked at once in blocks of this many rows, each reduced
+# on the spot; the temporaries of one block of the d = 4 channel (1.2 MB at
+# their peak under tracemalloc, its outputs included) stay in a 2 MB
+# per-core L2 cache.  eval_batch answers each row with the same bits in any
+# block, so the block size moves no detail.
 VERIFY_BLOCK_ROWS = 8192
 
 
@@ -491,10 +490,7 @@ def verify_prop1(seed: int) -> list[CheckResult]:
 
 
 def verify_channel(seed: int) -> list[CheckResult]:
-    """Lipschitz ratio, no-small-subgradient, and per-region bound consistency.
-
-    Each sample group is checked as soon as it is drawn and dropped before
-    the next one is drawn."""
+    """Lipschitz ratio, no-small-subgradient, and per-region bound consistency."""
     rng = derive_stream(seed, "certifier")
     d = 4
     w = np.zeros(d)
@@ -540,9 +536,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     wbar = w / np.linalg.norm(w)
     cone = radii * (0.5 * wbar + (math.sqrt(3.0) / 2.0) * tang)
     cone += rng.normal(size=(n_near, d)) * rng.uniform(0.0, 1e-9, size=(n_near, 1))
-    del tang, radii
     min_norm = min(min_norm, _grad_norm_range(instance, cone - w)[0])
-    del cone
     checks.append(
         CheckResult(
             "AC5",

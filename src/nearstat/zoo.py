@@ -324,9 +324,9 @@ class ChannelInstance:
 
         Returns ``(values, grads, differentiable, codes)``, where ``codes``
         holds each row's int8 region code, an index into ``REGION_NAMES``;
-        :meth:`eval` is row 0 of a one-row batch.  A composed instance maps the rows through
-        ``affine.sqrt_apply`` and the unclamped subgradients back with one
-        call each, and answers its inactive hinge rows with one
+        :meth:`eval` is row 0 of a one-row batch.  A composed instance maps
+        the rows through ``affine.sqrt_apply`` and the unclamped subgradients
+        back with one call each, and answers its inactive hinge rows with one
         :class:`NormDistance` call.
         """
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
