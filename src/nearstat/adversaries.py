@@ -72,29 +72,22 @@ CHANNEL_T_MAX = math.floor(-math.log(300.0 * W_NORM_FLOOR))
 
 @dataclass(frozen=True)
 class HardQuadratic:
-    """Parameters of the chain quadratic embedded in dimension d >= T."""
+    """The chain quadratic with T active coordinates embedded in dimension d >= T;
+    k, q and b are the module constants."""
 
     T: int
     d: int
-    k: float = CHAIN_END_WEIGHT
-    q: float = CHAIN_RATIO
-    b: float = field(default=CHAIN_RATIO / 8.0)
 
     def __post_init__(self):
         if self.T < 2:
             raise DegenerateInputError("chain quadratic needs T >= 2")
         if self.d < self.T:
             raise DegenerateInputError("chain quadratic needs d >= T")
-        q, k = self.q, self.k
-        if abs(1.0 - 6.0 * q + q * q) > 1e-14 or abs((k + 4.0) * q - 1.0) > 1e-14:
-            raise DegenerateInputError("chain parameter identities violated")
-        if float(self.x_star @ self.x_star) >= (_SQRT2 - 1.0) / 2.0:
-            raise DegenerateInputError("minimizer norm bound violated")
 
     @property
     def x_star(self) -> np.ndarray:
         out = np.zeros(self.d)
-        out[: self.T] = self.q ** np.arange(1, self.T + 1)
+        out[: self.T] = CHAIN_RATIO ** np.arange(1, self.T + 1)
         return out
 
 
@@ -116,14 +109,15 @@ def chain_value_grad(
         C = np.zeros((len(X), hq.T))
         C[:, : len(frame)] = np.einsum("ij,kj->ki", frame, X)
     first, last, diffs = C[:, 0], C[:, -1], C[:, :-1] - C[:, 1:]
-    head = first * first + np.einsum("ij,ij->i", diffs, diffs) + (hq.k - 1.0) * last * last
+    end = CHAIN_END_WEIGHT - 1.0
+    head = first * first + np.einsum("ij,ij->i", diffs, diffs) + end * last * last
     head -= 2.0 * first
     dC = np.zeros(C.shape)
     dC[:, 0] = 2.0 * first - 2.0
     dC[:, :-1] += 2.0 * diffs
     dC[:, 1:] -= 2.0 * diffs
-    dC[:, -1] += 2.0 * (hq.k - 1.0) * last
-    values = head / 8.0 + 0.5 * np.einsum("ij,ij->i", X, X) + hq.b
+    dC[:, -1] += 2.0 * end * last
+    values = head / 8.0 + 0.5 * np.einsum("ij,ij->i", X, X) + CHAIN_RATIO / 8.0
     if frame is None:
         grads = X.copy()
         grads[:, : hq.T] += dC / 8.0
@@ -185,7 +179,7 @@ def _tridiag_extremes(diag: np.ndarray, off: np.ndarray, tol: float = 1e-13) -> 
 def chain_tridiagonal(hq: HardQuadratic) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the T x T block of M = (A + 4I)/8."""
     diag_a = np.full(hq.T, 2.0)
-    diag_a[-1] = hq.k
+    diag_a[-1] = CHAIN_END_WEIGHT
     diag_m = (diag_a + 4.0) / 8.0
     off_m = np.full(hq.T - 1, -1.0 / 8.0)
     return diag_m, off_m
@@ -226,7 +220,7 @@ def affine_map_from_parameters(
     hq = hq if hq is not None else HardQuadratic(T=T, d=d)
     block = _block_sqrt(hq.T)
     tail_scale = 1.0 / _SQRT2
-    provenance = {"T": hq.T, "d": hq.d, "k": hq.k}
+    provenance = {"T": hq.T, "d": hq.d, "k": CHAIN_END_WEIGHT}
     U = None
     if rotation_frame is not None:
         U = np.asarray(rotation_frame, dtype=float)

@@ -517,9 +517,11 @@ def verify_channel(seed: int) -> list[CheckResult]:
         )
     )
 
+    # seven 100k-row draws give the rows of one 700k-row draw without holding them all
     n_bulk, n_near = 700_000, 100_000
     min_norm = min(
-        _grad_norm_range(instance, rng.uniform(-2.0, 2.0, size=(n_bulk, d)))[0],
+        min(_grad_norm_range(instance, rng.uniform(-2.0, 2.0, size=(n_near, d)))[0]
+            for _ in range(n_bulk // n_near)),
         _grad_norm_range(
             instance, rng.normal(size=(n_near, d)) * rng.uniform(0.0, 1e-6, size=(n_near, 1))
         )[0],
@@ -603,8 +605,9 @@ def verify_quadratic(seed: int) -> list[CheckResult]:
         )
     )
 
-    id1 = abs(1.0 - 6.0 * hq.q + hq.q * hq.q)
-    id2 = abs((hq.k + 4.0) * hq.q - 1.0)
+    q, k = adversaries.CHAIN_RATIO, adversaries.CHAIN_END_WEIGHT
+    id1 = abs(1.0 - 6.0 * q + q * q)
+    id2 = abs((k + 4.0) * q - 1.0)
     checks.append(
         CheckResult(
             "AC3",

@@ -15,14 +15,15 @@ scalar query as row 0 of a one-row batch, and a row's answer has the same bits
 whether it is asked alone or in a block.  A channel labels each row with an
 int8 region code in one pass over the rows and returns the codes, not
 names: ``REGION_NAMES[code]`` names a row's region, and a histogram of the
-regions is one ``np.bincount``.  A composed instance maps its rows in and its
-subgradients back with one call each of the map's row kernel; in the inactive
-hinge region it answers as the distance function, the square root of the
-map's quadratic, which ties its bits to the distance oracle the adversary
-played against.  :func:`batch_oracle` gives every oracle a batch form, the
-instance's ``eval_batch`` or one call per row of any other oracle, so
-consumers that fix their sample points before asking (games, smoothed
-estimates, sampled certificates) have one path.
+regions is one ``np.bincount``.  The distance function is the norm of the
+mapped point y = M^(1/2) (x - x_star), its gradient y / ||y|| mapped back.  A
+composed channel maps its rows in and its subgradients back with one call
+each of the same row kernel, so in the inactive hinge region, where it is
+||y||, it runs the distance function's own operations and replays the
+distance oracle the adversary played against bit for bit.  :func:`batch_oracle`
+gives every oracle a batch form, the instance's ``eval_batch`` or one call per
+row of any other oracle, so consumers that fix their sample points before
+asking (games, smoothed estimates, sampled certificates) have one path.
 """
 
 from __future__ import annotations
@@ -187,27 +188,18 @@ class Warga:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_rows(values: np.ndarray, grads: np.ndarray):
-    """``(values, grads, nonzero)`` of the square root of a nonnegative function
-    from its values and gradients at rows: ``grad / (2 root)`` away from its
-    zeros, and value 0 with a zero subgradient at them."""
-    if (values < 0.0).any():
-        raise DegenerateInputError(f"sqrt transform got negative value {values.min()!r}")
-    roots = np.sqrt(values)
-    zero = roots == 0.0
-    roots[zero] = 0.0  # the root of -0.0 is -0.0
-    grads = grads / (2.0 * np.where(zero, 1.0, roots))[:, None]
-    grads[zero] = 0.0
-    return roots, grads, ~zero
-
-
 def sqrt_oracle(oracle: Oracle) -> Oracle:
-    """The square root of a nonnegative oracle, nondifferentiable at its zeros."""
+    """The square root of a nonnegative oracle: ``grad / (2 root)`` away from
+    its zeros, and value 0 with a zero subgradient, nondifferentiable, at them."""
 
     def wrapped(x):
         reply = oracle(x)
-        vals, grads, nonzero = sqrt_rows(np.array([reply.value]), reply.subgrad[None, :])
-        return FirstOrderReply(vals[0], grads[0], reply.differentiable and bool(nonzero[0]))
+        if reply.value < 0.0:
+            raise DegenerateInputError(f"sqrt transform got negative value {reply.value!r}")
+        root = math.sqrt(reply.value)
+        if root == 0.0:  # the root of -0.0 is -0.0
+            return FirstOrderReply(0.0, np.zeros_like(reply.subgrad), False)
+        return FirstOrderReply(root, reply.subgrad / (2.0 * root), reply.differentiable)
 
     return wrapped
 
@@ -222,11 +214,12 @@ class AffineMap:
     """The map ``x -> M^(1/2) (x - x_star)`` plus its quadratic ``||M^(1/2)(x - x_star)||^2``.
 
     ``sqrt_apply`` applies ``M^(1/2)`` to the rows of a matrix, or to one
-    vector; ``quad_rows`` gives the quadratic's values and gradients at the
-    rows of a matrix, in its native form, so the distance function and the
-    composed channel share its exact arithmetic.  Each row's bits do not
-    depend on the rows around it.  ``provenance`` carries the construction
-    parameters for serialization.
+    vector; the distance function and the composed channel map points in and
+    gradients back with it.  ``quad_rows`` gives the quadratic's values and
+    gradients at the rows of a matrix in its native form (the chain form for
+    the hard quadratic), the oracle the quadratic games play.  Each row's bits
+    do not depend on the rows around it.  ``provenance`` carries the
+    construction parameters for serialization.
     """
 
     x_star: np.ndarray
@@ -261,8 +254,12 @@ def identity_map(x_star) -> AffineMap:
 
 @dataclass(eq=False)
 class NormDistance:
-    """f(x) = ||M^(1/2) (x - x_star)||, the square root of the map's quadratic:
-    :func:`sqrt_rows` of its values and gradients."""
+    """f(x) = ||y|| for the mapped point y = M^(1/2) (x - x_star), with gradient
+    M^(1/2) y / ||y||; at y = 0 the subgradient is zero and the flag is False.
+
+    Mapping the difference ``x - x_star``, not expanding the quadratic, keeps
+    the value and gradient within a few ulps relative near x_star, where the
+    expanded quadratic cancels to no correct digit."""
 
     map: AffineMap
 
@@ -277,7 +274,13 @@ class NormDistance:
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
         if X.shape[1] != self.dim:
             raise DimensionMismatchError("query dimension does not match the instance")
-        return sqrt_rows(*self.map.quad_rows(X))
+        Y = self.map.sqrt_apply(X - self.map.x_star)
+        ny = row_norms(Y)
+        nonzero = ny > 0.0
+        # the composed channel's inactive hinge rows are these same operations
+        grads = self.map.sqrt_apply(Y / np.where(nonzero, ny, 1.0)[:, None])
+        grads[~nonzero] = 0.0
+        return ny, grads, nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +329,8 @@ class ChannelInstance:
         holds each row's int8 region code, an index into ``REGION_NAMES``;
         :meth:`eval` is row 0 of a one-row batch.  A composed instance maps
         the rows through ``affine.sqrt_apply`` and the unclamped subgradients
-        back with one call each, and answers its inactive hinge rows with one
-        :class:`NormDistance` call.
+        back with one call each; on its inactive hinge rows these are the
+        operations of :class:`NormDistance`, so those rows carry its bits.
         """
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
         if X.shape[1] != self.dim:
@@ -372,15 +375,9 @@ class ChannelInstance:
         diffs = _CODE_DIFFERENTIABLE[codes]
 
         if affine is not None:
-            inactive = codes == CODE_HINGE_INACTIVE
-            mapped = ~inactive & (codes != CODE_CLAMP_ACTIVE)
+            mapped = codes != CODE_CLAMP_ACTIVE
             if mapped.any():
                 grads[mapped] = affine.sqrt_apply(grads[mapped])
-            if inactive.any():
-                # ||y|| is the distance function here; its own arithmetic
-                # makes the composed instance replay the distance oracle
-                rows = NormDistance(affine).eval_batch(X[inactive])
-                values[inactive], grads[inactive], diffs[inactive] = rows
         return values, grads, diffs, codes
 
 

@@ -8,7 +8,10 @@ benchmark run without failing anything else.
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import nearstat.cli  # noqa: F401  (loads every module the hooks wrap)
+from nearstat import adversaries
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +45,28 @@ def test_trace_hooks_resolve_and_come_off():
     for (module, path), raw in originals.items():
         owner, attr = tracing._resolve(module, path)
         assert vars(owner)[attr] is raw, f"{module}.{path} was not restored"
+
+
+def test_traced_oracle_factories_hand_out_answering_oracles():
+    # install() also wraps the adversaries' oracle factories; the affine one
+    # reads and reassigns AffineMap.quad_oracle on the map it returns
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    hq = adversaries.HardQuadratic(T=3, d=6)
+    x = np.linspace(-1.0, 1.0, 6)
+    want = adversaries.chain_quadratic_oracle(hq)(x)
+    undo = tracing.install(tracer)
+    try:
+        chain = adversaries.chain_quadratic_oracle(hq)
+        rotation = adversaries.rotation_oracle(adversaries.RotationBuilder(base=hq))
+        quad = adversaries.affine_map_from_parameters(hq.T, hq.d).quad_oracle
+        for oracle in (chain, rotation, quad):
+            assert hasattr(oracle, "__wrapped__"), oracle
+            reply = oracle(x)
+            assert reply.subgrad.shape == x.shape
+        for oracle in (chain, quad):
+            reply = oracle(x)
+            assert reply.value == want.value and np.array_equal(reply.subgrad, want.subgrad)
+    finally:
+        tracing.uninstall(undo)
+    assert tracer.totals[tracing.ORACLE]["calls"] == 5

@@ -474,7 +474,8 @@ def reference_composed_eval(instance, x):
             region, diff = REGION_CLAMP_BOUNDARY, False
             raw = max(instance.clamp, raw)
     if region == REGION_HINGE_INACTIVE:
-        return sqrt_oracle(affine.quad_oracle)(x), region, margin
+        # the distance function's reply, which the channel replays bit for bit
+        return NormDistance(affine).eval(x), region, margin
     return FirstOrderReply(raw, affine.sqrt_apply(grad_y), diff), region, margin
 
 
