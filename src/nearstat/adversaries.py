@@ -132,48 +132,8 @@ def chain_quadratic_oracle(hq: HardQuadratic):
 
 
 # ---------------------------------------------------------------------------
-# spectrum check via Sturm-sequence bisection (own small routine, independent
-# of the eigensolver used for the square root)
+# the dense chain block of M: its spectrum, and M^(1/2) for the affine maps
 # ---------------------------------------------------------------------------
-
-
-def _tridiag_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x."""
-    pivmin = 1e-300
-    count = 0
-    dcur = diag[0] - x
-    if dcur == 0.0:
-        dcur = -pivmin
-    if dcur < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        dcur = (diag[i] - x) - off[i - 1] * off[i - 1] / dcur
-        if dcur == 0.0:
-            dcur = -pivmin
-        if dcur < 0.0:
-            count += 1
-    return count
-
-
-def _tridiag_extremes(diag: np.ndarray, off: np.ndarray, tol: float = 1e-13) -> tuple[float, float]:
-    n = len(diag)
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius)) - 1.0
-    hi = float(np.max(diag + radius)) + 1.0
-
-    def kth_smallest(kth: int) -> float:
-        a, bnd = lo, hi
-        while bnd - a > tol * max(1.0, abs(a), abs(bnd)):
-            mid = 0.5 * (a + bnd)
-            if _tridiag_count_below(diag, off, mid) >= kth:
-                bnd = mid
-            else:
-                a = mid
-        return 0.5 * (a + bnd)
-
-    return kth_smallest(1), kth_smallest(n)
 
 
 def chain_tridiagonal(hq: HardQuadratic) -> tuple[np.ndarray, np.ndarray]:
@@ -185,28 +145,25 @@ def chain_tridiagonal(hq: HardQuadratic) -> tuple[np.ndarray, np.ndarray]:
     return diag_m, off_m
 
 
+def _chain_block(T: int) -> np.ndarray:
+    """The dense T x T tridiagonal block of M."""
+    diag_m, off_m = chain_tridiagonal(HardQuadratic(T=T, d=T))
+    return np.diag(diag_m) + np.diag(off_m, 1) + np.diag(off_m, -1)
+
+
 def chain_spectrum_check(hq: HardQuadratic) -> tuple[float, float]:
     """Extremal eigenvalues of the embedded M (tail coordinates contribute 1/2)."""
-    if hq.T > 64:
-        raise DegenerateInputError("spectrum check is a test utility; T <= 64")
-    diag_m, off_m = chain_tridiagonal(hq)
-    lo, hi = _tridiag_extremes(diag_m, off_m)
+    lam = np.linalg.eigvalsh(_chain_block(hq.T))
+    lo, hi = float(lam[0]), float(lam[-1])
     if hq.d > hq.T:
         lo, hi = min(lo, 0.5), max(hi, 0.5)
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# M^(1/2) and the affine maps handed to the zoo
-# ---------------------------------------------------------------------------
-
-
 @functools.lru_cache(maxsize=32)
 def _block_sqrt(T: int) -> np.ndarray:
     """Symmetric square root of the T x T tridiagonal block of M, cached per T."""
-    diag_m, off_m = chain_tridiagonal(HardQuadratic(T=T, d=T))
-    dense = np.diag(diag_m) + np.diag(off_m, 1) + np.diag(off_m, -1)
-    lam, vecs = np.linalg.eigh(dense)
+    lam, vecs = np.linalg.eigh(_chain_block(T))
     if lam[0] <= 0.0:
         raise AdversaryConstructionError("chain block lost positive definiteness")
     root = (vecs * np.sqrt(lam)) @ vecs.T

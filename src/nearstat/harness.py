@@ -670,7 +670,7 @@ def verify_remark(seed: int) -> list[CheckResult]:
     delta = 0.05
     d = 2
     w = np.array([delta / 2.0, 0.0])
-    gtilde = zoo.clamped_channel(w, drop=1.0)
+    gtilde = zoo.clamped_channel(w)
     v = np.array([0.0, delta])
     checks = []
 

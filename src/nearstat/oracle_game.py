@@ -30,6 +30,9 @@ CLASS_DETERMINISTIC = "deterministic"
 CLASS_LINEAR_SPAN = "linear_span"
 CLASS_RANDOMIZED = "randomized"
 
+# A query whose residual against the span of earlier subgradients exceeds
+# this, relative to max(1, its norm), leaves the span.
+SPAN_TOL = 1e-8
 # A subgradient whose residual against the span of earlier ones is at most
 # this, relative to max(1, its norm), does not widen the span.
 SUBGRAD_DROP_TOL = 1e-14
@@ -119,11 +122,12 @@ class Transcript:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_jsonl(cls, text: str, T: int | None = None) -> "Transcript":
+    def from_jsonl(cls, text: str) -> "Transcript":
+        """The transcript a :meth:`to_jsonl` document records, with T its row count."""
         rows = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not rows:
             raise DegenerateInputError("empty transcript document")
-        t = cls(T=T if T is not None else len(rows), d=len(rows[0]["query"]))
+        t = cls(T=len(rows), d=len(rows[0]["query"]))
         try:
             queries, values, subgrads = (
                 np.array([row[key] for row in rows], dtype=float)
@@ -131,9 +135,14 @@ class Transcript:
             )
         except ValueError as exc:
             raise DimensionMismatchError(f"transcript rows differ in shape: {exc}") from exc
+        if not np.isfinite(queries).all():
+            raise DegenerateInputError("transcript query has non-finite entries")
         if not (np.isfinite(values).all() and np.isfinite(subgrads).all()):
             raise DegenerateInputError("oracle reply has non-finite entries")
-        t.extend(queries, values, subgrads, [row["differentiable"] for row in rows])
+        flags = [row["differentiable"] for row in rows]
+        if any(not isinstance(flag, bool) for flag in flags):
+            raise DegenerateInputError("differentiable flags must be true or false")
+        t.extend(queries, values, subgrads, flags)
         return t
 
 
@@ -155,15 +164,15 @@ class QueryPolicy:
 
 @dataclass(frozen=True)
 class AlgorithmDescriptor:
-    """A named algorithm with declared oracle-game class membership.
+    """A name, a declared oracle-game class tag and a policy factory.
 
     ``factory(d, rng)`` returns a fresh :class:`QueryPolicy` for one game;
-    deterministic and linear-span algorithms must ignore ``rng``.
+    deterministic and linear-span algorithms must ignore ``rng``.  The
+    settings the algorithm was built with live in the policies it makes.
     """
 
     name: str
     class_tag: str
-    params: dict
     factory: Callable[[int, np.random.Generator | None], QueryPolicy]
 
     def __post_init__(self):
@@ -222,19 +231,19 @@ def _ask(batch, block: np.ndarray) -> tuple:
         ) from exc
 
 
-def validate_span(transcript: Transcript, tol: float = 1e-8) -> tuple[bool, int | None]:
+def validate_span(transcript: Transcript) -> tuple[bool, int | None]:
     """Check x1 = 0 and x_t in span(g_1..g_(t-1)) up to a residual tolerance.
 
-    The tolerance is relative to ``||x_t||`` when that norm exceeds 1,
-    absolute otherwise.  Returns ``(ok, first_violating_index)`` with
+    The tolerance ``SPAN_TOL`` is relative to ``||x_t||`` when that norm
+    exceeds 1, absolute otherwise.  Returns ``(ok, first_violating_index)`` with
     1-based indices.  The accepted subgradients are kept orthonormalized as
     the rows of one array; x_t and g_t are projected off them together.
     """
     if len(transcript) == 0:
         raise DegenerateInputError("empty transcript")
     X, G = transcript.queries, transcript.subgrads
-    x_limits = tol * np.maximum(1.0, row_norms(X))
-    x_limits[0] = tol  # x_1 = 0, absolutely
+    x_limits = SPAN_TOL * np.maximum(1.0, row_norms(X))
+    x_limits[0] = SPAN_TOL  # x_1 = 0, absolutely
     g_limits = SUBGRAD_DROP_TOL * np.maximum(1.0, row_norms(G))
     pairs = np.stack([X, G], axis=2)  # x_t and g_t as the columns of pairs[t]
     basis = np.zeros((min(len(X), transcript.d), transcript.d))

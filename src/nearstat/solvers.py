@@ -5,7 +5,9 @@ All methods start at the origin and spend their whole budget through
 like any other, so a game of T queries really is T oracle calls.
 
 Solver names registered for the harness: "subgrad", "steepest", "smoothed",
-"goldstein".
+"goldstein".  A descriptor is a name, a class tag and a policy factory; the
+settings a solver was built with live in its policies, and reports echo the
+config that named them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from nearstat.zoo import batch_oracle
 
 SCHEDULE_CONSTANT = "constant"
 SCHEDULE_INVERSE_SQRT = "inverse_sqrt"
-SCHEDULE_LINE_SEARCH = "exact_line_search_quadratic"
 
 _PROBE_SCALE = 1e-3
 
@@ -49,13 +50,14 @@ def _count(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size rule eta_t for t = 1, 2, ...; scale must be positive."""
+    """Step-size rule eta_t for t = 1, 2, ...: ``scale`` for the constant kind,
+    ``scale / sqrt(t)`` for inverse_sqrt; scale must be positive."""
 
     kind: str = SCHEDULE_CONSTANT
     scale: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in (SCHEDULE_CONSTANT, SCHEDULE_INVERSE_SQRT, SCHEDULE_LINE_SEARCH):
+        if self.kind not in (SCHEDULE_CONSTANT, SCHEDULE_INVERSE_SQRT):
             raise DegenerateInputError(f"unknown schedule kind {self.kind!r}")
         if _number("schedule scale", self.scale) <= 0.0:
             raise DegenerateInputError("schedule scale must be positive")
@@ -63,12 +65,7 @@ class StepSchedule:
     def step(self, t: int) -> float:
         if self.kind == SCHEDULE_CONSTANT:
             return self.scale
-        if self.kind == SCHEDULE_INVERSE_SQRT:
-            return self.scale / math.sqrt(t)
-        raise DegenerateInputError("line-search schedules have no fixed step size")
-
-    def as_params(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale}
+        return self.scale / math.sqrt(t)
 
 
 class _SubgradientPolicy(QueryPolicy):
@@ -90,7 +87,6 @@ def subgradient_method(schedule: StepSchedule | None = None) -> AlgorithmDescrip
     return AlgorithmDescriptor(
         name="subgrad",
         class_tag=CLASS_LINEAR_SPAN,
-        params={"schedule": schedule.as_params()},
         factory=lambda d, rng: _SubgradientPolicy(d, schedule),
     )
 
@@ -142,7 +138,6 @@ def steepest_descent_exact() -> AlgorithmDescriptor:
     return AlgorithmDescriptor(
         name="steepest",
         class_tag=CLASS_LINEAR_SPAN,
-        params={"schedule": {"kind": SCHEDULE_LINE_SEARCH, "scale": 1.0}},
         factory=lambda d, rng: _SteepestPolicy(d),
     )
 
@@ -206,11 +201,6 @@ def smoothed_gradient_method(
     return AlgorithmDescriptor(
         name="smoothed",
         class_tag=CLASS_RANDOMIZED,
-        params={
-            "delta": delta,
-            "samples_per_step": samples_per_step,
-            "schedule": schedule.as_params(),
-        },
         factory=lambda d, rng: _SmoothedPolicy(d, rng, delta, samples_per_step, schedule),
     )
 
@@ -296,13 +286,6 @@ def goldstein_descent(
     return AlgorithmDescriptor(
         name="goldstein",
         class_tag=CLASS_RANDOMIZED,
-        params={
-            "delta": delta,
-            "samples_per_step": samples_per_step,
-            "schedule": schedule.as_params(),
-            "eps_stop": eps_stop,
-            "stencil": None if stencil is None else [list(map(float, o)) for o in stencil],
-        },
         factory=lambda d, rng: _GoldsteinPolicy(
             d, rng, delta, samples_per_step, schedule, eps_stop, stencil
         ),

@@ -16,7 +16,7 @@ Analytic per-region lower bounds on channel subgradient norms live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +45,15 @@ _DEDUP_BLOCK_ENTRIES = 1 << 18
 DEFAULT_WOLFE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    """The explicit constants carried by the hardness statements."""
-
-    lipschitz_channel: float = 7.0
-    stationarity_threshold: float = 1.0 / (2.0 * _SQRT2)
-    value_gap: float = 1.5
-    distance_bound: float = 1.0 / 7.0
-    lipschitz_spiral_ball: float = 2.0 * math.pi
-
-
-DEFAULT_CONSTANTS = ConstantsTable()
-# the table as a document; each certificate gets its own shallow copy
-_CONSTANTS_DOC = asdict(DEFAULT_CONSTANTS)
+# The explicit constants carried by the hardness statements, in the order
+# certificate documents list them; each certificate gets its own copy.
+CONSTANTS = {
+    "lipschitz_channel": 7.0,
+    "stationarity_threshold": 1.0 / (2.0 * _SQRT2),
+    "value_gap": 1.5,
+    "distance_bound": 1.0 / 7.0,
+    "lipschitz_spiral_ball": 2.0 * math.pi,
+}
 
 
 @dataclass(frozen=True)
@@ -116,11 +111,11 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     return np.flatnonzero(is_rep)
 
 
-def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
+def min_norm_point(points) -> MinNormResult:
     """Wolfe's minimum-norm-point algorithm over the convex hull of ``points``.
 
     ``converged`` means the Wolfe gap <point, point - candidate> fell below
-    ``tol``; hitting the iteration cap returns the best iterate with
+    ``DEFAULT_WOLFE_TOL``; hitting the iteration cap returns the best iterate with
     ``converged = False``.
     """
     try:
@@ -133,8 +128,6 @@ def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
         raise DimensionMismatchError("points must share a common dimension")
     if not np.all(np.isfinite(P_in)):
         raise DegenerateInputError("min_norm_point got non-finite points")
-    if tol <= 0.0:
-        raise DegenerateInputError("tolerance must be positive")
 
     rep_rows = _dedup(P_in)
     P = P_in[rep_rows]
@@ -169,7 +162,7 @@ def min_norm_point(points, tol: float = DEFAULT_WOLFE_TOL) -> MinNormResult:
         dots = P @ x
         j = int(np.argmin(dots))
         gap = float(x @ x - dots[j])
-        if gap <= tol:
+        if gap <= DEFAULT_WOLFE_TOL:
             converged = True
             break
         if j in active:
@@ -239,7 +232,7 @@ class StationarityCertificate:
             "value": self.value,
             "certified": self.certified,
             "sound_direction": self.sound_direction,
-            "constants": dict(_CONSTANTS_DOC),
+            "constants": dict(CONSTANTS),
             "witness": None,
         }
         if self.witness is not None:
@@ -318,7 +311,7 @@ def certify_delta_eps(
         raise DimensionMismatchError("stencil offset dimension mismatch")
     points = x + offsets
     grads = batch_oracle(oracle)(points)[1]
-    result = min_norm_point(grads, tol=DEFAULT_WOLFE_TOL)
+    result = min_norm_point(grads)
     certified = result.converged and result.norm <= eps
     witness = None
     if certified:
@@ -382,7 +375,7 @@ def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[Stationa
     return [
         StationarityCertificate(
             kind=KIND_NEAR_DISTANCE,
-            value=max(0.0, (value - instance.clamp) / DEFAULT_CONSTANTS.lipschitz_channel),
+            value=max(0.0, (value - instance.clamp) / CONSTANTS["lipschitz_channel"]),
             certified=True,
             sound_direction="refutation_only",
         )

@@ -419,11 +419,11 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple]:
     return answer
 
 
-def clamped_channel(w, drop: float = 1.0) -> ChannelInstance:
-    """The channel clamped at its origin value minus ``drop`` (default 1)."""
+def clamped_channel(w) -> ChannelInstance:
+    """The channel clamped at its origin value minus 1."""
     w = as_vector(w)
     base = ChannelInstance(w=w)
-    level = base.eval(np.zeros(len(w))).value - drop
+    level = base.eval(np.zeros(len(w))).value - 1.0
     return ChannelInstance(w=w, clamp=level)
 
 

@@ -107,16 +107,20 @@ def test_chain_oracle_replies():
     assert r.value == CHAIN_RATIO / 8.0 and r.differentiable
 
 
-@pytest.mark.parametrize("T,d", [(2, 4), (5, 10), (10, 20), (15, 30)])
+@pytest.mark.parametrize("T,d", [(2, 4), (5, 10), (10, 20), (15, 30), (80, 160)])
 def test_spectrum_between_half_and_one(T, d):
     hq = HardQuadratic(T=T, d=d)
     lo, hi = chain_spectrum_check(hq)
     assert lo >= 0.5 - 1e-9
     assert hi <= 1.0 + 1e-9
-    # cross-check the bisection against a dense eigensolve
-    lam = np.linalg.eigvalsh(dense_quadratic_matrix(T, d))
-    assert lo == pytest.approx(lam[0], abs=1e-12)
-    assert hi == pytest.approx(lam[-1], abs=1e-12)
+    # cross-check the dense eigensolve against LAPACK's tridiagonal bisection
+    # on the entrywise reference M; the tail coordinates contribute 1/2
+    block = dense_quadratic_matrix(T, d)[:T, :T]
+    lam = scipy.linalg.eigvalsh_tridiagonal(
+        np.diag(block), np.diag(block, 1), lapack_driver="stebz"
+    )
+    assert lo == pytest.approx(min(lam[0], 0.5), abs=1e-12)
+    assert hi == pytest.approx(max(lam[-1], 0.5), abs=1e-12)
 
 
 def test_tridiagonal_entries():
@@ -265,7 +269,6 @@ def dense_probe_descriptor():
     return AlgorithmDescriptor(
         name="dense-probe",
         class_tag=CLASS_DETERMINISTIC,
-        params={},
         factory=lambda d, rng: _DenseProbe(d, rng),
     )
 

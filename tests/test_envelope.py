@@ -64,6 +64,12 @@ REJECTED = [
     "--solver.name subgrad --solver.schedule 3",
     "--solver.name subgrad --solver.schedule.kind nosuch",
     "--solver.name steepest --solver.schedule.kind constant",
+    # a line search is steepest descent's own rule, not a step-size schedule
+    "--solver.name subgrad --solver.schedule.kind exact_line_search_quadratic",
+    "--experiment quad_lower_bound --solver.name smoothed --solver.delta 0.1"
+    " --solver.samples_per_step 4 --solver.schedule.kind exact_line_search_quadratic",
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
+    " --solver.samples_per_step 4 --solver.schedule.kind exact_line_search_quadratic",
     "--experiment quad_lower_bound --T 1",
     "--experiment det_lower_bound --T 1",
     "--experiment quad_lower_bound --T 3 --d 2",
@@ -144,6 +150,7 @@ def outside_configs(draw) -> list[str]:
                     ["--solver.bogus", "1"],
                     ["--solver.schedule", "3"],
                     ["--solver.schedule.kind", "nosuch"],
+                    ["--solver.schedule.kind", "exact_line_search_quadratic"],
                     ["--solver.schedule.scale", "-1"],
                     ["--solver.name", "nosuch"],
                     ["--solver.name", "smoothed"],

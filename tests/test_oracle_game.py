@@ -52,7 +52,7 @@ class _Scripted(QueryPolicy):
 
 def scripted_descriptor(d):
     return AlgorithmDescriptor(
-        name="scripted", class_tag=CLASS_DETERMINISTIC, params={}, factory=lambda dd, rng: _Scripted(dd)
+        name="scripted", class_tag=CLASS_DETERMINISTIC, factory=lambda dd, rng: _Scripted(dd)
     )
 
 
@@ -104,7 +104,7 @@ def test_play_wraps_oracle_exceptions():
 
 def test_descriptor_rejects_unknown_class():
     with pytest.raises(DegenerateInputError):
-        AlgorithmDescriptor(name="x", class_tag="mystery", params={}, factory=lambda d, rng: _Scripted(d))
+        AlgorithmDescriptor(name="x", class_tag="mystery", factory=lambda d, rng: _Scripted(d))
 
 
 def test_jsonl_round_trip_is_exact():
@@ -252,7 +252,7 @@ class _Fixed(QueryPolicy):
 
 
 def fixed_descriptor(block):
-    return AlgorithmDescriptor("fixed", CLASS_DETERMINISTIC, {}, lambda d, rng: _Fixed(block))
+    return AlgorithmDescriptor("fixed", CLASS_DETERMINISTIC, lambda d, rng: _Fixed(block))
 
 
 class _ShortSpiral(Spiral):
@@ -386,11 +386,22 @@ def test_jsonl_text_and_round_trip_over_drawn_rows(rows):
         last[key] = last[key] + [1.0]
         with pytest.raises(DimensionMismatchError):
             Transcript.from_jsonl("\n".join(lines[:-1] + [json.dumps(last)]))
-    with pytest.raises(DegenerateInputError):
-        Transcript.from_jsonl(text, T=len(Q) - 1)
 
 
 def test_jsonl_with_a_non_finite_reply_is_rejected():
     line = '{"index": 1, "query": [0.0], "value": NaN, "subgrad": [1.0], "differentiable": true}'
     with pytest.raises(DegenerateInputError, match="non-finite"):
+        Transcript.from_jsonl(line)
+
+
+def test_jsonl_with_a_non_finite_query_is_rejected():
+    line = '{"index": 1, "query": [NaN], "value": 0.0, "subgrad": [1.0], "differentiable": true}'
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        Transcript.from_jsonl(line)
+
+
+@pytest.mark.parametrize("flag", ['"no"', "1", "null"])
+def test_jsonl_with_a_non_boolean_flag_is_rejected(flag):
+    line = f'{{"index": 1, "query": [0.0], "value": 0.0, "subgrad": [1.0], "differentiable": {flag}}}'
+    with pytest.raises(DegenerateInputError, match="true or false"):
         Transcript.from_jsonl(line)

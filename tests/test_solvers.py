@@ -24,6 +24,7 @@ from nearstat.solvers import (
     subgradient_method,
 )
 from nearstat.stationarity import min_norm_point
+from nearstat.vectorspace import sample_ball_batch
 from nearstat.zoo import ChannelInstance, FirstOrderReply, Spiral, Warga, batch_oracle
 
 
@@ -57,10 +58,9 @@ def test_schedule_kinds():
         StepSchedule(kind="bogus")
     with pytest.raises(DegenerateInputError):
         StepSchedule(scale=0.0)
-    line = StepSchedule(kind="exact_line_search_quadratic")
-    with pytest.raises(DegenerateInputError):
-        line.step(1)
-    assert StepSchedule(**StepSchedule(scale=0.2).as_params()).scale == 0.2
+    # steepest descent's line search has no fixed step, so it is no schedule kind
+    with pytest.raises(DegenerateInputError, match="unknown schedule kind"):
+        StepSchedule(kind="exact_line_search_quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,6 @@ def one_at_a_time(desc):
     return AlgorithmDescriptor(
         name=desc.name,
         class_tag=desc.class_tag,
-        params=desc.params,
         factory=lambda d, rng: _OneAtATime(desc.fresh_policy(d, rng)),
     )
 
@@ -348,7 +347,7 @@ def test_block_failure_names_a_query_of_the_block():
         def next_queries(self, transcript, budget):
             return block
 
-    desc = AlgorithmDescriptor("fixed", CLASS_RANDOMIZED, {}, lambda d, rng: Fixed())
+    desc = AlgorithmDescriptor("fixed", CLASS_RANDOMIZED, lambda d, rng: Fixed())
     with pytest.raises(OracleFailure) as info, np.errstate(over="ignore"):
         play(desc, Spiral().eval, 2, 2)
     assert any(np.array_equal(info.value.query, q) for q in block)
@@ -376,8 +375,21 @@ def test_registry_names_and_builder():
     assert set(SOLVERS) == {"subgrad", "steepest", "smoothed", "goldstein"}
     desc = build_solver("subgrad", schedule={"kind": "constant", "scale": 0.05})
     assert desc.name == "subgrad" and desc.class_tag == CLASS_LINEAR_SPAN
-    assert desc.params["schedule"]["scale"] == 0.05
-    smoothed = build_solver("smoothed", delta=0.1, samples_per_step=3)
-    assert smoothed.params["delta"] == 0.1
     with pytest.raises(DegenerateInputError):
         build_solver("nonexistent")
+    # the schedule, delta and sample count show in the queries the policies make
+    a = np.array([1.0, -2.0, 0.5])
+
+    def linear(x):
+        return FirstOrderReply(float(a @ x), a.copy(), True)
+
+    desc = build_solver("subgrad", schedule={"kind": "inverse_sqrt", "scale": 0.05})
+    Q = play(desc, linear, 3, 3).queries
+    assert np.array_equal(Q[1], -0.05 * a)
+    assert np.array_equal(Q[2], Q[1] - (0.05 / np.sqrt(2.0)) * a)
+    smoothed = build_solver("smoothed", delta=0.1, samples_per_step=3, schedule={"scale": 0.2})
+    Q = play(smoothed, linear, 6, 3, rng=np.random.default_rng(5)).queries
+    draws = np.random.default_rng(5)
+    assert np.array_equal(Q[:3], sample_ball_batch(3, 0.1, 3, draws))
+    center = np.zeros(3) - 0.2 * np.tile(a, (3, 1)).mean(axis=0)
+    assert np.array_equal(Q[3:], center + sample_ball_batch(3, 0.1, 3, draws))

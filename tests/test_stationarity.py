@@ -10,7 +10,7 @@ from nearstat import stationarity
 from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
 from nearstat.stationarity import (
     DEDUP_TOL,
-    DEFAULT_CONSTANTS,
+    CONSTANTS,
     KIND_DELTA_EPS_WITNESS,
     KIND_EPS_WITNESS,
     KIND_NEAR_DISTANCE,
@@ -405,6 +405,13 @@ def test_near_distance_bounds_reject_bad_rows():
 
 
 def test_constants_table_defaults():
-    assert DEFAULT_CONSTANTS.lipschitz_channel == 7.0
-    assert DEFAULT_CONSTANTS.stationarity_threshold == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
-    assert DEFAULT_CONSTANTS.distance_bound == pytest.approx(1.0 / 7.0)
+    assert list(CONSTANTS) == [
+        "lipschitz_channel",
+        "stationarity_threshold",
+        "value_gap",
+        "distance_bound",
+        "lipschitz_spiral_ball",
+    ]
+    assert CONSTANTS["lipschitz_channel"] == 7.0
+    assert CONSTANTS["stationarity_threshold"] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+    assert CONSTANTS["distance_bound"] == pytest.approx(1.0 / 7.0)

@@ -610,7 +610,7 @@ def test_channel_clamp_floor():
 
 def test_clamped_channel_drop_level():
     w = [0.025, 0.0]
-    g = clamped_channel(w, drop=1.0)
+    g = clamped_channel(w)
     origin_value = ChannelInstance(w=w).eval([0.0, 0.0]).value
     assert g.clamp == pytest.approx(origin_value - 1.0, abs=1e-15)
 
