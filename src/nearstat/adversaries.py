@@ -39,12 +39,11 @@ from nearstat.oracle_game import (
 from nearstat.vectorspace import (
     AVOID_DROP_TOL,
     OrthonormalFrame,
-    as_vector,
     extend_orthonormal,
     row_norms,
     sample_sphere,
 )
-from nearstat.zoo import AffineMap, ChannelInstance, FirstOrderReply, NormDistance
+from nearstat.zoo import AffineMap, ChannelInstance, NormDistance, _first_row, _rows
 
 _SQRT2 = math.sqrt(2.0)
 CHAIN_END_WEIGHT = (_SQRT2 + 3.0) / (_SQRT2 + 1.0)  # k
@@ -100,9 +99,7 @@ def chain_value_grad(
     t <= T rows (the lazy rotation's partial frame has t < T, and c is zero past
     t).  Products are einsum contractions over C-ordered rows, so each row has
     the same bits alone as in a block, whatever the layout of X."""
-    X = np.ascontiguousarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != hq.d:
-        raise DimensionMismatchError(f"expected rows of dimension {hq.d}, got shape {X.shape}")
+    X = _rows(X, hq.d)
     if frame is None:
         C = X[:, : hq.T]
     else:
@@ -126,9 +123,9 @@ def chain_value_grad(
     return values, grads
 
 
-def chain_quadratic_oracle(hq: HardQuadratic):
-    """First-order oracle for g; everywhere differentiable."""
-    return affine_map_from_parameters(hq.T, hq.d, hq=hq).quad_oracle
+def chain_quadratic_oracle(hq: HardQuadratic) -> AffineMap:
+    """First-order oracle for g: the affine map whose quadratic g is."""
+    return affine_map_from_parameters(hq.T, hq.d, hq=hq)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def norm_distance_instance(hq: HardQuadratic) -> NormDistance:
 
 @dataclass
 class RotationBuilder:
-    """State of the resisting rotation game: rows chosen so far plus queries seen.
+    """The resisting rotation game's oracle of g(Ux): rows chosen so far plus queries seen.
 
     Row u_t is selected orthogonal to u_1..u_{t-1} and to every query up to
     and including x_t, so all chain terms involving unselected rows vanish and
@@ -237,6 +234,25 @@ class RotationBuilder:
         self.frame = OrthonormalFrame(self.base.d)
         self.constraints = OrthonormalFrame(self.base.d)
 
+    def eval_batch(self, X: np.ndarray):
+        """The rows of X in order, each choosing its rotation row; a block
+        that would pass T queries is refused whole."""
+        hq = self.base
+        X = _rows(X, hq.d)
+        if len(self.frame) + len(X) > hq.T:
+            raise BudgetExhaustedError("rotation oracle answers at most T queries")
+        values, grads = np.empty(len(X)), np.empty(X.shape)
+        for t, x in enumerate(X):
+            self.constraints.absorb(x, AVOID_DROP_TOL)
+            u = extend_orthonormal(self.constraints)
+            self.frame.append(u)
+            self.constraints.append(u)
+            value, grad = chain_value_grad(hq, x[None, :], frame=self.frame.matrix())
+            values[t], grads[t] = value[0], grad[0]
+        return values, grads, np.ones(len(X), dtype=bool)
+
+    eval = __call__ = _first_row
+
     def materialized_map(self) -> AffineMap:
         """Commit to U after all T queries; the map's x_star is the rotated minimizer."""
         if len(self.frame) < self.base.T:
@@ -246,24 +262,9 @@ class RotationBuilder:
         )
 
 
-def rotation_oracle(rb: RotationBuilder):
+def rotation_oracle(rb: RotationBuilder) -> RotationBuilder:
     """Stateful oracle answering g(Ux) while choosing the rotation rows lazily."""
-
-    def oracle(x) -> FirstOrderReply:
-        hq = rb.base
-        x = as_vector(x)
-        if x.shape != (hq.d,):
-            raise DimensionMismatchError(f"expected dimension {hq.d}, got {x.shape}")
-        if len(rb.frame) >= hq.T:
-            raise BudgetExhaustedError("rotation oracle answers at most T queries")
-        rb.constraints.absorb(x, AVOID_DROP_TOL)
-        u = extend_orthonormal(rb.constraints)
-        rb.frame.append(u)
-        rb.constraints.append(u)
-        values, grads = chain_value_grad(hq, x[None, :], frame=rb.frame.matrix())
-        return FirstOrderReply(values[0], grads[0], True)
-
-    return oracle
+    return rb
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,7 @@ def play_distance_game(algorithm: AlgorithmDescriptor, T: int, d: int, rng=None)
     """Run the algorithm on the distance function; raises when it leaves its
     declared span or gets within exp(-T) of the minimizer."""
     base = norm_distance_instance(HardQuadratic(T=T, d=d))
-    transcript = play(algorithm, base.eval, T, d, rng=rng)
+    transcript = play(algorithm, base, T, d, rng=rng)
     if algorithm.class_tag == CLASS_LINEAR_SPAN:
         ok, bad_index = validate_span(transcript)
         if not ok:

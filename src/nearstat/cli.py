@@ -40,11 +40,18 @@ def _parse_dotted(tokens: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
+def _load_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: str | None, overrides: list[tuple[str, str]], defaults: dict) -> dict:
     doc = dict(defaults)
     if path is not None:
         with open(path) as fh:
-            loaded = json.load(fh)
+            loaded = _load_json(fh.read(), path)
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         doc.update(loaded)
@@ -66,10 +73,9 @@ def _print_verdicts(report: harness.Report) -> None:
 
 def _parse_point(raw: str) -> np.ndarray:
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError:
-        data = [float(part) for part in raw.split(",") if part.strip()]
-    return np.asarray(data, dtype=float)
+        return np.array([float(part) for part in raw.strip(" []").split(",") if part.strip()])
+    except ValueError as exc:
+        raise ConfigError(f"--point {raw!r} is not a list of numbers") from exc
 
 
 def cmd_run(args, extra) -> int:
@@ -102,11 +108,11 @@ def cmd_certify(args, extra) -> int:
     if (args.function is None) == (args.function_file is None):
         raise ConfigError("provide exactly one of --function / --function-file")
     if args.function is not None:
-        doc = json.loads(args.function)
+        doc = _load_json(args.function, "--function")
     else:
         with open(args.function_file) as fh:
-            doc = json.load(fh)
-    stencil = None if args.stencil is None else json.loads(args.stencil)
+            doc = _load_json(fh.read(), args.function_file)
+    stencil = None if args.stencil is None else _load_json(args.stencil, "--stencil")
     certs, answered = harness.certify_point(
         doc,
         _parse_point(args.point),

@@ -171,14 +171,6 @@ class CheckResult:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
-
 
 @dataclass
 class Report:
@@ -195,15 +187,12 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "verdicts": [v.to_json() for v in self.verdicts],
-            "records": self.records,
-            "certificates": self.certificates,
-            "timing_seconds": self.timing_seconds,
-            "all_passed": self.all_passed,
-        }
+        """Every field but the transcripts, which go to files of their own, then
+        ``all_passed``; shallow, as ``dataclasses.asdict`` deep-copies every record."""
+        doc = dict(vars(self), verdicts=[dict(vars(v)) for v in self.verdicts])
+        del doc["transcripts"]
+        doc["all_passed"] = self.all_passed
+        return doc
 
 
 def resolve_output_dir(config_path: str | None) -> str:
@@ -307,7 +296,7 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
     instance, diag = adversaries.build_channel_instance(
         channel_adversary(cfg), descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
     )
-    replay, base = play(descriptor, instance.eval, cfg.T, cfg.d, rng=None), diag["transcript"]
+    replay, base = play(descriptor, instance, cfg.T, cfg.d, rng=None), diag["transcript"]
     identical = replay.same_bits(base)
     replay_text = replay.to_jsonl()
     base_text = replay_text if identical else base.to_jsonl()
@@ -442,7 +431,7 @@ def verify_prop1(seed: int) -> list[CheckResult]:
     checks = []
 
     stencil = [np.array([0.0, 1.0]), np.array([0.0, -1.0])]
-    cert = stationarity.certify_delta_eps(spiral.eval, np.zeros(2), 1.0, 1e-8, stencil)
+    cert = stationarity.certify_delta_eps(spiral, np.zeros(2), 1.0, 1e-8, stencil)
     checks.append(
         CheckResult(
             "AC4",
@@ -674,8 +663,7 @@ def verify_remark(seed: int) -> list[CheckResult]:
     v = np.array([0.0, delta])
     checks = []
 
-    g_plus = gtilde.eval(v).subgrad
-    g_minus = gtilde.eval(-v).subgrad
+    g_plus, g_minus = gtilde.eval_batch(np.stack([v, -v]))[1]
     resid = float(np.linalg.norm(0.5 * (g_plus + g_minus)))
     checks.append(
         CheckResult(
@@ -686,7 +674,7 @@ def verify_remark(seed: int) -> list[CheckResult]:
         )
     )
 
-    cert = stationarity.certify_delta_eps(gtilde.eval, np.zeros(d), delta, 1e-12, [v, -v])
+    cert = stationarity.certify_delta_eps(gtilde, np.zeros(d), delta, 1e-12, [v, -v])
     checks.append(
         CheckResult(
             "AC8",
@@ -807,20 +795,17 @@ def certify_point(
     """
     instance = zoo.instance_from_json(function_doc)
     x = np.asarray(point, dtype=float)
-    oracle = instance.eval
     if notion == "eps":
-        cert = stationarity.certify_eps_stationary(oracle, x, eps)
+        cert = stationarity.certify_eps_stationary(instance, x, eps)
         certs = [cert.to_json()]
         answered = cert.certified
         if not answered and isinstance(instance, zoo.ChannelInstance):
             try:
                 bound = stationarity.subdiff_norm_lower_bound(instance, x[None, :])[0]
-            except ClampRegionError:
-                bound = None
-            if bound is not None:
-                certs.append(bound.to_json())
-                if bound.value > eps:
-                    answered = True
+            except ClampRegionError:  # no bound holds in a clamp region
+                return certs, answered
+            certs.append(bound.to_json())
+            answered = bound.value > eps
         return certs, answered
     if notion == "delta_eps":
         if delta is None:
@@ -831,7 +816,7 @@ def certify_point(
         else:
             sampling = int(samples if samples is not None else 64)
             rng = derive_stream(seed, "certifier")
-        cert = stationarity.certify_delta_eps(oracle, x, delta, eps, sampling, rng_state=rng)
+        cert = stationarity.certify_delta_eps(instance, x, delta, eps, sampling, rng_state=rng)
         return [cert.to_json()], cert.certified
     raise ConfigError(f"unknown stationarity notion {notion!r}")
 

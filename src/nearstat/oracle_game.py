@@ -2,10 +2,11 @@
 
 A game is a fixed budget of T sequential queries.  The algorithm side is an
 :class:`AlgorithmDescriptor` (a declared class tag plus a factory for
-per-game query policies); the oracle side is any callable mapping a query
-vector to a :class:`~nearstat.zoo.FirstOrderReply`.  A policy may fix a block
-of queries before any is answered; :func:`play` answers every block with one
-call of the oracle's batch form, and every row still counts as one query.
+per-game query policies); the oracle side is an object with ``eval_batch``,
+as every oracle nearstat builds is, or a foreign callable of one query vector,
+asked once per row.  A policy may fix a block of queries before any is
+answered; :func:`play` answers every block with one call of the oracle's batch
+form, and every row still counts as one query.
 Transcripts record the full interaction as row arrays, which policies read,
 and serialize to JSON lines for replay.
 """

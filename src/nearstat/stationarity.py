@@ -29,6 +29,7 @@ from nearstat.zoo import (
     REGION_NAMES,
     ChannelInstance,
     batch_oracle,
+    query_rows,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -325,15 +326,6 @@ def certify_delta_eps(
     )
 
 
-def _certified_rows(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatchError("certified points must be the rows of a matrix")
-    if not np.isfinite(X).all():
-        raise DegenerateInputError("vector has non-finite entries")
-    return X
-
-
 def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityCertificate]:
     """Per-region lower bound on the subgradient norms of a channel instance at each row of X.
 
@@ -343,7 +335,7 @@ def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityC
     evaluated with one ``eval_batch`` call; one certificate per row.  A row in
     a clamp region is rejected: arbitrarily small subgradients live there.
     """
-    codes = instance.eval_batch(_certified_rows(X))[3]
+    codes = instance.eval_batch(query_rows(X))[3]
     clamped = np.flatnonzero((codes == CODE_CLAMP_ACTIVE) | (codes == CODE_CLAMP_BOUNDARY))
     if len(clamped):
         row = int(clamped[0])
@@ -371,7 +363,7 @@ def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[Stationa
     """
     if instance.clamp is None:
         raise DegenerateInputError("distance certificates need a clamped instance")
-    values = instance.eval_batch(_certified_rows(X))[0]
+    values = instance.eval_batch(query_rows(X))[0]
     return [
         StationarityCertificate(
             kind=KIND_NEAR_DISTANCE,

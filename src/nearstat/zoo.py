@@ -10,20 +10,20 @@ canonical element is returned so that runs replay exactly:
 - Warga kinks: the midpoint element obtained from the ``sign(0) = 0`` convention.
 
 ``eval_batch`` is the evaluation path: the spiral, Warga's example, the
-distance function and every channel instance, plain or composed, evaluate a
-scalar query as row 0 of a one-row batch, and a row's answer has the same bits
-whether it is asked alone or in a block.  A channel labels each row with an
-int8 region code in one pass over the rows and returns the codes, not
-names: ``REGION_NAMES[code]`` names a row's region, and a histogram of the
-regions is one ``np.bincount``.  The distance function is the norm of the
-mapped point y = M^(1/2) (x - x_star), its gradient y / ||y|| mapped back.  A
-composed channel maps its rows in and its subgradients back with one call
-each of the same row kernel, so in the inactive hinge region, where it is
-||y||, it runs the distance function's own operations and replays the
-distance oracle the adversary played against bit for bit.  :func:`batch_oracle`
-gives every oracle a batch form, the instance's ``eval_batch`` or one call per
-row of any other oracle, so consumers that fix their sample points before
-asking (games, smoothed estimates, sampled certificates) have one path.
+distance function, every channel instance, plain or composed, and the affine
+map's quadratic evaluate a scalar query as row 0 of a one-row batch, and a
+row's answer has the same bits whether it is asked alone or in a block.  A
+channel labels each row with an int8 region code in one pass over the rows and
+returns the codes, not names: ``REGION_NAMES[code]`` names a row's region, and
+a histogram of the regions is one ``np.bincount``.  The distance function is
+the norm of the mapped point y = M^(1/2) (x - x_star), its gradient y / ||y||
+mapped back.  A composed channel maps its rows in and its subgradients back
+with one call each of the same row kernel, so in the inactive hinge region,
+where it is ||y||, it runs the distance function's own operations and replays
+the distance oracle the adversary played against bit for bit.  An oracle is an
+object with ``eval_batch`` or a foreign callable that :func:`batch_oracle` asks
+once per row, so consumers that fix their points before asking (games,
+smoothed estimates, sampled certificates) have one path.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from nearstat.errors import DegenerateInputError, DimensionMismatchError
+from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError
 from nearstat.vectorspace import as_vector, row_norms
 
 # Absolute tolerance on the defining equalities of nondifferentiable regions.
@@ -76,6 +76,7 @@ class FirstOrderReply:
             raise DegenerateInputError("oracle reply has non-finite entries")
 
 
+# an object with eval_batch (its eval is row 0), or a foreign callable of one vector
 Oracle = Callable[[np.ndarray], FirstOrderReply]
 
 
@@ -83,6 +84,24 @@ def _first_row(instance, x) -> FirstOrderReply:
     """``eval`` of every zoo instance: row 0 of a one-row ``eval_batch``."""
     vals, grads, diffs = instance.eval_batch(as_vector(x)[None, :])[:3]
     return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
+
+
+def query_rows(X) -> np.ndarray:
+    """X as float rows of a matrix with finite entries; anything else is rejected."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatchError("queries must be the rows of a matrix")
+    if not np.isfinite(X).all():
+        raise DegenerateInputError("vector has non-finite entries")
+    return X
+
+
+def _rows(X, dim: int) -> np.ndarray:
+    """X as C-ordered float rows of dimension ``dim``, the input of every ``eval_batch``."""
+    X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatchError(f"expected rows of dimension {dim}, got shape {X.shape}")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +121,14 @@ class Spiral:
 
     delta: float = 1.0
     extended: bool = False
+    dim = 2  # a class constant, not a field
 
     def __post_init__(self):
         if self.delta <= 0:
             raise DegenerateInputError("spiral delta must be positive")
 
-    @property
-    def dim(self) -> int:
-        return 2
-
     def eval_batch(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != 2:
-            raise DimensionMismatchError("spiral is a function on the plane")
+        X = _rows(X, 2)
         d = self.delta
         u, v = X[:, 0], X[:, 1]
         theta = (math.pi / (2.0 * d)) * v
@@ -164,14 +178,10 @@ class Spiral:
 class Warga:
     """f(u, v) = ||u| + v| + u/2; the origin is Clarke stationary but not a local min."""
 
-    @property
-    def dim(self) -> int:
-        return 2
+    dim = 2
 
     def eval_batch(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != 2:
-            raise DimensionMismatchError("warga is a function on the plane")
+        X = _rows(X, 2)
         u, v = X[:, 0], X[:, 1]
         a = np.abs(u) + v
         vals = np.abs(a) + 0.5 * u
@@ -217,9 +227,9 @@ class AffineMap:
     vector; the distance function and the composed channel map points in and
     gradients back with it.  ``quad_rows`` gives the quadratic's values and
     gradients at the rows of a matrix in its native form (the chain form for
-    the hard quadratic), the oracle the quadratic games play.  Each row's bits
-    do not depend on the rows around it.  ``provenance`` carries the
-    construction parameters for serialization.
+    the hard quadratic); the map answers its quadratic's rows with
+    ``eval_batch``.  Each row's bits do not depend on the rows around it.
+    ``provenance`` carries the construction parameters for serialization.
     """
 
     x_star: np.ndarray
@@ -230,14 +240,20 @@ class AffineMap:
     def __post_init__(self):
         self.x_star = as_vector(self.x_star)
 
-    def quad_oracle(self, x) -> FirstOrderReply:
-        """The quadratic's reply at one vector; everywhere differentiable."""
-        values, grads = self.quad_rows(as_vector(x)[None, :])
-        return FirstOrderReply(values[0], grads[0], True)
-
     @property
     def dim(self) -> int:
         return len(self.x_star)
+
+    def eval_batch(self, X: np.ndarray):
+        """The quadratic's ``(values, grads, differentiable)``; differentiable everywhere."""
+        values, grads = self.quad_rows(_rows(X, self.dim))
+        return values, grads, np.ones(len(values), dtype=bool)
+
+    eval = __call__ = _first_row
+
+    def quad_oracle(self, x) -> FirstOrderReply:
+        """The quadratic's reply at one vector."""
+        return self.eval(x)
 
 
 def identity_map(x_star) -> AffineMap:
@@ -271,9 +287,7 @@ class NormDistance:
 
     def eval_batch(self, X: np.ndarray):
         """``(values, grads, differentiable)`` over the rows of X."""
-        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise DimensionMismatchError("query dimension does not match the instance")
+        X = _rows(X, self.dim)
         Y = self.map.sqrt_apply(X - self.map.x_star)
         ny = row_norms(Y)
         nonzero = ny > 0.0
@@ -312,13 +326,9 @@ class ChannelInstance:
     def dim(self) -> int:
         return len(self.w)
 
-    @property
-    def w_norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
     @functools.cached_property
     def w_bar(self) -> np.ndarray:
-        return self.w / self.w_norm
+        return self.w / float(np.linalg.norm(self.w))
 
     eval = __call__ = _first_row
 
@@ -332,9 +342,7 @@ class ChannelInstance:
         back with one call each; on its inactive hinge rows these are the
         operations of :class:`NormDistance`, so those rows carry its bits.
         """
-        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise DimensionMismatchError("query dimension does not match the instance")
+        X = _rows(X, self.dim)
         affine = self.affine
         Y = X if affine is None else affine.sqrt_apply(X - affine.x_star)
         wbar = self.w_bar
@@ -386,22 +394,18 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple]:
     ``(values, subgradients, differentiable)``, each row bitwise equal to the
     scalar reply at that row.
 
-    A zoo instance, or its bound ``eval``, answers with ``eval_batch``; any
-    other oracle (a closure, a stateful oracle) is asked once per row, in
-    order.  Non-finite queries and replies are rejected, and so is a reply
-    of another shape than the queries.
+    An object with ``eval_batch``, or its bound ``eval``, answers a block with
+    one ``eval_batch`` call; a foreign callable (a closure, :func:`sqrt_oracle`)
+    is asked once per row, in order.  Non-finite queries and replies are
+    rejected, and so is a reply of another shape than the queries.
     """
-    owner = getattr(oracle, "__self__", oracle)
-    native = isinstance(owner, (Spiral, Warga, NormDistance, ChannelInstance)) and (
-        owner is oracle or getattr(oracle, "__func__", None) is getattr(type(owner), "eval", None)
-    )
+    owner = getattr(oracle, "__self__", None)
+    if owner is not None and oracle == getattr(owner, "eval", None):
+        oracle = owner
+    native = hasattr(oracle, "eval_batch")
 
     def answer(X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise DimensionMismatchError("batch queries must be the rows of a matrix")
-        if not np.isfinite(X).all():
-            raise DegenerateInputError("vector has non-finite entries")
+        X = query_rows(X)
         if not native:  # each FirstOrderReply has checked its own entries
             replies = [oracle(x) for x in X]
             if any(r.subgrad.shape != X.shape[1:] for r in replies):
@@ -409,7 +413,7 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple]:
             grads = np.array([r.subgrad for r in replies]).reshape(X.shape)
             diffs = np.array([r.differentiable for r in replies], dtype=bool)
             return np.array([r.value for r in replies]), grads, diffs
-        values, grads, diffs = owner.eval_batch(X)[:3]
+        values, grads, diffs = oracle.eval_batch(X)[:3]
         if np.shape(values) != X.shape[:1] or np.shape(grads) != X.shape:
             raise DimensionMismatchError("oracle replies do not match the queries in shape")
         if not (np.isfinite(values).all() and np.isfinite(grads).all()):
@@ -468,18 +472,27 @@ def _map_fields(m: AffineMap) -> dict:
     return fields
 
 
+def _field(doc, name: str, convert, where: str = "function document"):
+    """``convert(doc[name])``; a missing or ill-typed field is a ConfigError naming it."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise ConfigError(f"{where} must be a JSON object with a {name!r} field")
+    try:
+        return convert(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} field {name!r} is ill-typed: {exc}") from exc
+
+
 def _map_from_fields(doc: dict) -> AffineMap:
     from nearstat import adversaries
 
-    x_star = as_vector(doc["x_star"])
-    if doc.get("chain") is None:
+    x_star = _field(doc, "x_star", as_vector)
+    chain = doc.get("chain")
+    if chain is None:
         return identity_map(x_star)
-    chain = doc["chain"]
-    frame = doc.get("rotation_frame")
-    m = adversaries.affine_map_from_parameters(
-        T=int(chain["T"]), d=int(chain["d"]), rotation_frame=frame
-    )
-    if abs(chain["k"] - adversaries.CHAIN_END_WEIGHT) > 1e-12:
+    T, d = _field(chain, "T", int, "chain"), _field(chain, "d", int, "chain")
+    k = _field(chain, "k", float, "chain")
+    m = adversaries.affine_map_from_parameters(T=T, d=d, rotation_frame=doc.get("rotation_frame"))
+    if abs(k - adversaries.CHAIN_END_WEIGHT) > 1e-12:
         raise DegenerateInputError("chain end weight in document does not match construction")
     if not np.allclose(m.x_star, x_star, rtol=0.0, atol=1e-12):
         raise DegenerateInputError("serialized x_star does not match chain parameters")
@@ -487,18 +500,19 @@ def _map_from_fields(doc: dict) -> AffineMap:
 
 
 def instance_from_json(doc: dict):
-    kind = doc.get("kind")
+    """The instance an :func:`instance_to_json` document describes; a document
+    that is no object, or lacks or mistypes a field its kind reads, is a ConfigError."""
+    kind = _field(doc, "kind", lambda kind: kind)
     if kind in ("spiral", "spiral_extended"):
-        return Spiral(delta=float(doc["delta"]), extended=(kind == "spiral_extended"))
+        return Spiral(delta=_field(doc, "delta", float), extended=(kind == "spiral_extended"))
     if kind == "warga":
         return Warga()
     if kind == "norm_distance":
         return NormDistance(map=_map_from_fields(doc))
     if kind in ("channel", "channel_composed"):
-        clamp = doc.get("clamp")
         return ChannelInstance(
-            w=as_vector(doc["w"]),
-            clamp=None if clamp is None else float(clamp),
+            w=_field(doc, "w", as_vector),
+            clamp=None if doc.get("clamp") is None else _field(doc, "clamp", float),
             affine=_map_from_fields(doc) if kind == "channel_composed" else None,
         )
     raise DegenerateInputError(f"unknown function kind {kind!r}")

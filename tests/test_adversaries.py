@@ -305,6 +305,29 @@ def test_rotation_oracle_orthogonality_and_materialization():
         oracle(np.zeros(d))
 
 
+def test_rotation_block_answers_as_its_rows_one_at_a_time():
+    T, d = 6, 12
+    X = np.random.default_rng(31).normal(size=(T, d))
+    X[2] = X[0] + X[1]  # a row inside the span of earlier ones
+    whole = RotationBuilder(base=HardQuadratic(T=T, d=d))
+    first, rest = whole.eval_batch(X[:4]), whole.eval_batch(X[4:])
+    single = RotationBuilder(base=HardQuadratic(T=T, d=d))
+    replies = [single.eval(x) for x in X]
+    values = np.concatenate([first[0], rest[0]])
+    grads = np.vstack([first[1], rest[1]])
+    assert values.tobytes() == np.array([r.value for r in replies]).tobytes()
+    assert grads.tobytes() == np.array([r.subgrad for r in replies]).tobytes()
+    assert whole.frame.matrix().tobytes() == single.frame.matrix().tobytes()
+    assert first[2].all() and rest[2].all()
+    # a block past T is refused whole, before any of its rows is taken
+    partial = RotationBuilder(base=HardQuadratic(T=T, d=d))
+    partial.eval_batch(X[:4])
+    before = partial.constraints.matrix().copy()
+    with pytest.raises(BudgetExhaustedError):
+        partial.eval_batch(X[:3])
+    assert len(partial.frame) == 4 and np.array_equal(partial.constraints.matrix(), before)
+
+
 def test_rotation_materialization_requires_full_game():
     rb = RotationBuilder(base=HardQuadratic(T=3, d=6))
     oracle = rotation_oracle(rb)

@@ -247,6 +247,19 @@ def test_certify_function_file_variant(tmp_path):
     assert proc.returncode == 0
 
 
+def test_malformed_json_files_are_config_errors(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"T": 5,}')
+    for argv in (
+        ("run", "--config", str(path)),
+        ("adversary", "--config", str(path)),
+        ("certify", "--function-file", str(path), "--point", "0,0", "--eps", "1.0"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith(f"config error: {path} is not valid JSON"), proc.stderr
+
+
 def test_certify_requires_exactly_one_function_source(tmp_path):
     proc = run_cli("certify", "--point", "0,0", "--eps", "1.0")
     assert proc.returncode == 2

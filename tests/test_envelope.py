@@ -105,6 +105,27 @@ def test_config_outside_the_envelope_exits_two_before_play(argv):
     assert_rejected(shlex.split(argv))
 
 
+# Malformed input to ``certify``: each ended in a traceback, or in an untyped
+# ``error:`` line with exit 1.
+REJECTED_CERTIFY = [
+    """--function '{"kind": "spiral"}' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "spiral", "delta": null}' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "channel"}' --point 0.3,0.2 --eps 0.5""",
+    """--function '[1]' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "warga" "delta": 1}' --point 0,0 --eps 0.5""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --stencil '[[0, 0.1] [0, -0.1]]'""",
+    """--function '{"kind": "warga"}' --point a,b --eps 0.5""",
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_CERTIFY)
+def test_malformed_certify_input_exits_two(argv):
+    code, out, err = run_cli(["certify", *shlex.split(argv)])
+    assert code == 2 and out == "", (argv, err)
+    assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)
+
+
 def _flags(experiment: str, solver: str, T, d, *extra: str) -> list[str]:
     argv = ["--experiment", experiment, "--solver.name", solver, "--T", str(T)]
     return argv + (["--d", str(d)] if d is not None else []) + list(extra)

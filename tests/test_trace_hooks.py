@@ -11,7 +11,7 @@ import pathlib
 import numpy as np
 
 import nearstat.cli  # noqa: F401  (loads every module the hooks wrap)
-from nearstat import adversaries
+from nearstat import adversaries, oracle_game, solvers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -70,3 +70,34 @@ def test_traced_oracle_factories_hand_out_answering_oracles():
     finally:
         tracing.uninstall(undo)
     assert tracer.totals[tracing.ORACLE]["calls"] == 5
+
+
+def test_traced_games_count_one_adversary_oracle_call_per_row():
+    # untraced, the adversaries answer each block with one eval_batch call; the
+    # traced factories hand out wrappers that are asked once per row, same bits
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    hq = adversaries.HardQuadratic(T=6, d=12)
+    factories = (
+        lambda: adversaries.chain_quadratic_oracle(hq),
+        lambda: adversaries.rotation_oracle(adversaries.RotationBuilder(base=hq)),
+    )
+    descriptors = (
+        solvers.build_solver("subgrad"),
+        solvers.build_solver("goldstein", delta=0.1, samples_per_step=2),  # blocks of three
+    )
+    cases = [(make, desc) for make in factories for desc in descriptors]
+
+    def game(make, desc):
+        return oracle_game.play(desc, make(), hq.T, hq.d, rng=np.random.default_rng(5))
+
+    want = [game(make, desc) for make, desc in cases]
+    undo = tracing.install(tracer)
+    try:
+        for (make, desc), expected in zip(cases, want):
+            tracer.reset()
+            got = game(make, desc)
+            assert tracer.totals[tracing.ORACLE]["calls"] == len(got) == hq.T
+            assert got.same_bits(expected)
+    finally:
+        tracing.uninstall(undo)

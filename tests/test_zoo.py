@@ -13,7 +13,7 @@ from nearstat.adversaries import (
     chain_quadratic_oracle,
     rotation_oracle,
 )
-from nearstat.errors import DegenerateInputError, DimensionMismatchError
+from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError
 from nearstat.zoo import (
     REGION_CLAMP_ACTIVE,
     REGION_CLAMP_BOUNDARY,
@@ -558,7 +558,8 @@ def test_batch_oracle_finds_the_batch_form():
     plain = ChannelInstance(w=[0.25, -0.1])
     composed = ChannelInstance(w=[0.25, -0.1], affine=identity_map(np.zeros(2)))
     chain = ChannelInstance(w=[0.25, -0.1], clamp=-1.0, affine=affine_map_from_parameters(2, 2))
-    for fn in (Spiral(), Warga(), plain, composed, chain):
+    quadratic = chain_quadratic_oracle(HardQuadratic(T=2, d=2))
+    for fn in (Spiral(), Warga(), plain, composed, chain, quadratic):
         for oracle in (fn, fn.eval, fn.__call__):
             batch = batch_oracle(oracle)
             vals, grads, diffs = batch(X)
@@ -569,15 +570,42 @@ def test_batch_oracle_finds_the_batch_form():
 
 
 
+def test_every_built_oracle_answers_a_block_with_one_eval_batch_call():
+    # the chain oracle, the rotation oracle, the distance function and a
+    # composed channel, handed over whole or as their bound eval
+    hq = HardQuadratic(T=6, d=12)
+    X = np.random.default_rng(17).normal(size=(5, 12))
+    makers = [
+        lambda: chain_quadratic_oracle(hq),
+        lambda: rotation_oracle(RotationBuilder(base=hq)),
+        lambda: NormDistance(affine_map_from_parameters(6, 12)),
+        lambda: ChannelInstance(
+            w=np.full(12, 0.01), clamp=-1.0, affine=affine_map_from_parameters(6, 12)
+        ),
+    ]
+    for make in makers:
+        for bound in (False, True):
+            instance, calls = make(), []
+            native = instance.eval_batch
+
+            def counted(rows, native=native, calls=calls):
+                calls.append(len(rows))
+                return native(rows)
+
+            instance.eval_batch = counted
+            vals, grads, diffs = batch_oracle(instance.eval if bound else instance)(X)
+            assert calls == [len(X)], (instance, bound)
+            assert vals.shape == (len(X),) and grads.shape == X.shape and diffs.dtype == bool
+
+
 def test_batch_oracle_asks_any_other_oracle_row_by_row():
-    # a closure, the square root of the chain oracle and the stateful rotation
-    # oracle: the rows are asked in order, and each keeps its scalar reply's bits
+    # a closure and the square root of the chain oracle: the rows are asked in
+    # order, and each keeps its scalar reply's bits
     rng = np.random.default_rng(16)
     hq = HardQuadratic(T=6, d=12)
     cases = [
         (lambda: (lambda x: Spiral().eval(x)), rng.uniform(-1, 1, size=(20, 2))),
         (lambda: sqrt_oracle(chain_quadratic_oracle(hq)), rng.normal(size=(20, 12))),
-        (lambda: rotation_oracle(RotationBuilder(base=hq)), rng.normal(size=(6, 12))),
     ]
     for make, X in cases:
         vals, grads, diffs = batch_oracle(make())(X)
@@ -658,3 +686,23 @@ def test_json_string_round_trip():
 def test_json_rejects_unknown_kind():
     with pytest.raises(DegenerateInputError):
         instance_from_json({"kind": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ([1], "kind"),
+        ({}, "kind"),
+        ({"kind": "spiral"}, "delta"),
+        ({"kind": "spiral", "delta": None}, "delta"),
+        ({"kind": "channel"}, "w"),
+        ({"kind": "channel", "w": "east"}, "w"),
+        ({"kind": "channel", "w": [0.3, 0.0], "clamp": [1]}, "clamp"),
+        ({"kind": "norm_distance"}, "x_star"),
+        ({"kind": "channel_composed", "w": [0.3, 0.0], "x_star": [0, 0], "chain": [2]}, "T"),
+        ({"kind": "norm_distance", "x_star": [0, 0], "chain": {"T": 2, "d": 2}}, "k"),
+    ],
+)
+def test_json_with_a_missing_or_ill_typed_field_names_it(doc, field):
+    with pytest.raises(ConfigError, match=repr(field)):
+        instance_from_json(doc)
