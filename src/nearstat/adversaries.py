@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from nearstat.errors import (
     BudgetExhaustedError,
     DegenerateInputError,
     DimensionMismatchError,
+    number,
 )
 from nearstat.oracle_game import (
     CLASS_DETERMINISTIC,
@@ -296,9 +297,7 @@ class ChannelAdversaryConfig:
                 f"the channel adversary supports {CHANNEL_T_MIN} <= T <= {CHANNEL_T_MAX}: past it"
                 f" the default ||w|| = exp(-T)/300 falls below {W_NORM_FLOOR:.0e}"
             )
-        w_norm = self.w_norm if self.w_norm is not None else default_w_norm(T)
-        if isinstance(w_norm, bool) or not isinstance(w_norm, (int, float)):
-            raise DegenerateInputError(f"w_norm {w_norm!r} must be a number")
+        w_norm = number("w_norm", self.w_norm if self.w_norm is not None else default_w_norm(T))
         if not W_NORM_FLOOR <= w_norm < math.inf:
             raise DegenerateInputError(f"w_norm {w_norm!r} must be finite, >= {W_NORM_FLOOR:.0e}")
         if self.mode == MODE_DETERMINISTIC:
@@ -330,8 +329,8 @@ class DistanceGame:
     distances: np.ndarray
     directions: np.ndarray  # the unit rows M^(1/2)(x_t - x*)
 
-    def pick_w(self, cfg: ChannelAdversaryConfig, w_norm: float, adversary_rng=None):
-        """w of norm ``w_norm``: carved in deterministic mode, drawn from the
+    def pick_w(self, cfg: ChannelAdversaryConfig, adversary_rng=None):
+        """w of norm ``cfg.w_norm``: carved in deterministic mode, drawn from the
         sphere with ``adversary_rng`` in randomized mode.
 
         Returns the clamped composed channel instance plus diagnostics: the
@@ -344,16 +343,16 @@ class DistanceGame:
         under which the composed function agrees with the distance function at x_t.
         """
         if cfg.mode == MODE_DETERMINISTIC:
-            w = w_norm * carve_direction(self.directions)
+            w = cfg.w_norm * carve_direction(self.directions)
         elif adversary_rng is None:
             raise DegenerateInputError("randomized_sphere mode needs an adversary rng")
         else:
-            w = sample_sphere(self.base.dim, w_norm, adversary_rng)
+            w = sample_sphere(self.base.dim, cfg.w_norm, adversary_rng)
         alignments = self.directions @ (w / np.linalg.norm(w))
         margin = 1.0 / (2.0 * _SQRT2) - math.exp(-self.transcript.T) / (100.0 * self.distances)
         diagnostics = {
             "mode": cfg.mode,
-            "w_norm": w_norm,
+            "w_norm": cfg.w_norm,
             "transcript": self.transcript,
             "iterates": self.transcript.queries.tolist(),
             "distances": self.distances.tolist(),
@@ -394,10 +393,10 @@ def build_channel_instance(
     d: int,
     rng_state: dict[str, np.random.Generator] | None = None,
 ) -> tuple[ChannelInstance, dict]:
-    """Play the distance game, then pick w against its iterates.  ``rng_state`` may
-    carry generators under the keys ``"algorithm"`` (consumed by randomized
-    solvers) and ``"adversary"`` (consumed by randomized w selection)."""
-    w_norm = cfg.check_envelope(algorithm, T, d)
+    """Check the envelope, play the distance game, then pick w against its iterates.
+    ``rng_state`` may carry generators under the keys ``"algorithm"`` (consumed by
+    randomized solvers) and ``"adversary"`` (consumed by randomized w selection)."""
+    cfg = replace(cfg, w_norm=cfg.check_envelope(algorithm, T, d))
     rng_state = rng_state or {}
     game = play_distance_game(algorithm, T, d, rng_state.get("algorithm"))
-    return game.pick_w(cfg, w_norm, rng_state.get("adversary"))
+    return game.pick_w(cfg, rng_state.get("adversary"))

@@ -129,11 +129,7 @@ def cmd_certify(args, extra) -> int:
 
 def cmd_adversary(args, extra) -> int:
     doc = _load_config(args.config, _parse_dotted(extra), {})
-    adversary = doc.get("adversary")
-    mode = adversary.get("mode") if isinstance(adversary, dict) else None
-    doc.setdefault(
-        "experiment", "theorem1_randomized" if mode == "randomized_sphere" else "theorem1"
-    )
+    doc.setdefault("experiment", harness.adversary_experiment(doc.get("adversary")))
     cfg = harness.ExperimentConfig.from_dict(doc)
     files = harness.build_adversary_files(cfg)
     out_dir = harness.resolve_output_dir(cfg.output_path)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that a parameter is a number."""
+
+import numbers
 
 
 class DimensionMismatchError(ValueError):
@@ -35,3 +37,17 @@ class ClampRegionError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
+
+
+def number(name: str, value):
+    """``value`` if it is a real number, else a DegenerateInputError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DegenerateInputError(f"{name} must be a number, not {value!r}")
+    return value
+
+
+def count(name: str, value) -> int:
+    """``value`` if it is an ``int``, else a DegenerateInputError: a float counts nothing."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DegenerateInputError(f"{name} must be an integer, not {value!r}")
+    return value

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
-from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError
-from nearstat.oracle_game import CLASS_RANDOMIZED, play, query_distances
+from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count
+from nearstat.oracle_game import CLASS_RANDOMIZED, AlgorithmDescriptor, play, query_distances
 from nearstat.vectorspace import derive_stream, row_norms, sample_ball_batch
 
 _SQRT2 = math.sqrt(2.0)
@@ -30,8 +30,13 @@ _SQRT2 = math.sqrt(2.0)
 ENV_OUTPUT_DIR = "NEARSTAT_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "nearstat_out"
 
-# experiments that build a channel instance against the solver
-CHANNEL_EXPERIMENTS = ("theorem1", "theorem1_randomized")
+# the experiments that build a channel instance against the solver, and the
+# adversary mode each picks w in; the chain experiments pick deterministically
+CHANNEL_MODES = {
+    "theorem1": adversaries.MODE_DETERMINISTIC,
+    "theorem1_randomized": adversaries.MODE_RANDOMIZED,
+}
+CHANNEL_EXPERIMENTS = tuple(CHANNEL_MODES)
 # AC7: at most this fraction of randomized trials may align >= 1/3 with w
 AC7_MAX_FAILURE_FRACTION = 0.02
 
@@ -84,42 +89,8 @@ class ExperimentConfig:
             return cls(**doc)
 
     def validate(self) -> "ExperimentConfig":
-        """A copy with d resolved, proven by building what the config names: the
-        solver and its policy at d, the chain quadratic, the rotation and the
-        channel adversary."""
-        if self.experiment not in EXPERIMENT_NAMES:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}"
-            )
-        integers = ("T", "seed", "trials") if self.d is None else ("T", "d", "seed", "trials")
-        for name in integers:
-            if type(getattr(self, name)) is not int:  # a JSON true is no integer here
-                raise ConfigError(f"{name} must be an integer")
-        randomized = self.experiment == "theorem1_randomized"
-        d = self.d
-        if d is None:
-            d = randomized_min_d(self.T) if randomized else 2 * self.T
-        if randomized and self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if randomized and d < (d_min := randomized_min_d(self.T)):
-            raise ConfigError(
-                f"experiment 'theorem1_randomized' needs d >= {d_min} at T = {self.T}: below"
-                f" it the alignment bound T exp(-d/18) exceeds AC7's {AC7_MAX_FAILURE_FRACTION}"
-            )
-        cfg = dataclasses.replace(self, d=d)
-        mode = adversaries.MODE_RANDOMIZED if randomized else adversaries.MODE_DETERMINISTIC
-        with _config_errors():
-            descriptor = solvers.build_solver(**cfg.solver)
-            descriptor.fresh_policy(d, derive_stream(cfg.seed, "algorithm"))
-            acfg = channel_adversary(cfg, mode)
-            if cfg.experiment in CHANNEL_EXPERIMENTS:
-                acfg.check_envelope(descriptor, cfg.T, d)
-            hq = adversaries.HardQuadratic(T=cfg.T, d=d)
-            if cfg.experiment == "det_lower_bound":
-                adversaries.RotationBuilder(base=hq)
-        if randomized and acfg.mode != mode:
-            raise ConfigError(f"theorem1_randomized draws w at random, not in mode {acfg.mode!r}")
-        return cfg
+        """A copy with d resolved, proven by :func:`resolve`."""
+        return resolve(self)[0]
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)
@@ -128,12 +99,50 @@ class ExperimentConfig:
 ExperimentConfig._FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def channel_adversary(
-    cfg: ExperimentConfig, mode: str = adversaries.MODE_DETERMINISTIC
-) -> adversaries.ChannelAdversaryConfig:
-    """The adversary ``cfg.adversary`` names, in ``mode`` unless it names one; TypeError
-    on a key that is no ChannelAdversaryConfig field."""
-    return adversaries.ChannelAdversaryConfig(**{"mode": mode, **cfg.adversary})
+def resolve(
+    cfg: ExperimentConfig, channel: bool = False
+) -> tuple[ExperimentConfig, AlgorithmDescriptor, adversaries.ChannelAdversaryConfig]:
+    """What a config runs, each piece proven by building it: the config with d
+    resolved, its solver (and the policy at d), and its adversary in
+    ``adversary.mode`` or else the experiment's mode; also the chain quadratic
+    and the rotation.  The channel envelope is checked, and ||w|| resolved, for
+    the channel experiments, and for any experiment when ``channel`` is set."""
+    if cfg.experiment not in EXPERIMENT_NAMES:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENT_NAMES}")
+    randomized = cfg.experiment == "theorem1_randomized"
+    with _config_errors():
+        for name in ("T", "seed", "trials") if cfg.d is None else ("T", "d", "seed", "trials"):
+            count(name, getattr(cfg, name))
+        d = cfg.d
+        if d is None:
+            d = randomized_min_d(cfg.T) if randomized else 2 * cfg.T
+        if randomized and cfg.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if randomized and d < (d_min := randomized_min_d(cfg.T)):
+            raise ConfigError(
+                f"experiment 'theorem1_randomized' needs d >= {d_min} at T = {cfg.T}: below"
+                f" it the alignment bound T exp(-d/18) exceeds AC7's {AC7_MAX_FAILURE_FRACTION}"
+            )
+        cfg = dataclasses.replace(cfg, d=d)
+        descriptor = solvers.build_solver(**cfg.solver)
+        descriptor.fresh_policy(d, derive_stream(cfg.seed, "algorithm"))
+        mode = CHANNEL_MODES.get(cfg.experiment, adversaries.MODE_DETERMINISTIC)
+        acfg = adversaries.ChannelAdversaryConfig(**{"mode": mode, **cfg.adversary})
+        if channel or cfg.experiment in CHANNEL_EXPERIMENTS:
+            acfg.w_norm = acfg.check_envelope(descriptor, cfg.T, d)
+        hq = adversaries.HardQuadratic(T=cfg.T, d=d)
+        if cfg.experiment == "det_lower_bound":
+            adversaries.RotationBuilder(base=hq)
+    if randomized and acfg.mode != mode:
+        raise ConfigError(f"theorem1_randomized draws w at random, not in mode {acfg.mode!r}")
+    return cfg, descriptor, acfg
+
+
+def adversary_experiment(adversary) -> str:
+    """The channel experiment whose mode an ``adversary`` table names, theorem1
+    by default: what the ``adversary`` command runs when no experiment is given."""
+    mode = adversary.get("mode") if isinstance(adversary, dict) else None
+    return next((e for e, m in CHANNEL_MODES.items() if m == mode), "theorem1")
 
 
 def parse_override_value(raw: str):
@@ -221,11 +230,10 @@ def write_report_files(report: Report, out_dir: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def run_quad_lower_bound(cfg: ExperimentConfig) -> Report:
+def run_quad_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
     streams = role_streams(cfg.seed)
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
-    descriptor = solvers.build_solver(**cfg.solver)
     transcript = play(
         descriptor, adversaries.chain_quadratic_oracle(hq), cfg.T, cfg.d, rng=streams["algorithm"]
     )
@@ -248,12 +256,11 @@ def run_quad_lower_bound(cfg: ExperimentConfig) -> Report:
     )
 
 
-def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
+def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
     streams = role_streams(cfg.seed)
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
     rb = adversaries.RotationBuilder(base=hq)
-    descriptor = solvers.build_solver(**cfg.solver)
     transcript = play(
         descriptor, adversaries.rotation_oracle(rb), cfg.T, cfg.d, rng=streams["algorithm"]
     )
@@ -290,13 +297,14 @@ def run_det_lower_bound(cfg: ExperimentConfig) -> Report:
     )
 
 
-def run_theorem1(cfg: ExperimentConfig) -> Report:
+def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
-    descriptor = solvers.build_solver(**cfg.solver)
     instance, diag = adversaries.build_channel_instance(
-        channel_adversary(cfg), descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
+        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
     )
-    replay, base = play(descriptor, instance, cfg.T, cfg.d, rng=None), diag["transcript"]
+    # a fresh algorithm stream, so that a randomized solver replays its distance game
+    replay = play(descriptor, instance, cfg.T, cfg.d, rng=derive_stream(cfg.seed, "algorithm"))
+    base = diag["transcript"]
     identical = replay.same_bits(base)
     replay_text = replay.to_jsonl()
     base_text = replay_text if identical else base.to_jsonl()
@@ -348,19 +356,16 @@ def run_theorem1(cfg: ExperimentConfig) -> Report:
     )
 
 
-def run_theorem1_randomized(cfg: ExperimentConfig) -> Report:
+def run_theorem1_randomized(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
     streams = role_streams(cfg.seed)
-    descriptor = solvers.build_solver(**cfg.solver)
-    acfg = channel_adversary(cfg, adversaries.MODE_RANDOMIZED)
-    w_norm = acfg.check_envelope(descriptor, cfg.T, cfg.d)
     max_alignments = []
     game = None
     for _ in range(cfg.trials):
         # a randomized solver's game consumes the algorithm stream: one per trial
         if game is None or descriptor.class_tag == CLASS_RANDOMIZED:
             game = adversaries.play_distance_game(descriptor, cfg.T, cfg.d, streams["algorithm"])
-        max_alignments.append(game.pick_w(acfg, w_norm, streams["adversary"])[1]["max_alignment"])
+        max_alignments.append(game.pick_w(acfg, streams["adversary"])[1]["max_alignment"])
     failures = sum(alignment >= 1.0 / 3.0 for alignment in max_alignments)
     fraction = failures / cfg.trials
     verdict = CheckResult(
@@ -383,6 +388,7 @@ def run_theorem1_randomized(cfg: ExperimentConfig) -> Report:
     )
 
 
+# each runner takes what resolve() returns: the config, its solver, its adversary
 EXPERIMENTS = {
     "quad_lower_bound": run_quad_lower_bound,
     "det_lower_bound": run_det_lower_bound,
@@ -393,8 +399,8 @@ EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    cfg = cfg.validate()
-    return EXPERIMENTS[cfg.experiment](cfg)
+    cfg, descriptor, acfg = resolve(cfg)
+    return EXPERIMENTS[cfg.experiment](cfg, descriptor, acfg)
 
 
 # ---------------------------------------------------------------------------
@@ -822,12 +828,8 @@ def certify_point(
 
 
 def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:
-    """Build a hard channel instance and render its persistence documents."""
-    cfg = cfg.validate()
-    descriptor = solvers.build_solver(**cfg.solver)
-    acfg = channel_adversary(cfg)
-    with _config_errors():  # a channel whatever the experiment says
-        acfg.check_envelope(descriptor, cfg.T, cfg.d)
+    """Build a hard channel instance, whatever the experiment, and render its documents."""
+    cfg, descriptor, acfg = resolve(cfg, channel=True)
     instance, diag = adversaries.build_channel_instance(
         acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nearstat.errors import DegenerateInputError
+from nearstat.errors import DegenerateInputError, count, number
 from nearstat.oracle_game import (
     CLASS_LINEAR_SPAN,
     CLASS_RANDOMIZED,
@@ -34,20 +34,6 @@ SCHEDULE_INVERSE_SQRT = "inverse_sqrt"
 _PROBE_SCALE = 1e-3
 
 
-def _number(name: str, value):
-    """``value``, unless it is a boolean: a JSON ``true`` is no number here."""
-    if isinstance(value, (bool, np.bool_)):
-        raise DegenerateInputError(f"{name} must be a number, not {value!r}")
-    return value
-
-
-def _count(name: str, value) -> int:
-    """``value``, unless it is no ``int``: a float or a JSON ``true`` counts nothing."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DegenerateInputError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule eta_t for t = 1, 2, ...: ``scale`` for the constant kind,
@@ -59,7 +45,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in (SCHEDULE_CONSTANT, SCHEDULE_INVERSE_SQRT):
             raise DegenerateInputError(f"unknown schedule kind {self.kind!r}")
-        if _number("schedule scale", self.scale) <= 0.0:
+        if number("schedule scale", self.scale) <= 0.0:
             raise DegenerateInputError("schedule scale must be positive")
 
     def step(self, t: int) -> float:
@@ -193,9 +179,9 @@ class _SmoothedPolicy(QueryPolicy):
 def smoothed_gradient_method(
     delta: float, samples_per_step: int, schedule: StepSchedule | None = None
 ) -> AlgorithmDescriptor:
-    if _number("delta", delta) <= 0.0:
+    if number("delta", delta) <= 0.0:
         raise DegenerateInputError("smoothing radius must be positive")
-    if _count("samples_per_step", samples_per_step) < 1:
+    if count("samples_per_step", samples_per_step) < 1:
         raise DegenerateInputError("need at least one sample per step")
     schedule = schedule if schedule is not None else StepSchedule()
     return AlgorithmDescriptor(
@@ -269,15 +255,15 @@ def goldstein_descent(
     eps_stop: float = 1e-8,
     stencil=None,
 ) -> AlgorithmDescriptor:
-    if _number("delta", delta) <= 0.0:
+    if number("delta", delta) <= 0.0:
         raise DegenerateInputError("ball radius must be positive")
-    if _count("samples_per_step", samples_per_step) < 1 and stencil is None:
+    if count("samples_per_step", samples_per_step) < 1 and stencil is None:
         raise DegenerateInputError("need at least one sample per step")
-    if _number("eps_stop", eps_stop) < 0.0:
+    if number("eps_stop", eps_stop) < 0.0:
         raise DegenerateInputError("stopping threshold must be nonnegative")
     if stencil is not None:
         stencil = [
-            np.array([_number("stencil entry", v) for v in offset], dtype=float)
+            np.array([number("stencil entry", v) for v in offset], dtype=float)
             for offset in stencil
         ]
         if any(float(np.linalg.norm(offset)) > ball_norm_limit(delta) for offset in stencil):

@@ -500,8 +500,8 @@ def _map_from_fields(doc: dict) -> AffineMap:
 
 
 def instance_from_json(doc: dict):
-    """The instance an :func:`instance_to_json` document describes; a document
-    that is no object, or lacks or mistypes a field its kind reads, is a ConfigError."""
+    """The instance an :func:`instance_to_json` document describes; a ConfigError for a
+    document that is no object, of an unknown kind, or lacking or mistyping a field."""
     kind = _field(doc, "kind", lambda kind: kind)
     if kind in ("spiral", "spiral_extended"):
         return Spiral(delta=_field(doc, "delta", float), extended=(kind == "spiral_extended"))
@@ -515,7 +515,7 @@ def instance_from_json(doc: dict):
             clamp=None if doc.get("clamp") is None else _field(doc, "clamp", float),
             affine=_map_from_fields(doc) if kind == "channel_composed" else None,
         )
-    raise DegenerateInputError(f"unknown function kind {kind!r}")
+    raise ConfigError(f"unknown function kind {kind!r}")
 
 
 def instance_to_json_str(obj) -> str:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 
-from nearstat import adversaries, cli, harness, solvers
+from nearstat import adversaries, cli, harness
 from nearstat.zoo import ChannelInstance, instance_to_json
 
 
@@ -287,10 +287,11 @@ def test_adversary_writes_instance_files(tmp_path):
     doc = json.loads((tmp_path / "adv" / "instance.json").read_text())
     assert doc["kind"] == "channel_composed"
     written = one_line_json((tmp_path / "adv" / "diagnostics.json").read_text())
-    config = harness.ExperimentConfig.from_dict(written["config"]).validate()
+    config, descriptor, acfg = harness.resolve(
+        harness.ExperimentConfig.from_dict(written["config"]), channel=True
+    )
     _, diag = adversaries.build_channel_instance(
-        harness.channel_adversary(config), solvers.build_solver(**config.solver), config.T,
-        config.d, rng_state=harness.role_streams(config.seed),
+        acfg, descriptor, config.T, config.d, rng_state=harness.role_streams(config.seed)
     )
     del diag["transcript"]  # written to transcript.jsonl instead
     diag["config"] = config.echo()

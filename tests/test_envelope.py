@@ -9,6 +9,7 @@ test when a game starts.
 
 import contextlib
 import io
+import json
 import os
 import shlex
 import tempfile
@@ -116,6 +117,7 @@ REJECTED_CERTIFY = [
     """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
     """ --stencil '[[0, 0.1] [0, -0.1]]'""",
     """--function '{"kind": "warga"}' --point a,b --eps 0.5""",
+    """--function '{"kind": "mystery"}' --point 0,0 --eps 1""",
 ]
 
 
@@ -226,3 +228,43 @@ def test_drawn_config_inside_the_envelope_ends_in_a_verdict_or_typed_error(argv)
     assert code in (0, 1), (argv, code, err)
     if code == 1:
         assert "[FAIL]" in out or err.startswith("error:"), (argv, out, err)
+
+
+RANDOMIZED_SOLVER = {"name": "smoothed", "delta": 0.1, "samples_per_step": 2}
+
+
+@pytest.mark.parametrize("solver", [{"name": "subgrad"}, RANDOMIZED_SOLVER])
+@pytest.mark.parametrize(
+    "mode", [None, adversaries.MODE_DETERMINISTIC, adversaries.MODE_RANDOMIZED]
+)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_adversary_builds_in_the_mode_run_resolves(experiment, mode, solver):
+    # ``adversary`` resolves a config as ``run`` does: its w is picked in the
+    # mode ``run`` resolves, or the config exits 2 before any file is written.
+    # A deterministic carve needs a deterministic solver, and
+    # theorem1_randomized draws w from the sphere.
+    doc = {"experiment": experiment, "T": 5, "solver": solver}
+    if mode is not None:
+        doc["adversary"] = {"mode": mode}
+    resolved_mode = mode or (
+        adversaries.MODE_RANDOMIZED
+        if experiment == "theorem1_randomized"
+        else adversaries.MODE_DETERMINISTIC
+    )
+    rejected = resolved_mode == adversaries.MODE_DETERMINISTIC and (
+        solver is RANDOMIZED_SOLVER or experiment == "theorem1_randomized"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out, cfg_path = f"{tmp}/out", f"{tmp}/cfg.json"
+        with open(cfg_path, "w") as fh:
+            json.dump({**doc, "output_path": out}, fh)
+        code, _, err = run_cli(["adversary", "--config", cfg_path])
+        if rejected:
+            assert code == 2 and err.startswith("config error:"), err
+            assert not os.path.exists(out)
+            return
+        assert code == 0, err
+        with open(f"{out}/diagnostics.json") as fh:
+            written = json.load(fh)["mode"]
+    _, _, ran = harness.resolve(harness.ExperimentConfig.from_dict(doc))
+    assert written == ran.mode == resolved_mode

@@ -87,6 +87,28 @@ def test_config_enforces_the_channel_envelope(experiment):
         )
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"T": True}, "T"),
+        ({"T": 5, "d": 10.0}, "d"),
+        ({"seed": "7"}, "seed"),
+        ({"adversary": {"w_norm": True}}, "w_norm"),
+        ({"adversary": {"w_norm": "small"}}, "w_norm"),
+        ({"solver": {"name": "smoothed", "delta": "small", "samples_per_step": 2}}, "delta"),
+        ({"solver": {"name": "smoothed", "delta": 0.1, "samples_per_step": True}},
+         "samples_per_step"),
+        ({"solver": {"name": "subgrad", "schedule": {"scale": [1]}}}, "schedule scale"),
+    ],
+)
+def test_a_non_number_is_a_config_error_naming_its_field(fields, name):
+    # one rule for the config's integers, the solver's parameters and ||w||:
+    # a JSON true is no number, and a count is an int
+    cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "T": 5, **fields})
+    with pytest.raises(ConfigError, match=f"^{name} must be an? (number|integer), not "):
+        cfg.validate()
+
+
 def test_override_parsing_and_application():
     assert parse_override_value("3") == 3
     assert parse_override_value("0.5") == 0.5
@@ -170,6 +192,21 @@ def test_theorem1_small_end_to_end():
     assert len(report.certificates) == 5
     assert report.records["w_norm"] == pytest.approx(math.exp(-5.0) / 300.0)
     assert set(report.transcripts) == {"transcript", "transcript_base"}
+
+
+def test_theorem1_replays_a_randomized_solver_on_the_algorithm_stream():
+    # the replay draws from a fresh stream of the role the distance game drew
+    # from, so a randomized solver's composed game repeats its distance game
+    cfg = ExperimentConfig(
+        experiment="theorem1",
+        T=5,
+        solver={"name": "smoothed", "delta": 0.1, "samples_per_step": 2},
+        adversary={"mode": adversaries.MODE_RANDOMIZED},
+    )
+    report = run_experiment(cfg)
+    assert [v.criterion for v in report.verdicts] == ["AC6"] * 4
+    assert report.all_passed
+    assert report.transcripts["transcript"] == report.transcripts["transcript_base"]
 
 
 def _flip_zero_sign(t):

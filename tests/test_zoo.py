@@ -684,7 +684,7 @@ def test_json_string_round_trip():
 
 
 def test_json_rejects_unknown_kind():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ConfigError, match="unknown function kind 'mystery'"):
         instance_from_json({"kind": "mystery"})
 
 
