@@ -245,9 +245,11 @@ class RotationBuilder:
         values, grads = np.empty(len(X)), np.empty(X.shape)
         for t, x in enumerate(X):
             self.constraints.absorb(x, AVOID_DROP_TOL)
+            # extend_orthonormal has checked u against every constraint, the
+            # frame's rows among them; the frame's append checks its unit norm
             u = extend_orthonormal(self.constraints)
             self.frame.append(u)
-            self.constraints.append(u)
+            self.constraints._store(u)
             value, grad = chain_value_grad(hq, x[None, :], frame=self.frame.matrix())
             values[t], grads[t] = value[0], grad[0]
         return values, grads, np.ones(len(X), dtype=bool)
@@ -329,26 +331,32 @@ class DistanceGame:
     distances: np.ndarray
     directions: np.ndarray  # the unit rows M^(1/2)(x_t - x*)
 
-    def pick_w(self, cfg: ChannelAdversaryConfig, adversary_rng=None):
+    def draw_w(self, cfg: ChannelAdversaryConfig, adversary_rng=None) -> np.ndarray:
         """w of norm ``cfg.w_norm``: carved in deterministic mode, drawn from the
-        sphere with ``adversary_rng`` in randomized mode.
+        sphere with ``adversary_rng`` in randomized mode."""
+        if cfg.mode == MODE_DETERMINISTIC:
+            return cfg.w_norm * carve_direction(self.directions)
+        if adversary_rng is None:
+            raise DegenerateInputError("randomized_sphere mode needs an adversary rng")
+        return sample_sphere(self.base.dim, cfg.w_norm, adversary_rng)
 
-        Returns the clamped composed channel instance plus diagnostics: the
-        distance-function transcript and iterates, distances to the minimizer,
-        the alignments of w with the mapped iterate directions, and the
-        per-iterate coincidence hypothesis
+    def alignments(self, w: np.ndarray) -> np.ndarray:
+        """The alignment of w with each mapped iterate direction."""
+        return self.directions @ (w / np.linalg.norm(w))
+
+    def pick_w(self, cfg: ChannelAdversaryConfig, adversary_rng=None):
+        """w from :meth:`draw_w`, and the clamped composed channel instance over it.
+
+        Returns the instance plus diagnostics: the distance-function transcript
+        and iterates, distances to the minimizer, the alignments of w with the
+        mapped iterate directions, and the per-iterate coincidence hypothesis
 
             alignment_t <= 1/(2 sqrt 2) - exp(-T) / (100 * distance_t),
 
         under which the composed function agrees with the distance function at x_t.
         """
-        if cfg.mode == MODE_DETERMINISTIC:
-            w = cfg.w_norm * carve_direction(self.directions)
-        elif adversary_rng is None:
-            raise DegenerateInputError("randomized_sphere mode needs an adversary rng")
-        else:
-            w = sample_sphere(self.base.dim, cfg.w_norm, adversary_rng)
-        alignments = self.directions @ (w / np.linalg.norm(w))
+        w = self.draw_w(cfg, adversary_rng)
+        alignments = self.alignments(w)
         margin = 1.0 / (2.0 * _SQRT2) - math.exp(-self.transcript.T) / (100.0 * self.distances)
         diagnostics = {
             "mode": cfg.mode,

@@ -22,7 +22,13 @@ import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
 from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count
-from nearstat.oracle_game import CLASS_RANDOMIZED, AlgorithmDescriptor, play, query_distances
+from nearstat.oracle_game import (
+    CLASS_RANDOMIZED,
+    AlgorithmDescriptor,
+    Transcript,
+    play,
+    query_distances,
+)
 from nearstat.vectorspace import derive_stream, row_norms, sample_ball_batch
 
 _SQRT2 = math.sqrt(2.0)
@@ -54,8 +60,17 @@ def randomized_min_d(T: int) -> int:
     return d
 
 
-def role_streams(seed: int) -> dict[str, np.random.Generator]:
-    return {role: derive_stream(seed, role) for role in ("algorithm", "adversary", "certifier")}
+def role_streams(
+    seed: int, roles: tuple[str, ...] = ("algorithm", "adversary", "certifier")
+) -> dict[str, np.random.Generator]:
+    return {role: derive_stream(seed, role) for role in roles}
+
+
+def channel_streams(seed: int, acfg: adversaries.ChannelAdversaryConfig) -> dict:
+    """The streams a channel build reads: the algorithm's, and the adversary's
+    when w is drawn from the sphere."""
+    randomized = acfg.mode == adversaries.MODE_RANDOMIZED
+    return role_streams(seed, ("algorithm", "adversary") if randomized else ("algorithm",))
 
 
 # ---------------------------------------------------------------------------
@@ -106,35 +121,39 @@ def resolve(
     resolved, its solver (and the policy at d), and its adversary in
     ``adversary.mode`` or else the experiment's mode; also the chain quadratic
     and the rotation.  The channel envelope is checked, and ||w|| resolved, for
-    the channel experiments, and for any experiment when ``channel`` is set."""
+    the channel experiments, and for any experiment when ``channel`` is set;
+    a channel whose w is drawn from the sphere also needs d >= randomized_min_d(T)."""
     if cfg.experiment not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENT_NAMES}")
     randomized = cfg.experiment == "theorem1_randomized"
+    channel = channel or cfg.experiment in CHANNEL_EXPERIMENTS
     with _config_errors():
         for name in ("T", "seed", "trials") if cfg.d is None else ("T", "d", "seed", "trials"):
             count(name, getattr(cfg, name))
+        mode = CHANNEL_MODES.get(cfg.experiment, adversaries.MODE_DETERMINISTIC)
+        acfg = adversaries.ChannelAdversaryConfig(**{"mode": mode, **cfg.adversary})
+        if randomized and acfg.mode != mode:
+            raise ConfigError(f"theorem1_randomized draws w at random, not in mode {acfg.mode!r}")
+        sphere = channel and acfg.mode == adversaries.MODE_RANDOMIZED
         d = cfg.d
         if d is None:
-            d = randomized_min_d(cfg.T) if randomized else 2 * cfg.T
+            d = randomized_min_d(cfg.T) if sphere else 2 * cfg.T
         if randomized and cfg.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if randomized and d < (d_min := randomized_min_d(cfg.T)):
+        if sphere and d < (d_min := randomized_min_d(cfg.T)):
             raise ConfigError(
-                f"experiment 'theorem1_randomized' needs d >= {d_min} at T = {cfg.T}: below"
-                f" it the alignment bound T exp(-d/18) exceeds AC7's {AC7_MAX_FAILURE_FRACTION}"
+                f"a w drawn in {adversaries.MODE_RANDOMIZED!r} mode needs d >= {d_min} at"
+                f" T = {cfg.T}: below it the alignment bound T exp(-d/18) exceeds AC7's"
+                f" {AC7_MAX_FAILURE_FRACTION}"
             )
         cfg = dataclasses.replace(cfg, d=d)
         descriptor = solvers.build_solver(**cfg.solver)
         descriptor.fresh_policy(d, derive_stream(cfg.seed, "algorithm"))
-        mode = CHANNEL_MODES.get(cfg.experiment, adversaries.MODE_DETERMINISTIC)
-        acfg = adversaries.ChannelAdversaryConfig(**{"mode": mode, **cfg.adversary})
-        if channel or cfg.experiment in CHANNEL_EXPERIMENTS:
+        if channel:
             acfg.w_norm = acfg.check_envelope(descriptor, cfg.T, d)
         hq = adversaries.HardQuadratic(T=cfg.T, d=d)
         if cfg.experiment == "det_lower_bound":
             adversaries.RotationBuilder(base=hq)
-    if randomized and acfg.mode != mode:
-        raise ConfigError(f"theorem1_randomized draws w at random, not in mode {acfg.mode!r}")
     return cfg, descriptor, acfg
 
 
@@ -232,11 +251,9 @@ def write_report_files(report: Report, out_dir: str) -> list[str]:
 
 def run_quad_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
-    streams = role_streams(cfg.seed)
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
-    transcript = play(
-        descriptor, adversaries.chain_quadratic_oracle(hq), cfg.T, cfg.d, rng=streams["algorithm"]
-    )
+    rng = derive_stream(cfg.seed, "algorithm")
+    transcript = play(descriptor, adversaries.chain_quadratic_oracle(hq), cfg.T, cfg.d, rng=rng)
     distances = query_distances(transcript, hq.x_star)
     mind = float(distances.min())
     bound = math.exp(-cfg.T)
@@ -258,12 +275,10 @@ def run_quad_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
 
 def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
-    streams = role_streams(cfg.seed)
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
     rb = adversaries.RotationBuilder(base=hq)
-    transcript = play(
-        descriptor, adversaries.rotation_oracle(rb), cfg.T, cfg.d, rng=streams["algorithm"]
-    )
+    rng = derive_stream(cfg.seed, "algorithm")
+    transcript = play(descriptor, adversaries.rotation_oracle(rb), cfg.T, cfg.d, rng=rng)
     rotated = rb.materialized_map()
     mind = float(query_distances(transcript, rotated.x_star).min())
     bound = math.exp(-cfg.T)
@@ -300,14 +315,27 @@ def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
 def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
     instance, diag = adversaries.build_channel_instance(
-        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
+        acfg, descriptor, cfg.T, cfg.d, rng_state=channel_streams(cfg.seed, acfg)
     )
-    # a fresh algorithm stream, so that a randomized solver replays its distance game
-    replay = play(descriptor, instance, cfg.T, cfg.d, rng=derive_stream(cfg.seed, "algorithm"))
+    # AC6 asks whether the algorithm, run on the composed channel, repeats its
+    # distance game.  A policy's next query depends only on its rng stream and
+    # the replies it has seen, so by induction over the queries it does exactly
+    # when the composed channel answers every distance-game query with the
+    # distance reply's bits: the first query is the same, and each equal reply
+    # makes the next query the same.  This rests on eval_batch answering each
+    # row with the same bits alone or in a block, so one batch over the T
+    # queries gives the replies the game would get block by block.
     base = diag["transcript"]
-    identical = replay.same_bits(base)
-    replay_text = replay.to_jsonl()
-    base_text = replay_text if identical else base.to_jsonl()
+    answered = Transcript(T=cfg.T, d=cfg.d)
+    answered.extend(base.queries, *instance.eval_batch(base.queries)[:3])
+    identical = answered.same_bits(base)
+    replay, base_text = base, base.to_jsonl()
+    replay_text = base_text
+    if not identical:
+        # play the composed game, on a fresh stream of the role the distance
+        # game drew from, to record where it diverges
+        replay = play(descriptor, instance, cfg.T, cfg.d, rng=derive_stream(cfg.seed, "algorithm"))
+        replay_text = replay.to_jsonl()
     h_values = replay.values.tolist()
     min_h = min(h_values)
     certs = stationarity.near_stationarity_distance_lb(instance, replay.queries)
@@ -358,14 +386,15 @@ def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
 
 def run_theorem1_randomized(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     start = time.perf_counter()
-    streams = role_streams(cfg.seed)
+    streams = channel_streams(cfg.seed, acfg)
     max_alignments = []
     game = None
     for _ in range(cfg.trials):
         # a randomized solver's game consumes the algorithm stream: one per trial
         if game is None or descriptor.class_tag == CLASS_RANDOMIZED:
             game = adversaries.play_distance_game(descriptor, cfg.T, cfg.d, streams["algorithm"])
-        max_alignments.append(game.pick_w(acfg, streams["adversary"])[1]["max_alignment"])
+        w = game.draw_w(acfg, streams["adversary"])
+        max_alignments.append(float(game.alignments(w).max()))
     failures = sum(alignment >= 1.0 / 3.0 for alignment in max_alignments)
     fraction = failures / cfg.trials
     verdict = CheckResult(
@@ -831,7 +860,7 @@ def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:
     """Build a hard channel instance, whatever the experiment, and render its documents."""
     cfg, descriptor, acfg = resolve(cfg, channel=True)
     instance, diag = adversaries.build_channel_instance(
-        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
+        acfg, descriptor, cfg.T, cfg.d, rng_state=channel_streams(cfg.seed, acfg)
     )
     transcript = diag.pop("transcript")
     diag["config"] = cfg.echo()

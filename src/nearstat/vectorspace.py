@@ -122,6 +122,10 @@ class OrthonormalFrame:
             raise DegenerateInputError("frame vector is not unit norm")
         if self._count and np.abs(self.matrix() @ v).max() > tol:
             raise DegenerateInputError("frame vector breaks orthogonality")
+        self._store(v)
+
+    def _store(self, v: np.ndarray) -> None:
+        """Add a vector already known to be unit and orthogonal to the frame."""
         self._rows[self._count] = v
         self._count += 1
 
@@ -140,8 +144,7 @@ class OrthonormalFrame:
         r = self.project_out(v)
         rn = np.linalg.norm(r)
         if rn > drop_tol * max(1.0, np.linalg.norm(v)):
-            self._rows[self._count] = r / rn
-            self._count += 1
+            self._store(r / rn)
 
 
 def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None = None) -> np.ndarray:

@@ -81,6 +81,8 @@ REJECTED = [
     "--experiment theorem1 --T 5 --adversary.bogus 1",
     "--experiment quad_lower_bound --T 3 --tolerances.foo 1",
     "--experiment theorem1_randomized --T 5 --adversary.mode deterministic_orthogonal",
+    # a w drawn from the sphere at d = 2T fails AC6 for seeds 1, 3 and 4 of 0-7
+    "--experiment theorem1 --T 5 --d 10 --adversary.mode randomized_sphere",
     "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
     " --solver.stencil [[5,0]]",
     "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
@@ -228,6 +230,18 @@ def test_drawn_config_inside_the_envelope_ends_in_a_verdict_or_typed_error(argv)
     assert code in (0, 1), (argv, code, err)
     if code == 1:
         assert "[FAIL]" in out or err.startswith("error:"), (argv, out, err)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_a_w_drawn_from_the_sphere_defaults_d_to_the_alignment_floor(experiment):
+    # wherever a channel is built in randomized_sphere mode, d defaults to
+    # randomized_min_d(T); ``run`` builds none for the chain experiments
+    doc = {"experiment": experiment, "T": 5, "adversary": {"mode": adversaries.MODE_RANDOMIZED}}
+    cfg = harness.ExperimentConfig.from_dict(doc)
+    floor = harness.randomized_min_d(5)
+    ran = floor if experiment in harness.CHANNEL_EXPERIMENTS else 10
+    assert harness.resolve(cfg)[0].d == ran
+    assert harness.resolve(cfg, channel=True)[0].d == floor
 
 
 RANDOMIZED_SOLVER = {"name": "smoothed", "delta": 0.1, "samples_per_step": 2}

@@ -209,43 +209,166 @@ def test_theorem1_replays_a_randomized_solver_on_the_algorithm_stream():
     assert report.transcripts["transcript"] == report.transcripts["transcript_base"]
 
 
-def _flip_zero_sign(t):
-    subgrads = t.subgrads.copy()
-    subgrads[0, -1] = -subgrads[0, -1]  # beyond the chain: a zero
-    assert subgrads[0, -1] == 0.0
-    return subgrads, t.differentiable
+def _flip_zero_sign(grads, flags, rows):
+    grads[rows, -1] = -grads[rows, -1]  # at x_1 = 0 and beyond the chain: a zero
+    assert (grads[rows, -1] == 0.0).all()
 
 
-def _flip_flag(t):
-    flags = t.differentiable.copy()
-    flags[-1] = not flags[-1]
-    return t.subgrads, flags
+def _flip_flag(grads, flags, rows):
+    flags[rows] = ~flags[rows]
 
 
-@pytest.mark.parametrize("tamper", [_flip_zero_sign, _flip_flag])
-def test_theorem1_ac6_is_bitwise(monkeypatch, tamper):
-    # a replay that differs from the distance game only in one zero's sign or
-    # in one flag fails AC6, and each transcript file holds its own game
+@pytest.mark.parametrize("index, tamper", [(0, _flip_zero_sign), (-1, _flip_flag)])
+def test_theorem1_ac6_is_bitwise(monkeypatch, index, tamper):
+    # a composed channel that differs from the distance function at one iterate
+    # only in one zero's sign or in one flag fails AC6; the composed game is then
+    # played, and each transcript file holds its own game
     cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "T": 5}).validate()
     clean = run_experiment(cfg).transcripts
     assert clean["transcript"] == clean["transcript_base"]
+    base = Transcript.from_jsonl(clean["transcript_base"])
+    target = base.queries[index]
+    real_build = adversaries.build_channel_instance
+
+    def tampered_build(*args, **kwargs):
+        instance, diag = real_build(*args, **kwargs)
+        real_eval_batch = instance.eval_batch
+
+        def eval_batch(X):
+            values, grads, flags, codes = real_eval_batch(X)
+            tamper(grads, flags, (np.asarray(X) == target).all(axis=1))
+            return values, grads, flags, codes
+
+        instance.eval_batch = eval_batch
+        return instance, diag
+
     real_play = harness.play
-    replays = []
+    played = []
 
-    def tampered_play(*args, **kwargs):
-        t = real_play(*args, **kwargs)
-        changed = Transcript(T=t.T, d=t.d)
-        changed.extend(t.queries, t.values, *tamper(t))
-        replays.append(changed)
-        return changed
+    def recorded_play(*args, **kwargs):
+        played.append(real_play(*args, **kwargs))
+        return played[-1]
 
-    monkeypatch.setattr(harness, "play", tampered_play)
+    monkeypatch.setattr(adversaries, "build_channel_instance", tampered_build)
+    monkeypatch.setattr(harness, "play", recorded_play)
     report = run_experiment(cfg)
     ac6 = [v for v in report.verdicts if v.criterion == "AC6"]
     assert [v.passed for v in ac6] == [False, True, True, True]
     texts = report.transcripts
-    assert texts["transcript"] == replays[0].to_jsonl() != clean["transcript"]
+    assert len(played) == 1
+    assert texts["transcript"] == played[0].to_jsonl() != clean["transcript"]
     assert texts["transcript_base"] == clean["transcript_base"]
+    # the played game asks the distance game's queries and gets its replies,
+    # tampered at the one iterate
+    grads, flags = base.subgrads.copy(), base.differentiable.copy()
+    tamper(grads, flags, np.arange(cfg.T) == index % cfg.T)
+    expected = Transcript(T=cfg.T, d=cfg.d)
+    expected.extend(base.queries, base.values, grads, flags)
+    assert played[0].same_bits(expected)
+
+
+def _theorem1_by_replay(cfg, descriptor, acfg) -> harness.Report:
+    """theorem1 with AC6 decided by replaying the whole game on the composed
+    channel, on a fresh algorithm stream: the reference for the one-batch check."""
+    instance, diag = adversaries.build_channel_instance(
+        acfg, descriptor, cfg.T, cfg.d, rng_state=role_streams(cfg.seed)
+    )
+    replay = harness.play(
+        descriptor, instance, cfg.T, cfg.d, rng=harness.derive_stream(cfg.seed, "algorithm")
+    )
+    base = diag["transcript"]
+    h_values = replay.values.tolist()
+    certs = stationarity.near_stationarity_distance_lb(instance, replay.queries)
+    min_cert = min(c.value for c in certs)
+    h_at_zero = instance.eval(np.zeros(cfg.d)).value
+    check = harness.CheckResult
+    verdicts = [
+        check(
+            "AC6",
+            "composed-channel iterates identical to distance-oracle iterates",
+            replay.same_bits(base),
+            {"solver": descriptor.name},
+        ),
+        check("AC6", "min composed value over iterates > 0", min(h_values) > 0.0,
+              {"min_value": min(h_values)}),
+        check("AC6", "near-stationarity distance certificate >= 1/7 at every iterate",
+              min_cert >= 1.0 / 7.0, {"min_certificate": min_cert}),
+        check("AC6", "composed value at the origin <= 1/2", h_at_zero <= 0.5,
+              {"value_at_zero": h_at_zero}),
+    ]
+    records = {"h_values": h_values}
+    for key in ("distances", "alignments", "coincidence_hypothesis", "w_norm"):
+        records[key] = diag[key]
+    return harness.Report(
+        kind="experiment:theorem1",
+        config=cfg.echo(),
+        verdicts=verdicts,
+        records=records,
+        certificates=[c.to_json() for c in certs],
+        transcripts={"transcript": replay.to_jsonl(), "transcript_base": base.to_jsonl()},
+    )
+
+
+def _same_report(report, reference) -> None:
+    report.timing_seconds = reference.timing_seconds = 0.0
+    assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+    assert report.transcripts == reference.transcripts
+
+
+RANDOMIZED_SOLVERS = [
+    {"name": "smoothed", "delta": 0.1, "samples_per_step": 2},
+    {"name": "goldstein", "delta": 0.1, "samples_per_step": 4},
+]
+THEOREM1_GRID = [
+    ({"name": name}, T, d)
+    for name in ("subgrad", "steepest")
+    for T in (5, 12, 19)
+    for d in (2 * T, 4 * T)
+] + [(solver, 5, None) for solver in RANDOMIZED_SOLVERS]
+
+
+@pytest.mark.parametrize("solver, T, d", THEOREM1_GRID)
+def test_theorem1_report_matches_the_replayed_game(solver, T, d):
+    # deciding AC6 from one batch of composed replies writes the report and
+    # both transcripts, byte for byte, that replaying the composed game writes
+    doc = {"experiment": "theorem1", "T": T, "d": d, "seed": 4242, "solver": solver}
+    if solver["name"] not in ("subgrad", "steepest"):
+        doc["adversary"] = {"mode": adversaries.MODE_RANDOMIZED}
+    cfg, descriptor, acfg = harness.resolve(ExperimentConfig.from_dict(doc))
+    _same_report(run_experiment(cfg), _theorem1_by_replay(cfg, descriptor, acfg))
+
+
+def test_theorem1_report_matches_the_replayed_game_where_ac6_fails():
+    # below the alignment floor, which configs are refused, a w drawn from the
+    # sphere can break the coincidence: the composed game is played and
+    # diverges, and the runner still writes what the replay writes
+    descriptor = solvers.build_solver(name="subgrad")
+    acfg = adversaries.ChannelAdversaryConfig(
+        mode=adversaries.MODE_RANDOMIZED, w_norm=adversaries.default_w_norm(5)
+    )
+    failed = 0
+    for seed in range(8):
+        cfg = ExperimentConfig(experiment="theorem1", T=5, d=10, seed=seed)
+        report = harness.run_theorem1(cfg, descriptor, acfg)
+        failed += not report.verdicts[0].passed
+        _same_report(report, _theorem1_by_replay(cfg, descriptor, acfg))
+    assert failed
+
+
+def test_theorem1_plays_only_the_distance_game_when_ac6_holds(monkeypatch):
+    oracles = []
+    for module in (adversaries, harness):
+        real_play = module.play
+
+        def counted_play(algorithm, oracle, *args, real_play=real_play, **kwargs):
+            oracles.append(type(oracle))
+            return real_play(algorithm, oracle, *args, **kwargs)
+
+        monkeypatch.setattr(module, "play", counted_play)
+    cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "T": 8}).validate()
+    report = run_experiment(cfg)
+    assert report.verdicts[0].passed
+    assert oracles == [zoo.NormDistance]
 
 
 @pytest.mark.parametrize(
