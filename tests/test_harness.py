@@ -218,7 +218,13 @@ def _flip_flag(grads, flags, rows):
     flags[rows] = ~flags[rows]
 
 
-@pytest.mark.parametrize("index, tamper", [(0, _flip_zero_sign), (-1, _flip_flag)])
+@pytest.mark.parametrize(
+    "index, tamper",
+    [
+        pytest.param(0, _flip_zero_sign, id="_flip_zero_sign"),
+        pytest.param(-1, _flip_flag, id="_flip_flag"),
+    ],
+)
 def test_theorem1_ac6_is_bitwise(monkeypatch, index, tamper):
     # a composed channel that differs from the distance function at one iterate
     # only in one zero's sign or in one flag fails AC6; the composed game is then
@@ -289,12 +295,24 @@ def _theorem1_by_replay(cfg, descriptor, acfg) -> harness.Report:
             replay.same_bits(base),
             {"solver": descriptor.name},
         ),
-        check("AC6", "min composed value over iterates > 0", min(h_values) > 0.0,
-              {"min_value": min(h_values)}),
-        check("AC6", "near-stationarity distance certificate >= 1/7 at every iterate",
-              min_cert >= 1.0 / 7.0, {"min_certificate": min_cert}),
-        check("AC6", "composed value at the origin <= 1/2", h_at_zero <= 0.5,
-              {"value_at_zero": h_at_zero}),
+        check(
+            "AC6",
+            "min composed value over iterates > 0",
+            min(h_values) > 0.0,
+            {"min_value": min(h_values)},
+        ),
+        check(
+            "AC6",
+            "near-stationarity distance certificate >= 1/7 at every iterate",
+            min_cert >= 1.0 / 7.0,
+            {"min_certificate": min_cert},
+        ),
+        check(
+            "AC6",
+            "composed value at the origin <= 1/2",
+            h_at_zero <= 0.5,
+            {"value_at_zero": h_at_zero},
+        ),
     ]
     records = {"h_values": h_values}
     for key in ("distances", "alignments", "coincidence_hypothesis", "w_norm"):
