@@ -81,7 +81,7 @@ REJECTED = [
     "--experiment theorem1 --T 5 --adversary.bogus 1",
     "--experiment quad_lower_bound --T 3 --tolerances.foo 1",
     "--experiment theorem1_randomized --T 5 --adversary.mode deterministic_orthogonal",
-    # a w drawn from the sphere at d = 2T fails AC6 for seeds 1, 3 and 4 of 0-7
+    # at d = 2T a w drawn from the sphere fails subgrad's AC6 for seeds 1, 3, 4 of 0-7
     "--experiment theorem1 --T 5 --d 10 --adversary.mode randomized_sphere",
     "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
     " --solver.stencil [[5,0]]",
