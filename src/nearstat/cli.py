@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -132,12 +131,7 @@ def cmd_adversary(args, extra) -> int:
     doc.setdefault("experiment", harness.adversary_experiment(doc.get("adversary")))
     cfg = harness.ExperimentConfig.from_dict(doc)
     files = harness.build_adversary_files(cfg)
-    out_dir = harness.resolve_output_dir(cfg.output_path)
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in files.items():
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
+    for path in harness.write_files(harness.resolve_output_dir(cfg.output_path), files):
         print(f"wrote {path}")
     return 0
 
@@ -150,8 +144,7 @@ def cmd_figure_data(args, extra) -> int:
         grid[key[len("grid.") :]] = harness.parse_override_value(val)
     csv_text = harness.figure_csv(args.figure, grid)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        harness.write_output(args.out, csv_text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)

@@ -29,7 +29,7 @@ from nearstat.oracle_game import (
     play,
     query_distances,
 )
-from nearstat.vectorspace import derive_stream, row_norms, sample_ball_batch
+from nearstat.vectorspace import as_vector, derive_stream, row_norms, sample_ball_batch
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -122,11 +122,17 @@ def resolve(
     ``adversary.mode`` or else the experiment's mode; also the chain quadratic
     and the rotation.  The channel envelope is checked, and ||w|| resolved, for
     the channel experiments, and for any experiment when ``channel`` is set;
-    a channel whose w is drawn from the sphere also needs d >= randomized_min_d(T)."""
+    a channel whose w is drawn from the sphere also needs d >= randomized_min_d(T).
+    A config that builds no channel has no use for an ``adversary`` table."""
     if cfg.experiment not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENT_NAMES}")
     randomized = cfg.experiment == "theorem1_randomized"
     channel = channel or cfg.experiment in CHANNEL_EXPERIMENTS
+    if cfg.adversary and not channel:
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} builds no channel, so its adversary table"
+            f" {cfg.adversary!r} would be ignored"
+        )
     with _config_errors():
         for name in ("T", "seed", "trials") if cfg.d is None else ("T", "d", "seed", "trials"):
             count(name, getattr(cfg, name))
@@ -229,19 +235,28 @@ def resolve_output_dir(config_path: str | None) -> str:
     return os.environ.get(ENV_OUTPUT_DIR, DEFAULT_OUTPUT_DIR)
 
 
-def write_report_files(report: Report, out_dir: str) -> list[str]:
+def write_output(path: str, text: str) -> None:
+    """Write ``text`` to a new file at ``path``, deleting whatever file (or
+    symlink) was there: creating a file costs less than truncating one, and a
+    crash cannot leave old bytes after the new ones."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "x") as fh:
+        fh.write(text)
+
+
+def write_files(out_dir: str, texts: dict[str, str]) -> list[str]:
+    """Write each named text to ``out_dir`` with :func:`write_output`; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        fh.write(json.dumps(report.to_json()) + "\n")
-    written.append(report_path)
-    for name, jsonl in report.transcripts.items():
-        path = os.path.join(out_dir, f"{name}.jsonl")
-        with open(path, "w") as fh:
-            fh.write(jsonl)
-        written.append(path)
-    return written
+    paths = [os.path.join(out_dir, name) for name in texts]
+    for path, text in zip(paths, texts.values()):
+        write_output(path, text)
+    return paths
+
+
+def write_report_files(report: Report, out_dir: str) -> list[str]:
+    texts = {f"{name}.jsonl": jsonl for name, jsonl in report.transcripts.items()}
+    return write_files(out_dir, {"report.json": json.dumps(report.to_json()) + "\n", **texts})
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +339,11 @@ def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     # distance reply's bits: the first query is the same, and each equal reply
     # makes the next query the same.  This rests on eval_batch answering each
     # row with the same bits alone or in a block, so one batch over the T
-    # queries gives the replies the game would get block by block.
+    # queries and the origin gives the replies the game would get block by block.
     base = diag["transcript"]
+    values, grads, diffs = instance.eval_batch(np.vstack([base.queries, np.zeros(cfg.d)]))[:3]
     answered = Transcript(T=cfg.T, d=cfg.d)
-    answered.extend(base.queries, *instance.eval_batch(base.queries)[:3])
+    answered.extend(base.queries, values[:-1], grads[:-1], diffs[:-1])
     identical = answered.same_bits(base)
     replay, base_text = base, base.to_jsonl()
     replay_text = base_text
@@ -338,9 +354,9 @@ def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
         replay_text = replay.to_jsonl()
     h_values = replay.values.tolist()
     min_h = min(h_values)
-    certs = stationarity.near_stationarity_distance_lb(instance, replay.queries)
+    certs = stationarity.near_stationarity_distance_lb(instance, replay.values)
     min_cert = min(c.value for c in certs)
-    h_at_zero = instance.eval(np.zeros(cfg.d)).value
+    h_at_zero = float(values[-1])
     verdicts = [
         CheckResult(
             criterion="AC6",
@@ -575,15 +591,16 @@ def verify_channel(seed: int) -> list[CheckResult]:
     n_cons = 100_000
     pts = rng.uniform(-2.0, 2.0, size=(n_cons, d))
     norms = np.empty(n_cons)
+    codes = np.empty(n_cons, dtype=np.int8)
     consistent = True
     for rows in _row_blocks(n_cons):
-        _, grads, diffs, codes = instance.eval_batch(pts[rows])
+        _, grads, diffs, codes[rows] = instance.eval_batch(pts[rows])
         norms[rows] = row_norms(grads)
-        bounds = np.where(codes == zoo.CODE_HINGE_BOUNDARY, 1.0 / _SQRT2, 1.0)
+        bounds = np.where(codes[rows] == zoo.CODE_HINGE_BOUNDARY, 1.0 / _SQRT2, 1.0)
         consistent &= bool(np.all(norms[rows][diffs] >= bounds[diffs] - 1e-9))
     spot_rng = derive_stream(seed, "adversary")
     spot_idx = spot_rng.choice(n_cons, size=200, replace=False)
-    spot_certs = stationarity.subdiff_norm_lower_bound(instance, pts[spot_idx])
+    spot_certs = stationarity.subdiff_norm_lower_bound(instance, codes[spot_idx])
     spot_ok = not any(
         norm < cert.value - 1e-9 for norm, cert in zip(norms[spot_idx].tolist(), spot_certs)
     )
@@ -698,8 +715,8 @@ def verify_remark(seed: int) -> list[CheckResult]:
     v = np.array([0.0, delta])
     checks = []
 
-    g_plus, g_minus = gtilde.eval_batch(np.stack([v, -v]))[1]
-    resid = float(np.linalg.norm(0.5 * (g_plus + g_minus)))
+    values, grads = gtilde.eval_batch(np.stack([v, -v, np.zeros(d)]))[:2]
+    resid = float(np.linalg.norm(0.5 * (grads[0] + grads[1])))
     checks.append(
         CheckResult(
             "AC8",
@@ -719,7 +736,7 @@ def verify_remark(seed: int) -> list[CheckResult]:
         )
     )
 
-    [dist] = stationarity.near_stationarity_distance_lb(gtilde, np.zeros((1, d)))
+    [dist] = stationarity.near_stationarity_distance_lb(gtilde, values[2:])
     checks.append(
         CheckResult(
             "AC8",
@@ -831,12 +848,14 @@ def certify_point(
     instance = zoo.instance_from_json(function_doc)
     x = np.asarray(point, dtype=float)
     if notion == "eps":
-        cert = stationarity.certify_eps_stationary(instance, x, eps)
+        value, grad, diff, *channel_codes = instance.eval_batch(as_vector(x)[None, :])
+        reply = zoo.FirstOrderReply(value[0], grad[0], diff[0])  # rejects a non-finite reply
+        cert = stationarity.certify_eps_stationary(x, reply.subgrad, eps)
         certs = [cert.to_json()]
         answered = cert.certified
-        if not answered and isinstance(instance, zoo.ChannelInstance):
+        if not answered and channel_codes:
             try:
-                bound = stationarity.subdiff_norm_lower_bound(instance, x[None, :])[0]
+                bound = stationarity.subdiff_norm_lower_bound(instance, *channel_codes)[0]
             except ClampRegionError:  # no bound holds in a clamp region
                 return certs, answered
             certs.append(bound.to_json())

@@ -29,7 +29,6 @@ from nearstat.zoo import (
     REGION_NAMES,
     ChannelInstance,
     batch_oracle,
-    query_rows,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -245,18 +244,17 @@ class StationarityCertificate:
         return doc
 
 
-def certify_eps_stationary(oracle, x, eps: float) -> StationarityCertificate:
-    """Certificate from the single subgradient the oracle returns at x."""
+def certify_eps_stationary(x, subgrad, eps: float) -> StationarityCertificate:
+    """Certificate from the single subgradient an oracle returned at x."""
     x = as_vector(x)
     if eps < 0.0:
         raise DegenerateInputError("eps must be nonnegative")
-    reply = oracle(x)
-    value = float(np.linalg.norm(reply.subgrad))
+    value = float(np.linalg.norm(subgrad))
     certified = value <= eps
     witness = None
     if certified:
         witness = Witness(
-            points=x[None, :].copy(), subgradients=reply.subgrad[None, :], coefficients=np.ones(1)
+            points=x[None, :].copy(), subgradients=subgrad[None, :], coefficients=np.ones(1)
         )
     return StationarityCertificate(
         kind=KIND_EPS_WITNESS,
@@ -326,16 +324,16 @@ def certify_delta_eps(
     )
 
 
-def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityCertificate]:
-    """Per-region lower bound on the subgradient norms of a channel instance at each row of X.
+def subdiff_norm_lower_bound(instance: ChannelInstance, codes) -> list[StationarityCertificate]:
+    """Per-region lower bound on the subgradient norms of a channel instance,
+    one certificate per region code that its ``eval_batch`` returned.
 
     1 at the origin, at -w and at differentiable points; 1/sqrt(2) on the
     hinge boundary; composed instances scale by the smallest singular value of
-    the square-root matrix, 1/sqrt(2) for the chain family.  The rows are
-    evaluated with one ``eval_batch`` call; one certificate per row.  A row in
-    a clamp region is rejected: arbitrarily small subgradients live there.
+    the square-root matrix, 1/sqrt(2) for the chain family.  A code of a clamp
+    region is rejected: arbitrarily small subgradients live there.
     """
-    codes = instance.eval_batch(query_rows(X))[3]
+    codes = np.asarray(codes)
     clamped = np.flatnonzero((codes == CODE_CLAMP_ACTIVE) | (codes == CODE_CLAMP_BOUNDARY))
     if len(clamped):
         row = int(clamped[0])
@@ -353,17 +351,18 @@ def subdiff_norm_lower_bound(instance: ChannelInstance, X) -> list[StationarityC
     return [boundary if c == CODE_HINGE_BOUNDARY else elsewhere for c in codes.tolist()]
 
 
-def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[StationarityCertificate]:
-    """Distance from each row of X to the nearest point that could be near-stationary.
+def near_stationarity_distance_lb(
+    instance: ChannelInstance, values
+) -> list[StationarityCertificate]:
+    """Distance from each point to the nearest point that could be near-stationary,
+    one certificate per value that the clamped instance returned.
 
     On a clamped instance every eps-stationary point (eps below the instance's
     threshold) sits at the clamp value, so the value gap divided by the
-    Lipschitz constant 7 lower-bounds the distance from x to all of them.  The
-    rows are evaluated with one ``eval_batch`` call; one certificate per row.
+    Lipschitz constant 7 lower-bounds the distance from the point to all of them.
     """
     if instance.clamp is None:
         raise DegenerateInputError("distance certificates need a clamped instance")
-    values = instance.eval_batch(query_rows(X))[0]
     return [
         StationarityCertificate(
             kind=KIND_NEAR_DISTANCE,
@@ -371,5 +370,5 @@ def near_stationarity_distance_lb(instance: ChannelInstance, X) -> list[Stationa
             certified=True,
             sound_direction="refutation_only",
         )
-        for value in values.tolist()
+        for value in np.asarray(values, dtype=float).tolist()
     ]

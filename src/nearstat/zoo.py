@@ -86,16 +86,6 @@ def _first_row(instance, x) -> FirstOrderReply:
     return FirstOrderReply(vals[0], grads[0], bool(diffs[0]))
 
 
-def query_rows(X) -> np.ndarray:
-    """X as float rows of a matrix with finite entries; anything else is rejected."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatchError("queries must be the rows of a matrix")
-    if not np.isfinite(X).all():
-        raise DegenerateInputError("vector has non-finite entries")
-    return X
-
-
 def _rows(X, dim: int) -> np.ndarray:
     """X as C-ordered float rows of dimension ``dim``, the input of every ``eval_batch``."""
     X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
@@ -405,7 +395,11 @@ def batch_oracle(oracle) -> Callable[[np.ndarray], tuple]:
     native = hasattr(oracle, "eval_batch")
 
     def answer(X):
-        X = query_rows(X)
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionMismatchError("queries must be the rows of a matrix")
+        if not np.isfinite(X).all():
+            raise DegenerateInputError("vector has non-finite entries")
         if not native:  # each FirstOrderReply has checked its own entries
             replies = [oracle(x) for x in X]
             if any(r.subgrad.shape != X.shape[1:] for r in replies):

@@ -317,12 +317,12 @@ def test_figure_data_stdout_with_grid_override():
 
 def test_figure_data_writes_file(tmp_path):
     out = tmp_path / "fig2.csv"
-    proc = run_cli(
-        "figure-data", "--figure", "fig2", "--grid.nu", "3", "--grid.nv", "3",
-        "--out", str(out),
-    )
+    out.write_text("stale\n" * 1000)  # a longer file leaves no bytes behind
+    argv = ("figure-data", "--figure", "fig2", "--grid.nu", "3", "--grid.nv", "3")
+    proc = run_cli(*argv, "--out", str(out))
     assert proc.returncode == 0
     assert out.read_text().startswith("u,v,value")
+    assert out.read_text() == run_cli(*argv).stdout
 
 
 def test_figure_data_rejects_non_grid_flags():

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearstat import adversaries, cli, harness
+from nearstat.errors import ConfigError
 
 # deterministic and bounded, so tier-1 runs the same examples every time
 ENVELOPE_PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -83,6 +84,9 @@ REJECTED = [
     "--experiment theorem1_randomized --T 5 --adversary.mode deterministic_orthogonal",
     # at d = 2T a w drawn from the sphere fails subgrad's AC6 for seeds 1, 3, 4 of 0-7
     "--experiment theorem1 --T 5 --d 10 --adversary.mode randomized_sphere",
+    # the chain experiments build no channel, so an adversary table would be ignored
+    "--experiment quad_lower_bound --T 5 --adversary.mode randomized_sphere --adversary.w_norm 5",
+    "--experiment det_lower_bound --T 5 --adversary.mode deterministic_orthogonal",
     "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
     " --solver.stencil [[5,0]]",
     "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
@@ -235,12 +239,16 @@ def test_drawn_config_inside_the_envelope_ends_in_a_verdict_or_typed_error(argv)
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_a_w_drawn_from_the_sphere_defaults_d_to_the_alignment_floor(experiment):
     # wherever a channel is built in randomized_sphere mode, d defaults to
-    # randomized_min_d(T); ``run`` builds none for the chain experiments
+    # randomized_min_d(T); ``run`` builds none for the chain experiments, so
+    # it rejects their adversary table
     doc = {"experiment": experiment, "T": 5, "adversary": {"mode": adversaries.MODE_RANDOMIZED}}
     cfg = harness.ExperimentConfig.from_dict(doc)
     floor = harness.randomized_min_d(5)
-    ran = floor if experiment in harness.CHANNEL_EXPERIMENTS else 10
-    assert harness.resolve(cfg)[0].d == ran
+    if experiment in harness.CHANNEL_EXPERIMENTS:
+        assert harness.resolve(cfg)[0].d == floor
+    else:
+        with pytest.raises(ConfigError, match="adversary"):
+            harness.resolve(cfg)
     assert harness.resolve(cfg, channel=True)[0].d == floor
 
 
@@ -280,5 +288,11 @@ def test_adversary_builds_in_the_mode_run_resolves(experiment, mode, solver):
         assert code == 0, err
         with open(f"{out}/diagnostics.json") as fh:
             written = json.load(fh)["mode"]
-    _, _, ran = harness.resolve(harness.ExperimentConfig.from_dict(doc))
-    assert written == ran.mode == resolved_mode
+    assert written == resolved_mode
+    cfg = harness.ExperimentConfig.from_dict(doc)
+    if mode is not None and experiment not in harness.CHANNEL_EXPERIMENTS:
+        # ``run`` builds no channel for a chain experiment, so it rejects the table
+        with pytest.raises(ConfigError, match="adversary"):
+            harness.resolve(cfg)
+    else:
+        assert harness.resolve(cfg)[2].mode == written

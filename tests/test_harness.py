@@ -2,12 +2,14 @@ import io
 import json
 import math
 import os
+import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nearstat import adversaries, cli, harness, solvers, stationarity, zoo
-from nearstat.errors import ConfigError, DegenerateInputError
+from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
     ENV_OUTPUT_DIR,
@@ -168,6 +170,30 @@ def test_quad_lower_bound_report_shape(tmp_path):
         Transcript.from_jsonl(fh.read())
 
 
+def _run_files(out, T: int) -> dict[str, bytes]:
+    """``theorem1`` at T run into ``out``: the bytes of each file there."""
+    argv = ["run", "--experiment", "theorem1", "--T", str(T), "--output_path", str(out)]
+    assert cli.main(argv) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_run_over_longer_files_leaves_the_bytes_of_a_run_into_an_empty_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    out = tmp_path / "out"
+    longer = _run_files(out, 12)
+    # an output path that is a symlink is replaced, and its target left alone
+    target = tmp_path / "target.jsonl"
+    target.write_text("keep\n")
+    (out / "transcript.jsonl").unlink()
+    (out / "transcript.jsonl").symlink_to(target)
+    over_longer = _run_files(out, 5)
+    assert target.read_text() == "keep\n" and not (out / "transcript.jsonl").is_symlink()
+    shutil.rmtree(out)
+    fresh = _run_files(out, 5)
+    assert over_longer == fresh
+    assert all(len(fresh[name]) < len(text) for name, text in longer.items())
+
+
 def test_experiment_names_cover_registry():
     # the order is part of the "choose from" error message
     assert EXPERIMENT_NAMES == (
@@ -284,7 +310,8 @@ def _theorem1_by_replay(cfg, descriptor, acfg) -> harness.Report:
     )
     base = diag["transcript"]
     h_values = replay.values.tolist()
-    certs = stationarity.near_stationarity_distance_lb(instance, replay.queries)
+    values = instance.eval_batch(replay.queries)[0]
+    certs = stationarity.near_stationarity_distance_lb(instance, values)
     min_cert = min(c.value for c in certs)
     h_at_zero = instance.eval(np.zeros(cfg.d)).value
     check = harness.CheckResult
@@ -412,6 +439,34 @@ def test_randomized_trials_match_one_build_per_trial(solver):
     )
 
 
+def test_theorem1_evaluates_the_composed_channel_once(monkeypatch):
+    # one batch answers the distance game's queries and the origin; the
+    # certificates and the value at the origin are read from its rows
+    built, calls = [], []
+    real_build = adversaries.build_channel_instance
+    eval_batch, eval_one = ChannelInstance.eval_batch, ChannelInstance.eval
+
+    def recorded_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def counted_batch(self, X):
+        calls.append(("eval_batch", self))
+        return eval_batch(self, X)
+
+    def counted_eval(self, x):
+        calls.append(("eval", self))
+        return eval_one(self, x)
+
+    monkeypatch.setattr(ChannelInstance, "eval_batch", counted_batch)
+    monkeypatch.setattr(ChannelInstance, "eval", counted_eval)
+    monkeypatch.setattr(adversaries, "build_channel_instance", recorded_build)
+    report = run_experiment(ExperimentConfig(experiment="theorem1", T=8, seed=4242))
+    assert report.all_passed
+    composed = built[0][0]
+    assert [name for name, owner in calls if owner is composed] == ["eval_batch"]
+
+
 def test_theorem1_randomized_few_trials():
     cfg = ExperimentConfig.from_dict(
         {"experiment": "theorem1_randomized", "T": 5, "d": 120, "trials": 10}
@@ -493,7 +548,7 @@ def whole_array_channel_checks(seed):
     norms = row_norms(grads)
     bounds = np.where(codes == zoo.CODE_HINGE_BOUNDARY, 1.0 / math.sqrt(2.0), 1.0)
     spot_idx = harness.derive_stream(seed, "adversary").choice(100_000, size=200, replace=False)
-    spot_certs = stationarity.subdiff_norm_lower_bound(instance, pts[spot_idx])
+    spot_certs = stationarity.subdiff_norm_lower_bound(instance, codes[spot_idx])
     consistent = bool(np.all(norms[diffs] >= bounds[diffs] - 1e-9)) and all(
         norm >= cert.value - 1e-9 for norm, cert in zip(norms[spot_idx].tolist(), spot_certs)
     )
@@ -616,6 +671,37 @@ def test_certify_point_surfaces_other_bound_errors(monkeypatch):
     doc = instance_to_json(ChannelInstance(w=[0.3, 0.0]))
     with pytest.raises(DegenerateInputError):
         certify_point(doc, [-1.0, 0.0], "eps", eps=0.5)
+
+
+def test_certify_point_eps_evaluates_its_point_once(monkeypatch):
+    rows = []
+    eval_batch = ChannelInstance.eval_batch
+
+    def counted(self, X):
+        rows.append(len(X))
+        return eval_batch(self, X)
+
+    monkeypatch.setattr(ChannelInstance, "eval_batch", counted)
+    doc = instance_to_json(ChannelInstance(w=[0.3, 0.0]))
+    certs, answered = certify_point(doc, [-1.0, 0.0], "eps", eps=0.5)
+    assert answered and [c["kind"] for c in certs] == [
+        "eps_stationary_witness", "subdiff_norm_lower_bound"
+    ]
+    assert rows == [1]
+
+
+@pytest.mark.parametrize(
+    "point, error, message",
+    [
+        ([np.nan, 0.0], DegenerateInputError, "vector has non-finite entries"),
+        ([1.0, 2.0, 3.0], DimensionMismatchError, "expected rows of dimension 2"),
+        ([1e200, 1e200], DegenerateInputError, "oracle reply has non-finite entries"),
+    ],
+)
+def test_certify_point_eps_rejects_a_bad_point_or_reply(point, error, message):
+    doc = instance_to_json(ChannelInstance(w=[0.3, 0.0]))
+    with pytest.raises(error, match=message), np.errstate(over="ignore", invalid="ignore"):
+        certify_point(doc, point, "eps", eps=0.5)
 
 
 def test_certify_point_eps_witness_path():

@@ -218,7 +218,7 @@ def test_certificate_witness_discipline():
 
 def test_certificate_json_round_trip():
     g = ChannelInstance(w=[0.3, 0.0])
-    cert = certify_eps_stationary(g.eval, [0.0, 0.0], eps=2.0)
+    cert = certify_eps_stationary([0.0, 0.0], g.eval([0.0, 0.0]).subgrad, eps=2.0)
     doc = json.loads(json.dumps(cert.to_json()))
     assert doc["kind"] == KIND_EPS_WITNESS
     assert doc["certified"] is True
@@ -228,13 +228,13 @@ def test_certificate_json_round_trip():
 
 
 def test_eps_certifier_on_channel_origin():
-    g = ChannelInstance(w=[0.3, 0.0])
-    tight = certify_eps_stationary(g.eval, [0.0, 0.0], eps=1.0)
+    subgrad = ChannelInstance(w=[0.3, 0.0]).eval([0.0, 0.0]).subgrad
+    tight = certify_eps_stationary([0.0, 0.0], subgrad, eps=1.0)
     assert tight.value == 2.0 and not tight.certified and tight.witness is None
-    loose = certify_eps_stationary(g.eval, [0.0, 0.0], eps=2.5)
+    loose = certify_eps_stationary([0.0, 0.0], subgrad, eps=2.5)
     assert loose.certified and loose.witness is not None
     with pytest.raises(DegenerateInputError):
-        certify_eps_stationary(g.eval, [0.0, 0.0], eps=-1.0)
+        certify_eps_stationary([0.0, 0.0], subgrad, eps=-1.0)
 
 
 def test_delta_eps_stencil_certifies_spiral_origin():
@@ -289,7 +289,8 @@ def test_delta_eps_batch_answers_match_scalar_calls():
 def test_subdiff_norm_lower_bound_by_region():
     g = ChannelInstance(w=[0.3, 0.0])
     boundary_x = np.array([0.5 - 0.3, math.sqrt(3.0) / 2.0])
-    inactive, boundary = subdiff_norm_lower_bound(g, [[-1.0, 0.0], boundary_x])
+    codes = g.eval_batch([[-1.0, 0.0], boundary_x])[3]
+    inactive, boundary = subdiff_norm_lower_bound(g, codes)
     assert inactive.value == 1.0 and inactive.sound_direction == "refutation_only"
     assert boundary.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
     assert boundary.kind == KIND_SUBDIFF_NORM
@@ -301,7 +302,7 @@ def test_subdiff_norm_bound_scales_under_composition():
     base = norm_distance_instance(HardQuadratic(T=2, d=2))
     g = ChannelInstance(w=[0.3, 0.0], affine=base.map)
     far = base.map.x_star + np.array([5.0, 5.0])
-    (cert,) = subdiff_norm_lower_bound(g, [far])
+    (cert,) = subdiff_norm_lower_bound(g, g.eval_batch([far])[3])
     assert cert.value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
 
@@ -312,8 +313,8 @@ def test_clamp_region_refuses_norm_bound():
     for X in ([[0.7, 0.0]], *(np.insert(free, row, [0.7, 0.0], axis=0) for row in range(5))):
         row = int(np.flatnonzero(np.asarray(X)[:, 0] == 0.7)[0])
         with pytest.raises(ClampRegionError, match=f"row {row}: .*'clamp_active'"):
-            subdiff_norm_lower_bound(g, X)
-    assert len(subdiff_norm_lower_bound(g, free)) == len(free)
+            subdiff_norm_lower_bound(g, g.eval_batch(X)[3])
+    assert len(subdiff_norm_lower_bound(g, g.eval_batch(free)[3])) == len(free)
 
 
 def _channels_with_planted_rows():
@@ -337,10 +338,10 @@ def test_subdiff_norm_lower_bound_batch_equals_one_row_calls():
         regions = region_names(instance.eval_batch(X)[3])
         seen["plain" if instance.affine is None else "composed"] |= set(regions.tolist())
         scale = 1.0 if instance.affine is None else 1.0 / math.sqrt(2.0)
-        certs = subdiff_norm_lower_bound(instance, X)
+        certs = subdiff_norm_lower_bound(instance, instance.eval_batch(X)[3])
         assert len(certs) == len(X)
         for x, region, cert in zip(X, regions.tolist(), certs):
-            (alone,) = subdiff_norm_lower_bound(instance, x[None, :])
+            (alone,) = subdiff_norm_lower_bound(instance, instance.eval_batch(x[None, :])[3])
             assert json.dumps(cert.to_json()) == json.dumps(alone.to_json())
             bound = 1.0 / math.sqrt(2.0) if region == REGION_HINGE_BOUNDARY else 1.0
             assert cert.value == pytest.approx(bound * scale, rel=1e-15)
@@ -351,57 +352,32 @@ def test_subdiff_norm_lower_bound_batch_equals_one_row_calls():
     assert seen == {"plain": every_free_region, "composed": every_free_region}
 
 
-def test_subdiff_norm_lower_bound_rejects_bad_rows():
-    g = ChannelInstance(w=[0.3, 0.0])
-    for X in ([0.7, 0.0], np.zeros((1, 1, 2)), 1.0):
-        with pytest.raises(DimensionMismatchError):
-            subdiff_norm_lower_bound(g, X)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DegenerateInputError):
-            subdiff_norm_lower_bound(g, [[-1.0, 0.0], [bad, 0.0]])
-    with pytest.raises(DimensionMismatchError):
-        subdiff_norm_lower_bound(g, [[-1.0, 0.0, 0.0]])
-
-
 def test_near_distance_bound_from_value_gap():
     g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
-    cert, deep = near_stationarity_distance_lb(g, [[0.0, 0.0], [0.7, 0.0]])
+    values = g.eval_batch([[0.0, 0.0], [0.7, 0.0]])[0]
+    cert, deep = near_stationarity_distance_lb(g, values)
     assert cert.kind == KIND_NEAR_DISTANCE
     assert cert.value == pytest.approx((-0.6 + 1.0) / 7.0, rel=1e-15)
     assert deep.value == 0.0
     with pytest.raises(DegenerateInputError):
-        near_stationarity_distance_lb(ChannelInstance(w=[0.3, 0.0]), [[0.0, 0.0]])
+        near_stationarity_distance_lb(ChannelInstance(w=[0.3, 0.0]), values)
 
 
-def test_near_distance_bounds_come_from_one_batch(monkeypatch):
+def test_near_distance_bounds_evaluate_nothing(monkeypatch):
     from nearstat.adversaries import affine_map_from_parameters
 
     g = ChannelInstance(w=[0.02, -0.01, 0.015], clamp=-1.0, affine=affine_map_from_parameters(2, 3))
     X = np.random.default_rng(24).normal(size=(6, 3))
     want = [max(0.0, (g.eval(x).value - g.clamp) / 7.0) for x in X]
-    calls = []
-    eval_batch = ChannelInstance.eval_batch
+    values = g.eval_batch(X)[0]
 
-    def counted(self, rows):
-        calls.append(len(rows))
-        return eval_batch(self, rows)
+    def refuse(self, rows):
+        raise AssertionError("a certificate builder evaluated the instance")
 
-    monkeypatch.setattr(ChannelInstance, "eval_batch", counted)
-    certs = near_stationarity_distance_lb(g, X)
-    assert calls == [6]
+    monkeypatch.setattr(ChannelInstance, "eval_batch", refuse)
+    certs = near_stationarity_distance_lb(g, values)
     assert [c.value for c in certs] == want
     assert all(c.kind == KIND_NEAR_DISTANCE and c.certified for c in certs)
-
-
-def test_near_distance_bounds_reject_bad_rows():
-    g = ChannelInstance(w=[0.3, 0.0], clamp=-1.0)
-    for bad in ([[0.0, np.nan]], [[0.0, 0.0], [np.inf, 0.0]]):
-        with pytest.raises(DegenerateInputError):
-            near_stationarity_distance_lb(g, bad)
-    with pytest.raises(DimensionMismatchError):
-        near_stationarity_distance_lb(g, [0.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
-        near_stationarity_distance_lb(g, [[0.0, 0.0, 0.0]])
 
 
 def test_constants_table_defaults():
