@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import time
 from dataclasses import dataclass, field
 
@@ -236,12 +237,14 @@ def resolve_output_dir(config_path: str | None) -> str:
 
 
 def write_output(path: str, text: str) -> None:
-    """Write ``text`` to a new file at ``path``, deleting whatever file (or
-    symlink) was there: creating a file costs less than truncating one, and a
-    crash cannot leave old bytes after the new ones."""
+    """Write ``text`` to ``path``.  A regular file or symlink there is deleted
+    and a new file created, which costs less than truncating the old one; any
+    other path (a device such as ``/dev/null``, a FIFO) is opened for writing."""
     with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-    with open(path, "x") as fh:
+        mode = os.lstat(path).st_mode
+        if stat.S_ISREG(mode) or stat.S_ISLNK(mode):
+            os.unlink(path)
+    with open(path, "w") as fh:
         fh.write(text)
 
 
@@ -848,14 +851,14 @@ def certify_point(
     instance = zoo.instance_from_json(function_doc)
     x = np.asarray(point, dtype=float)
     if notion == "eps":
-        value, grad, diff, *channel_codes = instance.eval_batch(as_vector(x)[None, :])
-        reply = zoo.FirstOrderReply(value[0], grad[0], diff[0])  # rejects a non-finite reply
+        out = instance.eval_batch(as_vector(x)[None, :])
+        reply = zoo.FirstOrderReply(out[0][0], out[1][0], bool(out[2][0]))  # rejects non-finite
         cert = stationarity.certify_eps_stationary(x, reply.subgrad, eps)
         certs = [cert.to_json()]
         answered = cert.certified
-        if not answered and channel_codes:
+        if not answered and isinstance(instance, zoo.ChannelInstance):
             try:
-                bound = stationarity.subdiff_norm_lower_bound(instance, *channel_codes)[0]
+                bound = stationarity.subdiff_norm_lower_bound(instance, out[3])[0]
             except ClampRegionError:  # no bound holds in a clamp region
                 return certs, answered
             certs.append(bound.to_json())

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 from unittest import mock
@@ -323,6 +324,23 @@ def test_figure_data_writes_file(tmp_path):
     assert proc.returncode == 0
     assert out.read_text().startswith("u,v,value")
     assert out.read_text() == run_cli(*argv).stdout
+
+
+def test_figure_data_writes_through_a_fifo(tmp_path, capsys):
+    # a path that is not a regular file or a symlink is opened, not replaced
+    fifo = tmp_path / "fig2.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    argv = ["figure-data", "--figure", "fig2", "--grid.nu", "3", "--grid.nv", "3"]
+    try:
+        assert cli.main([*argv, "--out", str(fifo)]) == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        written = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert written == capsys.readouterr().out
 
 
 def test_figure_data_rejects_non_grid_flags():
