@@ -455,18 +455,27 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # verification suites
 # ---------------------------------------------------------------------------
 
-# Rows per eval_batch call in the sampled checks.  Each sample group is
-# drawn whole and checked at once in blocks of this many rows, each reduced
-# on the spot; the temporaries of one block of the d = 4 channel (1.2 MB at
-# their peak under tracemalloc, its outputs included) stay in a 2 MB
-# per-core L2 cache.  eval_batch answers each row with the same bits in any
-# block, so the block size moves no detail.
+# Rows per eval_batch call in the sampled checks.  A sample group drawn from
+# uniforms alone is drawn one block of this many rows at a time (each entry
+# takes one draw, so the blocks hold the rows of the whole draw); a group that
+# mixes normals and uniforms is drawn whole, in its own helper so that its
+# arrays die when it returns, and checked in blocks.  Each block is reduced on
+# the spot; the temporaries of one block of the d = 4 channel (1.2 MB at their
+# peak under tracemalloc, its outputs included) stay in a 2 MB per-core L2
+# cache.  eval_batch answers each row with the same bits in any block, so the
+# block size moves no detail.
 VERIFY_BLOCK_ROWS = 8192
 
 
 def _row_blocks(n: int):
     """Slices of at most ``VERIFY_BLOCK_ROWS`` rows that cover rows 0..n-1 in order."""
     return (slice(i, i + VERIFY_BLOCK_ROWS) for i in range(0, n, VERIFY_BLOCK_ROWS))
+
+
+def _uniform_blocks(rng, n: int, d: int):
+    """The rows of ``rng.uniform(-2, 2, size=(n, d))``, one block at a time."""
+    for start in range(0, n, VERIFY_BLOCK_ROWS):
+        yield rng.uniform(-2.0, 2.0, size=(min(VERIFY_BLOCK_ROWS, n - start), d))
 
 
 def _grad_norm_range(instance, X) -> tuple[float, float]:
@@ -532,8 +541,54 @@ def verify_prop1(seed: int) -> list[CheckResult]:
     return checks
 
 
+def _max_value_ratio(instance, rng, n: int, d: int) -> float:
+    """Largest |f(a) - f(b)| / |a - b| over n random pairs."""
+    A = rng.uniform(-2.0, 2.0, size=(n, d))
+    B = rng.normal(size=(n, d))
+    B *= rng.uniform(1e-6, 1.0, size=(n, 1))
+    B += A
+    max_ratio = 0.0
+    for rows in _row_blocks(n):
+        a, b = A[rows], B[rows]
+        gaps = row_norms(a - b)
+        va, vb = instance.eval_batch(a)[0], instance.eval_batch(b)[0]
+        max_ratio = max(max_ratio, float((np.abs(va - vb) / np.where(gaps > 0, gaps, 1.0)).max()))
+    return max_ratio
+
+
+def _min_norm_near(instance, rng, n: int, d: int, center=None) -> float:
+    """Smallest subgradient norm over n points within 1e-6 of ``center``
+    (of the origin when it is None: adding a zero would turn -0.0 into +0.0)."""
+    X = rng.normal(size=(n, d))
+    X *= rng.uniform(0.0, 1e-6, size=(n, 1))
+    if center is not None:
+        X += center
+    return _grad_norm_range(instance, X)[0]
+
+
+def _min_norm_cone(instance, rng, n: int, d: int, w) -> float:
+    """Smallest subgradient norm over n points around the hinge boundary cone:
+    s = y + w at 60 degrees from w, where the hinge argument changes sign."""
+    cone = rng.normal(size=(n, d))
+    cone[:, 0] = 0.0
+    cone /= row_norms(cone)[:, None]
+    cone *= math.sqrt(3.0) / 2.0
+    cone += 0.5 * (w / np.linalg.norm(w))
+    cone *= rng.uniform(1e-3, 2.0, size=(n, 1))  # the radii
+    noise = rng.normal(size=(n, d))
+    noise *= rng.uniform(0.0, 1e-9, size=(n, 1))
+    cone += noise
+    del noise
+    cone -= w
+    return _grad_norm_range(instance, cone)[0]
+
+
 def verify_channel(seed: int) -> list[CheckResult]:
-    """Lipschitz ratio, no-small-subgradient, and per-region bound consistency."""
+    """Lipschitz ratio, no-small-subgradient, and per-region bound consistency.
+
+    Each sample group is drawn and checked in its own helper or loop, so only
+    one group's arrays are alive at a time.
+    """
     rng = derive_stream(seed, "certifier")
     d = 4
     w = np.zeros(d)
@@ -542,15 +597,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     checks = []
 
     n_pairs = 100_000
-    A = rng.uniform(-2.0, 2.0, size=(n_pairs, d))
-    B = A + rng.normal(size=(n_pairs, d)) * rng.uniform(1e-6, 1.0, size=(n_pairs, 1))
-    max_ratio = 0.0
-    for rows in _row_blocks(n_pairs):
-        a, b = A[rows], B[rows]
-        gaps = row_norms(a - b)
-        va, vb = instance.eval_batch(a)[0], instance.eval_batch(b)[0]
-        max_ratio = max(max_ratio, float((np.abs(va - vb) / np.where(gaps > 0, gaps, 1.0)).max()))
-    del A, B
+    max_ratio = _max_value_ratio(instance, rng, n_pairs, d)
     checks.append(
         CheckResult(
             "AC5",
@@ -560,28 +607,13 @@ def verify_channel(seed: int) -> list[CheckResult]:
         )
     )
 
-    # seven 100k-row draws give the rows of one 700k-row draw without holding them all
     n_bulk, n_near = 700_000, 100_000
     min_norm = min(
-        min(_grad_norm_range(instance, rng.uniform(-2.0, 2.0, size=(n_near, d)))[0]
-            for _ in range(n_bulk // n_near)),
-        _grad_norm_range(
-            instance, rng.normal(size=(n_near, d)) * rng.uniform(0.0, 1e-6, size=(n_near, 1))
-        )[0],
-        _grad_norm_range(
-            instance, -w + rng.normal(size=(n_near, d)) * rng.uniform(0.0, 1e-6, size=(n_near, 1))
-        )[0],
+        min(_grad_norm_range(instance, X)[0] for X in _uniform_blocks(rng, n_bulk, d)),
+        _min_norm_near(instance, rng, n_near, d),
+        _min_norm_near(instance, rng, n_near, d, -w),
+        _min_norm_cone(instance, rng, n_near, d, w),
     )
-    # Dense sampling around the hinge boundary cone: s = y + w at 60 degrees
-    # from w, where the hinge argument changes sign.
-    tang = rng.normal(size=(n_near, d))
-    tang[:, 0] = 0.0
-    tang /= row_norms(tang)[:, None]
-    radii = rng.uniform(1e-3, 2.0, size=(n_near, 1))
-    wbar = w / np.linalg.norm(w)
-    cone = radii * (0.5 * wbar + (math.sqrt(3.0) / 2.0) * tang)
-    cone += rng.normal(size=(n_near, d)) * rng.uniform(0.0, 1e-9, size=(n_near, 1))
-    min_norm = min(min_norm, _grad_norm_range(instance, cone - w)[0])
     checks.append(
         CheckResult(
             "AC5",
@@ -592,12 +624,11 @@ def verify_channel(seed: int) -> list[CheckResult]:
     )
 
     n_cons = 100_000
-    pts = rng.uniform(-2.0, 2.0, size=(n_cons, d))
     norms = np.empty(n_cons)
     codes = np.empty(n_cons, dtype=np.int8)
     consistent = True
-    for rows in _row_blocks(n_cons):
-        _, grads, diffs, codes[rows] = instance.eval_batch(pts[rows])
+    for rows, pts in zip(_row_blocks(n_cons), _uniform_blocks(rng, n_cons, d)):
+        _, grads, diffs, codes[rows] = instance.eval_batch(pts)
         norms[rows] = row_norms(grads)
         bounds = np.where(codes[rows] == zoo.CODE_HINGE_BOUNDARY, 1.0 / _SQRT2, 1.0)
         consistent &= bool(np.all(norms[rows][diffs] >= bounds[diffs] - 1e-9))

@@ -40,7 +40,7 @@ KIND_SUBDIFF_NORM = "subdiff_norm_lower_bound"
 WITNESS_KINDS = frozenset({KIND_EPS_WITNESS, KIND_DELTA_EPS_WITNESS})
 
 DEDUP_TOL = 1e-14
-# Entries of each pairwise comparison array built at once by _dedup.
+# Candidate row pairs that _dedup compares at once, one array entry per pair.
 _DEDUP_BLOCK_ENTRIES = 1 << 18
 DEFAULT_WOLFE_TOL = 1e-10
 
@@ -70,11 +70,9 @@ class MinNormResult:
 def _affine_min_norm(P: np.ndarray) -> np.ndarray:
     """Coefficients (summing to 1, sign-unconstrained) minimizing ||a @ P||."""
     m = len(P)
-    gram = P @ P.T
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = gram
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
+    kkt = np.ones((m + 1, m + 1))
+    kkt[:m, :m] = P @ P.T
+    kkt[m, m] = 0.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
     try:
@@ -84,31 +82,65 @@ def _affine_min_norm(P: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
+def _sorted_windows(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``column`` and, for each sorted entry, how many
+    of the entries right after it may lie within ``DEDUP_TOL`` of it.
+
+    In sorted order the rounded difference ``s[j] - s[i]`` never decreases as j
+    grows, so the entries close to ``s[i]`` form a window just after it; the
+    margin of 2 tolerances and 4 ulps covers the rounding of the sum.
+    """
+    order = np.argsort(column, kind="stable")
+    s = column[order]
+    ends = np.searchsorted(s, s + (2.0 * DEDUP_TOL + 4.0 * np.spacing(np.abs(s))), side="right")
+    return order, ends - np.arange(1, len(s) + 1)
+
+
 def _dedup(P: np.ndarray) -> np.ndarray:
     """Indices of the representative rows of P, ascending.
 
     Rows are scanned in order; a row within ``DEDUP_TOL`` (max-abs) of an
     earlier representative is a copy of it, any other row becomes a
-    representative.  Two rows are close when every column is: the pairwise
-    comparisons run one column at a time over row blocks of bounded size, and
-    only the rows close to an earlier row go through the sequential scan.
+    representative.  Two rows are close only if their first entries are, so
+    only the pairs in the sorted windows of column 0 are compared, column by
+    column, at most ``_DEDUP_BLOCK_ENTRIES`` pairs at a time; only the rows
+    close to an earlier row go through the sequential scan.
     """
     m = len(P)
-    columns = P.T
-    block = max(1, _DEDUP_BLOCK_ENTRIES // m)
-    pairs = []  # (row, earlier close row), ordered by row then earlier row
-    for start in range(0, m, block):
-        stop = min(m, start + block)
-        close = np.ones((stop - start, stop), dtype=bool)
-        for column in columns:
-            close &= np.abs(np.subtract.outer(column[start:stop], column[:stop])) <= DEDUP_TOL
-        rows, cols = np.nonzero(np.tril(close, k=start - 1))
-        pairs.extend(zip((rows + start).tolist(), cols.tolist()))
-    is_rep = [True] * m
-    for i, j in pairs:
+    if not _sorted_windows(P[:, 0])[1].any():
+        return np.arange(m)
+    # A row equal to an earlier row is never a representative: the earlier row
+    # either is one, or is close to one that the copy is close to as well.
+    lex = np.lexsort(P.T)
+    ranked = P[lex]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rows = np.sort(lex[first])
+    D = P[rows]
+    order, counts = _sorted_windows(D[:, 0])
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total == 0:
+        return rows
+    later, earlier = [], []
+    # candidate pairs are numbered in sorted order: those of sorted row i are
+    # ends[i] - counts[i] .. ends[i] - 1, pairing it with the rows right after it
+    for start in range(0, total, _DEDUP_BLOCK_ENTRIES):
+        k = np.arange(start, min(total, start + _DEDUP_BLOCK_ENTRIES))
+        i = np.searchsorted(ends, k, side="right")
+        a, b = order[i], order[k - ends[i] + counts[i] + i + 1]
+        for column in D.T:
+            near = np.abs(column[a] - column[b]) <= DEDUP_TOL
+            a, b = a[near], b[near]
+        later.append(np.maximum(a, b))
+        earlier.append(np.minimum(a, b))
+    later, earlier = np.concatenate(later), np.concatenate(earlier)
+    scan = np.lexsort((earlier, later))
+    is_rep = [True] * len(D)
+    for i, j in zip(later[scan].tolist(), earlier[scan].tolist()):
         if is_rep[i] and is_rep[j]:  # j's status is settled: its pairs came first
             is_rep[i] = False
-    return np.flatnonzero(is_rep)
+    return rows[is_rep]
 
 
 def min_norm_point(points) -> MinNormResult:
@@ -160,7 +192,7 @@ def min_norm_point(points) -> MinNormResult:
     while iterations < cap:
         iterations += 1
         dots = P @ x
-        j = int(np.argmin(dots))
+        j = int(dots.argmin())
         gap = float(x @ x - dots[j])
         if gap <= DEFAULT_WOLFE_TOL:
             converged = True
@@ -171,26 +203,27 @@ def min_norm_point(points) -> MinNormResult:
             converged = gap <= 1e-8 * max(1.0, float(x @ x))
             break
         active.append(j)
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, [0.0]))
         while True:
-            alpha = _affine_min_norm(P[active])
-            if np.all(alpha > DEDUP_TOL):
+            P_active = P[active]
+            alpha = _affine_min_norm(P_active)
+            if alpha.min() > DEDUP_TOL:
                 lam = alpha
                 break
             shrinking = alpha < lam
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(shrinking, lam / (lam - alpha), np.inf)
-            theta = min(1.0, float(np.min(ratios)))
+            theta = min(1.0, float(ratios.min()))
             lam = (1.0 - theta) * lam + theta * alpha
             lam[lam < DEDUP_TOL] = 0.0
             keep = lam > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(alpha))] = True
+            if not keep.any():
+                keep[int(alpha.argmax())] = True
                 lam[keep] = 1.0
             active = [a for a, k in zip(active, keep) if k]
             lam = lam[keep]
             lam = lam / lam.sum()
-        x = lam @ P[active]
+        x = lam @ P_active
     return finish(active, lam, iterations, converged)
 
 

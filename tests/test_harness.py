@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -572,6 +573,18 @@ def test_streamed_verify_suites_keep_every_detail(seed):
     prop1 = harness.verify_prop1(seed)
     assert prop1[1].details == {"min_gradient_norm": float(inner.min())}
     assert prop1[2].details == {"max_gradient_norm": float(outer.max())}
+
+
+def test_verify_channel_frees_each_sample_group():
+    # each group's arrays die before the next group is drawn: the 100k x 4
+    # pair group (two 3.2 MB arrays) is the largest thing alive at any time
+    tracemalloc.start()
+    try:
+        harness.verify_channel(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,31 +85,73 @@ def test_duplicate_points_share_one_coefficient():
 
 
 def reference_dedup(P):
-    """The row-by-row scan that _dedup vectorizes: indices of the representatives."""
+    """The row-by-row scan that _dedup reproduces: indices of the representatives."""
     reps = []
     for i, p in enumerate(P):
-        if all(np.max(np.abs(p - P[r])) > DEDUP_TOL for r in reps):
+        if not reps or (np.max(np.abs(p - P[reps]), axis=1) > DEDUP_TOL).all():
             reps.append(i)
     return reps
 
 
+def _rows_with_copies(rng, m, dim):
+    """Random rows with exact copies, copies shifted by 1/2 to 2 tolerances,
+    ties in column 0, signed zeros and magnitudes where an ulp exceeds the
+    tolerance, so that closeness is not transitive and the scan order decides
+    owners."""
+    scale = rng.choice([1.0, 1e-13, 1e3])
+    P = rng.normal(size=(m, dim)) * scale
+    shifts = np.array([0.0, 0.0, 0.5, 1.0, 2.0]) * DEDUP_TOL
+    for i in rng.integers(0, m, size=m // 2):
+        j = int(rng.integers(0, m))
+        P[i] = P[j] + rng.choice(shifts) * rng.choice([-1.0, 1.0], size=dim)
+    for i in rng.integers(0, m, size=m // 8):  # the same first entry, other later ones
+        P[i, 0] = P[int(rng.integers(0, m)), 0]
+    P[rng.random(size=(m, dim)) < 0.05] = 0.0
+    P[rng.random(size=(m, dim)) < 0.05] = -0.0
+    return P
+
+
 @pytest.mark.parametrize("block_entries", [None, 7])
 def test_dedup_matches_reference_scan(block_entries, monkeypatch):
-    # exact duplicates and copies shifted by 0, 1/2, 1 and 2 tolerances, so
-    # that closeness is not transitive and the scan order decides owners;
-    # a tiny comparison block splits the rows into many blocks
+    # a tiny block splits the candidate pairs, and single rows' windows,
+    # across many chunks
     if block_entries is not None:
         monkeypatch.setattr(stationarity, "_DEDUP_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(8)
-    shifts = np.array([0.0, 0.5, 1.0, 2.0]) * DEDUP_TOL
     for trial in range(300):
-        m = int(rng.integers(1, 70))
-        dim = int(rng.integers(1, 6))
-        P = rng.normal(size=(m, dim)) * (1e-13 if trial % 5 == 0 else 1.0)
-        for i in rng.integers(0, m, size=m // 2):
-            j = int(rng.integers(0, m))
-            P[i] = P[j] + rng.choice(shifts) * rng.choice([-1.0, 1.0], size=dim)
-        assert _dedup(P).tolist() == reference_dedup(P)
+        m = int(rng.integers(1, 600 if trial % 10 == 0 else 70))
+        P = _rows_with_copies(rng, m, int(rng.integers(1, 6)))
+        assert _dedup(P).tolist() == reference_dedup(P), trial
+
+
+def test_dedup_time_budget():
+    # the sorted window makes the common case (no two first entries close)
+    # and a block of identical rows cost one sort each, not m^2 comparisons
+    rng = np.random.default_rng(20)
+    for P, reps in (
+        (rng.normal(size=(20_000, 6)), list(range(20_000))),
+        (np.ones((4097, 6)), [0]),
+    ):
+        t0 = time.perf_counter()
+        got = _dedup(P).tolist()
+        elapsed = time.perf_counter() - t0
+        assert got == reps
+        assert elapsed < 0.5, (P.shape, elapsed)
+
+
+def test_dedup_memory_is_bounded_by_the_block(monkeypatch):
+    # 2,000 distinct rows with one first entry: every pair is a candidate,
+    # about 2e6 of them, yet no chunk holds more than the block
+    monkeypatch.setattr(stationarity, "_DEDUP_BLOCK_ENTRIES", 1 << 10)
+    P = np.column_stack([np.zeros(2000), np.arange(2000.0)])
+    tracemalloc.start()
+    try:
+        got = _dedup(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == list(range(2000))
+    assert peak < 1_000_000, peak
 
 
 def test_dedup_chain_within_tolerance_keeps_scan_order():
