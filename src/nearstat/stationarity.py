@@ -107,6 +107,8 @@ def _dedup(P: np.ndarray) -> np.ndarray:
     close to an earlier row go through the sequential scan.
     """
     m = len(P)
+    # Sampled subgradients seldom hold two close rows; settling that from the
+    # sorted column alone skips the lexsort and a second sort.
     if not _sorted_windows(P[:, 0])[1].any():
         return np.arange(m)
     # A row equal to an earlier row is never a representative: the earlier row
