@@ -1,0 +1,38 @@
+"""Every command of the manifest grid still finds and outputs what
+``contract_manifest.json`` records (see ``contract_manifest.py``)."""
+
+import tempfile
+
+import pytest
+
+import contract_manifest
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    return contract_manifest.load()
+
+
+@pytest.fixture(scope="module")
+def entries():
+    with tempfile.TemporaryDirectory() as tmp:
+        return dict(contract_manifest.outcomes(tmp))
+
+
+def test_manifest_verdicts_and_exit_codes_hold(manifest, entries):
+    # portable across builds: the grid, each exit code, verdict and error type
+    assert list(entries) == list(manifest["entries"])
+    moved = {
+        name: entry
+        for name, entry in entries.items()
+        if {**entry, "sha256": None} != {**manifest["entries"][name], "sha256": None}
+    }
+    assert not moved
+
+
+def test_manifest_digests_hold(manifest, entries):
+    found, recorded = contract_manifest.fingerprint(), manifest["fingerprint"]
+    if found != recorded:
+        pytest.skip(f"verdicts compared, digests not: build {found}, manifest {recorded}")
+    moved = [name for name, entry in entries.items() if entry != manifest["entries"].get(name)]
+    assert not moved
