@@ -267,39 +267,35 @@ def write_report_files(report: Report, out_dir: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def run_quad_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
-    start = time.perf_counter()
+def _exp_t_verdict(criterion: str, minimizer: str, distances, T: int, solver: str) -> CheckResult:
+    """The span lower bound: no iterate comes within exp(-T) of ``minimizer``."""
+    mind = float(distances.min())
+    bound = math.exp(-T)
+    name = f"min iterate distance to {minimizer} >= exp(-T)"
+    return CheckResult(
+        criterion, name, mind >= bound, {"min_distance": mind, "bound": bound, "solver": solver}
+    )
+
+
+def run_quad_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> dict:
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
     rng = derive_stream(cfg.seed, "algorithm")
     transcript = play(descriptor, adversaries.chain_quadratic_oracle(hq), cfg.T, cfg.d, rng=rng)
     distances = query_distances(transcript, hq.x_star)
-    mind = float(distances.min())
-    bound = math.exp(-cfg.T)
-    verdict = CheckResult(
-        criterion="AC1",
-        name="min iterate distance to minimizer >= exp(-T)",
-        passed=mind >= bound,
-        details={"min_distance": mind, "bound": bound, "solver": descriptor.name},
-    )
-    return Report(
-        kind="experiment:quad_lower_bound",
-        config=cfg.echo(),
-        verdicts=[verdict],
-        records={"distances": distances.tolist()},
-        timing_seconds=time.perf_counter() - start,
-        transcripts={"transcript": transcript.to_jsonl()},
-    )
+    return {
+        "verdicts": [_exp_t_verdict("AC1", "minimizer", distances, cfg.T, descriptor.name)],
+        "records": {"distances": distances.tolist()},
+        "transcripts": {"transcript": transcript.to_jsonl()},
+    }
 
 
-def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
-    start = time.perf_counter()
+def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> dict:
     hq = adversaries.HardQuadratic(T=cfg.T, d=cfg.d)
     rb = adversaries.RotationBuilder(base=hq)
     rng = derive_stream(cfg.seed, "algorithm")
     transcript = play(descriptor, adversaries.rotation_oracle(rb), cfg.T, cfg.d, rng=rng)
     rotated = rb.materialized_map()
-    mind = float(query_distances(transcript, rotated.x_star).min())
-    bound = math.exp(-cfg.T)
+    distances = query_distances(transcript, rotated.x_star)
     values, grads = rotated.quad_rows(transcript.queries)
     rel_errs = np.maximum(
         np.abs(transcript.values - values) / np.maximum(1.0, np.abs(values)),
@@ -307,12 +303,7 @@ def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
     ).tolist()
     worst = max(rel_errs)
     verdicts = [
-        CheckResult(
-            criterion="AC2",
-            name="min iterate distance to rotated minimizer >= exp(-T)",
-            passed=mind >= bound,
-            details={"min_distance": mind, "bound": bound, "solver": descriptor.name},
-        ),
+        _exp_t_verdict("AC2", "rotated minimizer", distances, cfg.T, descriptor.name),
         CheckResult(
             criterion="AC2",
             name="materialized replies match recorded replies (relative 1e-12)",
@@ -320,18 +311,14 @@ def run_det_lower_bound(cfg: ExperimentConfig, descriptor, acfg) -> Report:
             details={"worst_relative_error": worst},
         ),
     ]
-    return Report(
-        kind="experiment:det_lower_bound",
-        config=cfg.echo(),
-        verdicts=verdicts,
-        records={"reply_relative_errors": rel_errs},
-        timing_seconds=time.perf_counter() - start,
-        transcripts={"transcript": transcript.to_jsonl()},
-    )
+    return {
+        "verdicts": verdicts,
+        "records": {"reply_relative_errors": rel_errs},
+        "transcripts": {"transcript": transcript.to_jsonl()},
+    }
 
 
-def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
-    start = time.perf_counter()
+def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> dict:
     instance, diag = adversaries.build_channel_instance(
         acfg, descriptor, cfg.T, cfg.d, rng_state=channel_streams(cfg.seed, acfg)
     )
@@ -386,25 +373,18 @@ def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> Report:
             details={"value_at_zero": h_at_zero},
         ),
     ]
-    return Report(
-        kind="experiment:theorem1",
-        config=cfg.echo(),
-        verdicts=verdicts,
-        records={
-            "h_values": h_values,
-            "distances": diag["distances"],
-            "alignments": diag["alignments"],
-            "coincidence_hypothesis": diag["coincidence_hypothesis"],
-            "w_norm": diag["w_norm"],
-        },
-        certificates=[c.to_json() for c in certs],
-        timing_seconds=time.perf_counter() - start,
-        transcripts={"transcript": replay_text, "transcript_base": base_text},
-    )
+    records = {"h_values": h_values}
+    for key in ("distances", "alignments", "coincidence_hypothesis", "w_norm"):
+        records[key] = diag[key]
+    return {
+        "verdicts": verdicts,
+        "records": records,
+        "certificates": [c.to_json() for c in certs],
+        "transcripts": {"transcript": replay_text, "transcript_base": base_text},
+    }
 
 
-def run_theorem1_randomized(cfg: ExperimentConfig, descriptor, acfg) -> Report:
-    start = time.perf_counter()
+def run_theorem1_randomized(cfg: ExperimentConfig, descriptor, acfg) -> dict:
     streams = channel_streams(cfg.seed, acfg)
     max_alignments = []
     game = None
@@ -427,16 +407,11 @@ def run_theorem1_randomized(cfg: ExperimentConfig, descriptor, acfg) -> Report:
             "analytic_bound": randomized_alignment_bound(cfg.T, cfg.d),
         },
     )
-    return Report(
-        kind="experiment:theorem1_randomized",
-        config=cfg.echo(),
-        verdicts=[verdict],
-        records={"max_alignments": max_alignments},
-        timing_seconds=time.perf_counter() - start,
-    )
+    return {"verdicts": [verdict], "records": {"max_alignments": max_alignments}}
 
 
-# each runner takes what resolve() returns: the config, its solver, its adversary
+# each runner takes what resolve() returns, the config, its solver and its adversary,
+# and returns what it found: verdicts, records, and certificates and transcripts if any
 EXPERIMENTS = {
     "quad_lower_bound": run_quad_lower_bound,
     "det_lower_bound": run_det_lower_bound,
@@ -447,8 +422,16 @@ EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
+    """The report of ``cfg``'s experiment: what its runner found, timed, named and echoed."""
     cfg, descriptor, acfg = resolve(cfg)
-    return EXPERIMENTS[cfg.experiment](cfg, descriptor, acfg)
+    start = time.perf_counter()
+    found = EXPERIMENTS[cfg.experiment](cfg, descriptor, acfg)
+    return Report(
+        kind=f"experiment:{cfg.experiment}",
+        config=cfg.echo(),
+        timing_seconds=time.perf_counter() - start,
+        **found,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def test_theorem1_ac6_is_bitwise(monkeypatch, index, tamper):
     assert played[0].same_bits(expected)
 
 
-def _theorem1_by_replay(cfg, descriptor, acfg) -> harness.Report:
+def _theorem1_by_replay(cfg, descriptor, acfg) -> dict:
     """theorem1 with AC6 decided by replaying the whole game on the composed
     channel, on a fresh algorithm stream: the reference for the one-batch check."""
     instance, diag = adversaries.build_channel_instance(
@@ -345,14 +345,16 @@ def _theorem1_by_replay(cfg, descriptor, acfg) -> harness.Report:
     records = {"h_values": h_values}
     for key in ("distances", "alignments", "coincidence_hypothesis", "w_norm"):
         records[key] = diag[key]
-    return harness.Report(
-        kind="experiment:theorem1",
-        config=cfg.echo(),
-        verdicts=verdicts,
-        records=records,
-        certificates=[c.to_json() for c in certs],
-        transcripts={"transcript": replay.to_jsonl(), "transcript_base": base.to_jsonl()},
-    )
+    return {
+        "verdicts": verdicts,
+        "records": records,
+        "certificates": [c.to_json() for c in certs],
+        "transcripts": {"transcript": replay.to_jsonl(), "transcript_base": base.to_jsonl()},
+    }
+
+
+def _theorem1_report(cfg, found: dict) -> harness.Report:
+    return harness.Report(kind="experiment:theorem1", config=cfg.echo(), **found)
 
 
 def _same_report(report, reference) -> None:
@@ -381,7 +383,8 @@ def test_theorem1_report_matches_the_replayed_game(solver, T, d):
     if solver["name"] not in ("subgrad", "steepest"):
         doc["adversary"] = {"mode": adversaries.MODE_RANDOMIZED}
     cfg, descriptor, acfg = harness.resolve(ExperimentConfig.from_dict(doc))
-    _same_report(run_experiment(cfg), _theorem1_by_replay(cfg, descriptor, acfg))
+    reference = _theorem1_report(cfg, _theorem1_by_replay(cfg, descriptor, acfg))
+    _same_report(run_experiment(cfg), reference)
 
 
 def test_theorem1_report_matches_the_replayed_game_where_ac6_fails():
@@ -395,9 +398,10 @@ def test_theorem1_report_matches_the_replayed_game_where_ac6_fails():
     failed = 0
     for seed in range(8):
         cfg = ExperimentConfig(experiment="theorem1", T=5, d=10, seed=seed)
-        report = harness.run_theorem1(cfg, descriptor, acfg)
-        failed += not report.verdicts[0].passed
-        _same_report(report, _theorem1_by_replay(cfg, descriptor, acfg))
+        found = harness.run_theorem1(cfg, descriptor, acfg)
+        failed += not found["verdicts"][0].passed
+        reference = _theorem1_by_replay(cfg, descriptor, acfg)
+        _same_report(_theorem1_report(cfg, found), _theorem1_report(cfg, reference))
     assert failed
 
 
