@@ -860,11 +860,16 @@ def certify_point(
     """Certify a point of a serialized zoo function; returns (certs, answered).
 
     ``answered`` means the certificates settle the question at the requested
-    level: a witness, or an analytic lower bound above eps (refutation).
+    level: a witness, or an analytic lower bound above eps (refutation).  A
+    fault in an argument (a point of the wrong dimension, a bad eps, delta,
+    sample count or stencil) is a ConfigError, raised before any evaluation.
     """
     instance = zoo.instance_from_json(function_doc)
     x = np.asarray(point, dtype=float)
+    if x.shape != (instance.dim,):
+        raise ConfigError(f"--point has shape {x.shape}; the function takes ({instance.dim},)")
     if notion == "eps":
+        _argument_check(stationarity.check_eps, eps)
         out = instance.eval_batch(as_vector(x)[None, :])
         reply = zoo.FirstOrderReply(out[0][0], out[1][0], bool(out[2][0]))  # rejects non-finite
         cert = stationarity.certify_eps_stationary(x, reply.subgrad, eps)
@@ -887,9 +892,19 @@ def certify_point(
         else:
             sampling = int(samples if samples is not None else 64)
             rng = derive_stream(seed, "certifier")
+        _argument_check(stationarity.check_delta_eps, len(x), delta, eps, sampling)
         cert = stationarity.certify_delta_eps(instance, x, delta, eps, sampling, rng_state=rng)
         return [cert.to_json()], cert.certified
     raise ConfigError(f"unknown stationarity notion {notion!r}")
+
+
+def _argument_check(check, *args) -> None:
+    """``check(*args)``, one of stationarity's argument checks, with the fault it
+    finds raised as a ConfigError; a fault found while evaluating stays as it is."""
+    try:
+        check(*args)
+    except ValueError as exc:  # DegenerateInputError, DimensionMismatchError
+        raise ConfigError(str(exc)) from exc
 
 
 def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:

@@ -250,15 +250,21 @@ class _GoldsteinPolicy(QueryPolicy):
 
 def goldstein_descent(
     delta: float,
-    samples_per_step: int = 32,
+    samples_per_step: int | None = None,
     schedule: StepSchedule | None = None,
     eps_stop: float = 1e-8,
     stencil=None,
 ) -> AlgorithmDescriptor:
+    """Each round samples ``samples_per_step`` points of the delta-ball (32 when
+    not given), or asks a fixed ``stencil`` of offsets, which takes no count."""
     if number("delta", delta) <= 0.0:
         raise DegenerateInputError("ball radius must be positive")
-    if count("samples_per_step", samples_per_step) < 1 and stencil is None:
-        raise DegenerateInputError("need at least one sample per step")
+    if stencil is not None and samples_per_step is not None:
+        raise DegenerateInputError("a stencil fixes each round, so it takes no samples_per_step")
+    if stencil is None:
+        samples_per_step = 32 if samples_per_step is None else samples_per_step
+        if count("samples_per_step", samples_per_step) < 1:
+            raise DegenerateInputError("need at least one sample per step")
     if number("eps_stop", eps_stop) < 0.0:
         raise DegenerateInputError("stopping threshold must be nonnegative")
     if stencil is not None:

@@ -279,11 +279,16 @@ class StationarityCertificate:
         return doc
 
 
+def check_eps(eps: float) -> None:
+    """Refuse a negative stationarity threshold."""
+    if eps < 0.0:
+        raise DegenerateInputError(f"eps must be nonnegative, not {eps!r}")
+
+
 def certify_eps_stationary(x, subgrad, eps: float) -> StationarityCertificate:
     """Certificate from the single subgradient an oracle returned at x."""
     x = as_vector(x)
-    if eps < 0.0:
-        raise DegenerateInputError("eps must be nonnegative")
+    check_eps(eps)
     value = float(np.linalg.norm(subgrad))
     certified = value <= eps
     witness = None
@@ -300,6 +305,33 @@ def certify_eps_stationary(x, subgrad, eps: float) -> StationarityCertificate:
     )
 
 
+def check_delta_eps(d: int, delta: float, eps: float, sampling) -> np.ndarray | None:
+    """Refuse a bad argument of :func:`certify_delta_eps` at a point of dimension
+    d before anything is drawn or evaluated; returns the stencil's offsets as
+    rows, or None when ``sampling`` is a sample count."""
+    check_eps(eps)
+    if delta <= 0.0:
+        raise DegenerateInputError(f"delta must be positive, not {delta!r}")
+    if isinstance(sampling, (int, np.integer)):
+        if sampling < 0:
+            raise DegenerateInputError(f"samples must be nonnegative, not {sampling!r}")
+        return None
+    stencil = [as_vector(o) for o in sampling]
+    if not stencil:
+        raise DegenerateInputError("stencil needs at least one offset")
+    # the first offending offset decides the error, so the ball check
+    # covers the offsets before the first one of the wrong shape
+    fit = next((i for i, o in enumerate(stencil) if o.shape != (d,)), len(stencil))
+    offsets = np.array(stencil[:fit]).reshape(fit, d)
+    if (row_norms(offsets) > ball_norm_limit(delta)).any():
+        raise DegenerateInputError(f"stencil offset outside the delta-ball of radius {delta!r}")
+    if fit < len(stencil):
+        raise DimensionMismatchError(
+            f"stencil offset {fit} has length {len(stencil[fit])}, not the point's {d}"
+        )
+    return offsets
+
+
 def certify_delta_eps(
     oracle,
     x,
@@ -312,37 +344,21 @@ def certify_delta_eps(
 
     ``sampling`` is either an integer (that many uniform draws from the ball,
     plus the center) or a sequence of offsets from x (a stencil, each of norm
-    at most delta).  A value <= eps certifies (delta, eps)-stationarity; a
-    larger value certifies nothing, which is why ``sound_direction`` says
-    ``stationarity_only``.  The ball draws are one sampler call, and the
-    points are answered with one call of the oracle's batch form.
+    at most delta), checked by :func:`check_delta_eps`.  A value <= eps
+    certifies (delta, eps)-stationarity; a larger value certifies nothing,
+    which is why ``sound_direction`` says ``stationarity_only``.  The ball
+    draws are one sampler call, and the points are answered with one call of
+    the oracle's batch form.
     """
     x = as_vector(x)
-    if delta <= 0.0:
-        raise DegenerateInputError("delta must be positive")
-    if eps < 0.0:
-        raise DegenerateInputError("eps must be nonnegative")
     d = len(x)
-    misshaped = False
-    if isinstance(sampling, (int, np.integer)):
-        if sampling < 0:
-            raise DegenerateInputError("sample count must be nonnegative")
+    offsets = check_delta_eps(d, delta, eps, sampling)
+    if offsets is None:
         if rng_state is None:
             raise DegenerateInputError("ball sampling needs an rng")
         offsets = np.vstack([np.zeros(d), sample_ball_batch(d, delta, sampling, rng_state)])
-    else:
-        stencil = [as_vector(o) for o in sampling]
-        if not stencil:
-            raise DegenerateInputError("stencil sampling needs at least one offset")
-        # the first offending offset decides the error, so the ball check
-        # covers the offsets before the first one of the wrong shape
-        fit = next((i for i, o in enumerate(stencil) if o.shape != (d,)), len(stencil))
-        offsets = np.array(stencil[:fit]).reshape(fit, d)
-        misshaped = fit < len(stencil)
-    if (row_norms(offsets) > ball_norm_limit(delta)).any():
-        raise DegenerateInputError("sampled point left the delta-ball")
-    if misshaped:
-        raise DimensionMismatchError("stencil offset dimension mismatch")
+        if (row_norms(offsets) > ball_norm_limit(delta)).any():
+            raise DegenerateInputError("sampled point left the delta-ball")
     points = x + offsets
     grads = batch_oracle(oracle)(points)[1]
     result = min_norm_point(grads)

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError
+from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError, count, number
 from nearstat.vectorspace import as_vector, row_norms
 
 # Absolute tolerance on the defining equalities of nondifferentiable regions.
@@ -307,10 +307,10 @@ class ChannelInstance:
 
     def __post_init__(self):
         self.w = as_vector(self.w)
+        if self.affine is not None and self.affine.dim != len(self.w):
+            raise DimensionMismatchError(f"w has {len(self.w)} entries, the map {self.affine.dim}")
         if np.linalg.norm(self.w) == 0.0:
             raise DegenerateInputError("channel parameter w must be nonzero")
-        if self.affine is not None and self.affine.dim != len(self.w):
-            raise DimensionMismatchError("affine map dimension does not match w")
 
     @property
     def dim(self) -> int:
@@ -467,24 +467,35 @@ def _map_fields(m: AffineMap) -> dict:
 
 
 def _field(doc, name: str, convert, where: str = "function document"):
-    """``convert(doc[name])``; a missing or ill-typed field is a ConfigError naming it."""
+    """``convert(name, doc[name])``; a missing or ill-typed field is a ConfigError naming it."""
     if not isinstance(doc, dict) or name not in doc:
         raise ConfigError(f"{where} must be a JSON object with a {name!r} field")
     try:
-        return convert(doc[name])
+        return convert(name, doc[name])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} field {name!r} is ill-typed: {exc}") from exc
+
+
+def _real(name: str, value) -> float:
+    return float(number(name, value))
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """A vector field: a list of numbers, each a JSON number, not ``true`` or a string."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of numbers, not {value!r}")
+    return as_vector([number(f"{name} entry", v) for v in value])
 
 
 def _map_from_fields(doc: dict) -> AffineMap:
     from nearstat import adversaries
 
-    x_star = _field(doc, "x_star", as_vector)
+    x_star = _field(doc, "x_star", _vector)
     chain = doc.get("chain")
     if chain is None:
         return identity_map(x_star)
-    T, d = _field(chain, "T", int, "chain"), _field(chain, "d", int, "chain")
-    k = _field(chain, "k", float, "chain")
+    T, d = _field(chain, "T", count, "chain"), _field(chain, "d", count, "chain")
+    k = _field(chain, "k", _real, "chain")
     m = adversaries.affine_map_from_parameters(T=T, d=d, rotation_frame=doc.get("rotation_frame"))
     if abs(k - adversaries.CHAIN_END_WEIGHT) > 1e-12:
         raise DegenerateInputError("chain end weight in document does not match construction")
@@ -495,20 +506,23 @@ def _map_from_fields(doc: dict) -> AffineMap:
 
 def instance_from_json(doc: dict):
     """The instance an :func:`instance_to_json` document describes; a ConfigError for a
-    document that is no object, of an unknown kind, or lacking or mistyping a field."""
-    kind = _field(doc, "kind", lambda kind: kind)
+    document that is no object, of an unknown kind, or lacking or mistyping a field,
+    numbers read as the config side reads them."""
+    kind = _field(doc, "kind", lambda name, kind: kind)
     if kind in ("spiral", "spiral_extended"):
-        return Spiral(delta=_field(doc, "delta", float), extended=(kind == "spiral_extended"))
+        return Spiral(delta=_field(doc, "delta", _real), extended=(kind == "spiral_extended"))
     if kind == "warga":
         return Warga()
     if kind == "norm_distance":
         return NormDistance(map=_map_from_fields(doc))
     if kind in ("channel", "channel_composed"):
-        return ChannelInstance(
-            w=_field(doc, "w", as_vector),
-            clamp=None if doc.get("clamp") is None else _field(doc, "clamp", float),
-            affine=_map_from_fields(doc) if kind == "channel_composed" else None,
-        )
+        w = _field(doc, "w", _vector)
+        clamp = None if doc.get("clamp") is None else _field(doc, "clamp", _real)
+        affine = _map_from_fields(doc) if kind == "channel_composed" else None
+        try:
+            return ChannelInstance(w=w, clamp=clamp, affine=affine)
+        except DimensionMismatchError as exc:
+            raise ConfigError(f"function document field 'w' has the wrong length: {exc}") from exc
     raise ConfigError(f"unknown function kind {kind!r}")
 
 

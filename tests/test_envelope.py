@@ -8,6 +8,7 @@ test when a game starts.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -104,6 +105,12 @@ REJECTED = [
     " --solver.samples_per_step 2.5",
     "--experiment quad_lower_bound --solver.name smoothed --solver.delta 0.1"
     " --solver.samples_per_step 2.5",
+    # a stencil fixes Goldstein's round, so a sample count beside it would be ignored
+    "--experiment quad_lower_bound --T 2 --d 2 --solver.name goldstein --solver.delta 0.1"
+    " --solver.stencil [[0.05,0],[0,0.05]] --solver.samples_per_step 7",
+    "--experiment quad_lower_bound --T 2 --d 2 --solver.name goldstein --solver.delta 0.1"
+    " --solver.stencil [[0.05,0],[0,0.05]] --solver.samples_per_step 0",
+    "--experiment theorem1_randomized --T 5 --trials 0",
 ]
 
 
@@ -124,6 +131,29 @@ REJECTED_CERTIFY = [
     """ --stencil '[[0, 0.1] [0, -0.1]]'""",
     """--function '{"kind": "warga"}' --point a,b --eps 0.5""",
     """--function '{"kind": "mystery"}' --point 0,0 --eps 1""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --bogus 1""",
+    # an argument that stationarity's checks refuse, or a point of another
+    # dimension than the function's, is refused before any evaluation
+    """--function '{"kind": "warga"}' --point 0,0,0 --eps 0.5""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps -1""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps -1 --notion delta_eps --delta 0.1""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta -1""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --samples -1""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --stencil '[[0.5, 0]]'""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --stencil '[[0.01, 0, 0]]'""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --stencil '[]'""",
+    # a function document reads numbers as a config does: a JSON true or a
+    # string is no number
+    """--function '{"kind": "spiral", "delta": true}' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "spiral", "delta": "1.5"}' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "channel", "w": [0.3, true]}' --point 0,0 --eps 0.5""",
+    """--function '{"kind": "channel", "w": [0.3, "0.1"]}' --point 0,0 --eps 0.5""",
+    """--function '{"kind": "channel", "w": [0.3, 0], "clamp": "-1"}' --point 0,0 --eps 0.5""",
 ]
 
 
@@ -132,6 +162,89 @@ def test_malformed_certify_input_exits_two(argv):
     code, out, err = run_cli(["certify", *shlex.split(argv)])
     assert code == 2 and out == "", (argv, err)
     assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)
+
+
+@functools.cache
+def adversary_document() -> str:
+    """The composed channel that ``adversary`` writes at T = 5, d = 20."""
+    cfg = harness.ExperimentConfig(experiment="theorem1", T=5, d=20, seed=4242)
+    return harness.build_adversary_files(cfg)["instance.json"]
+
+
+@pytest.mark.parametrize(
+    "mutate, point, message",
+    [
+        pytest.param(
+            lambda doc: doc, "0,0,0", "--point has shape (3,); the function takes (20,)",
+            id="point-of-3",
+        ),
+        # the carved w's first five entries are zero, which once named the wrong fault
+        pytest.param(
+            lambda doc: {**doc, "w": doc["w"][:5]}, "0,0,0,0,0", "'w' has the wrong length",
+            id="w-of-5",
+        ),
+        pytest.param(
+            lambda doc: {**doc, "chain": {**doc["chain"], "T": 5.7}}, None,
+            "T must be an integer", id="chain-T-5.7",
+        ),
+        pytest.param(
+            lambda doc: {**doc, "clamp": "-1"}, None, "clamp must be a number", id="clamp-string"
+        ),
+        pytest.param(
+            lambda doc: {**doc, "w": [True, *doc["w"][1:]]}, None, "w entry must be a number",
+            id="w-entry-true",
+        ),
+    ],
+)
+def test_faulty_adversary_document_or_point_exits_two(mutate, point, message):
+    doc = mutate(json.loads(adversary_document()))
+    point = point or ",".join(["0"] * 20)
+    argv = ["certify", "--function", json.dumps(doc), "--point", point, "--eps", "0.5"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "", err
+    assert err.startswith("config error:") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--experiment", "quad_lower_bound", "--T"], "flag --T needs a value"),
+        (["run", "--T", "3", "stray"], "unexpected argument 'stray'"),
+        (["adversary", "--T", "5", "stray"], "unexpected argument 'stray'"),
+        (["figure-data", "--figure", "fig1", "--grid.nu", "1"], "at least 2 points per axis"),
+    ],
+)
+def test_malformed_flags_exit_two_before_play(argv, message):
+    with no_games():
+        code, out, err = run_cli(argv)
+    assert code == 2 and out == "", err
+    assert err.startswith("config error:") and message in err, err
+
+
+def test_a_config_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('[{"experiment": "quad_lower_bound"}]')
+    for command in ("run", "adversary"):
+        with no_games():
+            code, _, err = run_cli([command, "--config", str(path)])
+        assert code == 2 and err == "config error: config file must hold a JSON object\n"
+
+
+def test_a_flag_reads_the_same_as_key_equals_value(tmp_path):
+    flags = {"experiment": "det_lower_bound", "T": "4", "solver.name": "steepest"}
+    reports = []
+    for out, argv in (
+        (tmp_path / "a", [token for key, val in flags.items() for token in (f"--{key}", val)]),
+        (tmp_path / "b", [f"--{key}={val}" for key, val in flags.items()]),
+    ):
+        code, _, err = run_cli(["run", *argv, f"--output_path={out}"])
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        del report["timing_seconds"], report["config"]["output_path"]
+        reports.append((report, (out / "transcript.jsonl").read_text()))
+    assert reports[0] == reports[1]
+    config = reports[0][0]["config"]
+    assert (config["T"], config["solver"]) == (4, {"name": "steepest"})
 
 
 def _flags(experiment: str, solver: str, T, d, *extra: str) -> list[str]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nearstat import adversaries, cli, harness, solvers, stationarity, zoo
-from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError
+from nearstat.errors import ConfigError, DegenerateInputError
 from nearstat.harness import (
     DEFAULT_OUTPUT_DIR,
     ENV_OUTPUT_DIR,
@@ -652,6 +652,11 @@ def test_figure_csv_matches_reference_byte_for_byte(figure_id):
     assert ",-0.0," in texts[4]
 
 
+def test_figure_csv_refuses_an_unknown_figure():
+    with pytest.raises(ConfigError, match="unknown figure id 'fig9'"):
+        figure_csv("fig9")
+
+
 def test_figure_data_stdout_is_the_reference_csv(capsys):
     assert cli.main(["figure-data", "--figure", "fig2", "--grid.nu", "7", "--grid.nv", "3"]) == 0
     assert capsys.readouterr().out == reference_figure_csv("fig2", {"nu": 7, "nv": 3})
@@ -711,7 +716,8 @@ def test_certify_point_eps_evaluates_its_point_once(monkeypatch):
     "point, error, message",
     [
         ([np.nan, 0.0], DegenerateInputError, "vector has non-finite entries"),
-        ([1.0, 2.0, 3.0], DimensionMismatchError, "expected rows of dimension 2"),
+        # an argument fault, caught before the point is evaluated
+        ([1.0, 2.0, 3.0], ConfigError, r"--point has shape \(3,\); the function takes \(2,\)"),
         ([1e200, 1e200], DegenerateInputError, "oracle reply has non-finite entries"),
     ],
 )

@@ -247,6 +247,15 @@ def test_goldstein_validation():
         goldstein_descent(delta=0.1, stencil=[[True, 0.0]])
     with pytest.raises(DegenerateInputError):
         goldstein_descent(delta=0.1).fresh_policy(2, None)  # sampling needs rng
+    # a stencil fixes the round: a sample count beside it, even 0, is refused
+    for count in (7, 0, 32):
+        with pytest.raises(DegenerateInputError, match="takes no samples_per_step"):
+            goldstein_descent(delta=0.1, samples_per_step=count, stencil=[[0.05, 0.0]])
+
+
+def test_goldstein_samples_32_points_a_round_by_default():
+    rng = np.random.default_rng(8)
+    assert goldstein_descent(delta=0.3).fresh_policy(2, rng).round_size == 33
 
 
 # ---------------------------------------------------------------------------
