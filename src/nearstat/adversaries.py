@@ -50,8 +50,8 @@ _SQRT2 = math.sqrt(2.0)
 CHAIN_END_WEIGHT = (_SQRT2 + 3.0) / (_SQRT2 + 1.0)  # k
 CHAIN_RATIO = (_SQRT2 - 1.0) / (_SQRT2 + 1.0)  # q
 
-# Below this, ||w|| drops into a range where double precision starts eating
-# the construction's slack.
+# The envelope's chosen floor on ||w||; no failing verdict marks it as where
+# double precision gives out.
 W_NORM_FLOOR = 1e-11
 
 
