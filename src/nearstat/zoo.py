@@ -481,10 +481,13 @@ def _real(name: str, value) -> float:
 
 
 def _vector(name: str, value) -> np.ndarray:
-    """A vector field: a list of numbers, each a JSON number, not ``true`` or a string."""
+    """A vector field: a list of JSON numbers; ``true`` and strings are no numbers."""
     if not isinstance(value, list):
-        raise TypeError(f"{name} must be a list of numbers, not {value!r}")
-    return as_vector([number(f"{name} entry", v) for v in value])
+        raise TypeError(f"{name} must be a list of numbers, not {type(value).__name__}")
+    for v in value:
+        if isinstance(v, (bool, str)):
+            raise TypeError(f"{name} entry must be a number, not {v!r}")
+    return as_vector(value)
 
 
 def _map_from_fields(doc: dict) -> AffineMap:

@@ -617,6 +617,8 @@ def test_figure_csv_grid():
     assert float(val) == figure_values("fig3", np.array([[-2.0, -2.0]]))[0]
     with pytest.raises(ConfigError):
         figure_csv("fig3", grid={"wat": 1})
+    with pytest.raises(ConfigError, match="unknown figure id 'fig9'"):
+        figure_csv("fig9")
 
 
 def reference_figure_csv(figure_id: str, grid: dict | None = None) -> str:
@@ -650,11 +652,6 @@ def test_figure_csv_matches_reference_byte_for_byte(figure_id):
     assert texts == [reference_figure_csv(figure_id, grid) for grid in FIGURE_GRIDS]
     assert "e+22" in texts[3] and "e-05" in texts[3]
     assert ",-0.0," in texts[4]
-
-
-def test_figure_csv_refuses_an_unknown_figure():
-    with pytest.raises(ConfigError, match="unknown figure id 'fig9'"):
-        figure_csv("fig9")
 
 
 def test_figure_data_stdout_is_the_reference_csv(capsys):
