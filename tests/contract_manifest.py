@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -115,7 +116,7 @@ def outcome(argv: list[str], out_dir: str | None = None) -> dict:
 
 def outcomes(tmp: str):
     """(name, entry) for every command of the grid, each writing under ``tmp``."""
-    counter = iter(range(10**6))
+    counter = itertools.count()
 
     def fresh() -> str:
         return os.path.join(tmp, str(next(counter)))
