@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
+import operator
 import os
 import stat
 import time
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
-from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count
+from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count, number
 from nearstat.oracle_game import (
     CLASS_RANDOMIZED,
     AlgorithmDescriptor,
@@ -833,12 +833,18 @@ def figure_csv(figure_id: str, grid: dict | None = None) -> str:
     vs = np.linspace(spec["vmin"], spec["vmax"], nv)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     points = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    values = figure_values(figure_id, points)
-    # row k is (us[k // nv], vs[k % nv]): format each coordinate once
-    coords = itertools.product(map(repr, us.tolist()), map(repr, vs.tolist()))
-    return "u,v,value\n" + "".join(
-        f"{u},{v},{val!r}\n" for (u, v), val in zip(coords, values.tolist())
-    )
+    values = figure_values(figure_id, points).reshape(nu, nv)
+    # u-major: each u is one block of nv lines "\nu,v,value", joined in C from
+    # the v cells (formatted once) and the repr of that grid row's values.  One
+    # join takes the header, the blocks and the last newline: adding the header
+    # and newline to a joined text would copy the whole text twice more.
+    v_cells = [f"{v!r}," for v in vs.tolist()]
+    blocks = ["u,v,value"]
+    for u, row in zip(us.tolist(), values):
+        lead = f"\n{u!r},"
+        blocks.append(lead + lead.join(map(operator.add, v_cells, map(repr, row.tolist()))))
+    blocks.append("\n")
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +874,8 @@ def certify_point(
     x = np.asarray(point, dtype=float)
     if x.shape != (instance.dim,):
         raise ConfigError(f"--point has shape {x.shape}; the function takes ({instance.dim},)")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"--point has non-finite entries: {x.tolist()}")
     if notion == "eps":
         _argument_check(stationarity.check_eps, eps)
         out = instance.eval_batch(as_vector(x)[None, :])
@@ -887,7 +895,7 @@ def certify_point(
         if delta is None:
             raise ConfigError("delta_eps certification needs --delta")
         if stencil is not None:
-            sampling = [np.asarray(o, dtype=float) for o in stencil]
+            sampling = _stencil_offsets(stencil)
             rng = None
         else:
             sampling = int(samples if samples is not None else 64)
@@ -896,6 +904,17 @@ def certify_point(
         cert = stationarity.certify_delta_eps(instance, x, delta, eps, sampling, rng_state=rng)
         return [cert.to_json()], cert.certified
     raise ConfigError(f"unknown stationarity notion {notion!r}")
+
+
+def _stencil_offsets(stencil) -> list[np.ndarray]:
+    """``--stencil`` as offsets: a list of lists of numbers, read by the config
+    rules (a JSON true or a string is no number)."""
+    if not isinstance(stencil, list) or not all(isinstance(o, list) for o in stencil):
+        raise ConfigError(f"--stencil must be a list of offsets, each a list, not {stencil!r}")
+    try:
+        return [np.array([number("--stencil entry", v) for v in o], dtype=float) for o in stencil]
+    except DegenerateInputError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _argument_check(check, *args) -> None:

@@ -280,9 +280,9 @@ class StationarityCertificate:
 
 
 def check_eps(eps: float) -> None:
-    """Refuse a negative stationarity threshold."""
-    if eps < 0.0:
-        raise DegenerateInputError(f"eps must be nonnegative, not {eps!r}")
+    """Refuse a stationarity threshold that is negative or not finite."""
+    if not 0.0 <= eps < math.inf:  # NaN fails both comparisons
+        raise DegenerateInputError(f"eps must be finite and nonnegative, not {eps!r}")
 
 
 def certify_eps_stationary(x, subgrad, eps: float) -> StationarityCertificate:
@@ -310,8 +310,8 @@ def check_delta_eps(d: int, delta: float, eps: float, sampling) -> np.ndarray | 
     d before anything is drawn or evaluated; returns the stencil's offsets as
     rows, or None when ``sampling`` is a sample count."""
     check_eps(eps)
-    if delta <= 0.0:
-        raise DegenerateInputError(f"delta must be positive, not {delta!r}")
+    if not 0.0 < delta < math.inf:
+        raise DegenerateInputError(f"delta must be finite and positive, not {delta!r}")
     if isinstance(sampling, (int, np.integer)):
         if sampling < 0:
             raise DegenerateInputError(f"samples must be nonnegative, not {sampling!r}")

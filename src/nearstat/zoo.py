@@ -123,8 +123,9 @@ class Spiral:
         u, v = X[:, 0], X[:, 1]
         theta = (math.pi / (2.0 * d)) * v
         amp = 2.0 * d + u
-        vals = amp * np.sin(theta)
-        grads = np.stack([np.sin(theta), (math.pi / (2.0 * d)) * amp * np.cos(theta)], axis=1)
+        sin = np.sin(theta)
+        vals = amp * sin
+        grads = np.stack([sin, (math.pi / (2.0 * d)) * amp * np.cos(theta)], axis=1)
         diffs = np.ones(len(X), dtype=bool)
         if not self.extended:
             return vals, grads, diffs

@@ -147,6 +147,19 @@ REJECTED_CERTIFY = [
     """ --stencil '[[0.01, 0, 0]]'""",
     """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
     """ --stencil '[]'""",
+    # a threshold or a point that is not finite certifies nothing
+    """--function '{"kind": "warga"}' --point 0,0 --eps inf""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps nan""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta nan""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta inf""",
+    """--function '{"kind": "warga"}' --point nan,0 --eps 0.5""",
+    # a stencil entry reads as a config number does
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --stencil '[["0.05", 0], [0, -0.05]]'""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 1.5"""
+    """ --stencil '[[true, 0]]'""",
+    """--function '{"kind": "warga"}' --point 0,0 --eps 0.5 --notion delta_eps --delta 0.1"""
+    """ --stencil 5""",
     # a function document reads numbers as a config does: a JSON true or a
     # string is no number
     """--function '{"kind": "spiral", "delta": true}' --point 0.3,0.2 --eps 0.5""",

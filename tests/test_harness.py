@@ -643,6 +643,10 @@ FIGURE_GRIDS = [
     {"umin": 2.0, "umax": -2.0, "vmin": 1.5, "vmax": -0.5, "nu": 5, "nv": 9},
     {"umin": -1e-7, "umax": 1e-7, "vmin": -3e-5, "vmax": 1e22, "nu": 4, "nv": 6},
     {"umin": -1.0, "umax": 1.0, "vmin": -0.0, "vmax": -1e-300, "nu": 3, "nv": 3},
+    # the edges of the one-block-per-u writer: fewest blocks, fewest lines a block
+    {"nu": 2, "nv": 2},
+    {"nu": 2, "nv": 31},
+    {"nu": 31, "nv": 2},
 ]
 
 
@@ -712,8 +716,8 @@ def test_certify_point_eps_evaluates_its_point_once(monkeypatch):
 @pytest.mark.parametrize(
     "point, error, message",
     [
-        ([np.nan, 0.0], DegenerateInputError, "vector has non-finite entries"),
-        # an argument fault, caught before the point is evaluated
+        # argument faults, caught before the point is evaluated
+        ([np.nan, 0.0], ConfigError, r"--point has non-finite entries: \[nan, 0.0\]"),
         ([1.0, 2.0, 3.0], ConfigError, r"--point has shape \(3,\); the function takes \(2,\)"),
         ([1e200, 1e200], DegenerateInputError, "oracle reply has non-finite entries"),
     ],
