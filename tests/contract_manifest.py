@@ -52,14 +52,24 @@ _VOLATILE_LINE = re.compile(r"wrote .*|\([\w:]+, \d+\.\d\ds\)")
 
 
 def fingerprint() -> dict:
-    """numpy's version, its BLAS and LAPACK, and the machine: what the digests rest on.
-    numpy before 1.26 cannot name its BLAS, so its fingerprint matches no manifest."""
+    """numpy's version, its BLAS and LAPACK, the machine and the SIMD targets
+    numpy dispatches to on this CPU (what ``np.show_runtime()`` lists as found):
+    what the digests rest on.  The same wheel picks other loops on a CPU with
+    other features, and some of those round differently.  numpy before 1.26
+    cannot name its BLAS, so its fingerprint matches no manifest."""
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
         blas, lapack = deps["blas"]["name"], deps["lapack"]["name"]
     except (TypeError, KeyError):
         blas = lapack = None
-    return {"numpy": np.__version__, "blas": blas, "lapack": lapack, "machine": platform.machine()}
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        simd = None
+    else:
+        simd = [target for target in __cpu_dispatch__ if __cpu_features__[target]]
+    return {"numpy": np.__version__, "blas": blas, "lapack": lapack,
+            "machine": platform.machine(), "simd": simd}
 
 
 def _invoke(argv: list[str]) -> tuple[int, str, str, str | None]:
