@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
-from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count, number
+from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count
 from nearstat.oracle_game import (
     CLASS_RANDOMIZED,
     AlgorithmDescriptor,
@@ -867,8 +867,9 @@ def certify_point(
 
     ``answered`` means the certificates settle the question at the requested
     level: a witness, or an analytic lower bound above eps (refutation).  A
-    fault in an argument (a point of the wrong dimension, a bad eps, delta,
-    sample count or stencil) is a ConfigError, raised before any evaluation.
+    fault in an argument (a point of the wrong dimension or not finite, a bad
+    eps, delta, sample count or stencil) is a ConfigError, raised before any
+    evaluation.
     """
     instance = zoo.instance_from_json(function_doc)
     x = np.asarray(point, dtype=float)
@@ -907,14 +908,13 @@ def certify_point(
 
 
 def _stencil_offsets(stencil) -> list[np.ndarray]:
-    """``--stencil`` as offsets: a list of lists of numbers, read by the config
-    rules (a JSON true or a string is no number)."""
-    if not isinstance(stencil, list) or not all(isinstance(o, list) for o in stencil):
-        raise ConfigError(f"--stencil must be a list of offsets, each a list, not {stencil!r}")
+    """``--stencil`` as offsets, each read as a function document's vectors are."""
+    if not isinstance(stencil, list):
+        raise ConfigError(f"--stencil must be a list of offsets, not {stencil!r}")
     try:
-        return [np.array([number("--stencil entry", v) for v in o], dtype=float) for o in stencil]
-    except DegenerateInputError as exc:
-        raise ConfigError(str(exc)) from exc
+        return [zoo.json_vector("offset", offset) for offset in stencil]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--stencil is ill-typed: {exc}") from exc
 
 
 def _argument_check(check, *args) -> None:

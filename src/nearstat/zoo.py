@@ -481,8 +481,8 @@ def _real(name: str, value) -> float:
     return float(number(name, value))
 
 
-def _vector(name: str, value) -> np.ndarray:
-    """A vector field: a list of JSON numbers; ``true`` and strings are no numbers."""
+def json_vector(name: str, value) -> np.ndarray:
+    """A vector read from JSON: a list of numbers; ``true`` and strings are no numbers."""
     if not isinstance(value, list):
         raise TypeError(f"{name} must be a list of numbers, not {type(value).__name__}")
     for v in value:
@@ -494,7 +494,7 @@ def _vector(name: str, value) -> np.ndarray:
 def _map_from_fields(doc: dict) -> AffineMap:
     from nearstat import adversaries
 
-    x_star = _field(doc, "x_star", _vector)
+    x_star = _field(doc, "x_star", json_vector)
     chain = doc.get("chain")
     if chain is None:
         return identity_map(x_star)
@@ -520,7 +520,7 @@ def instance_from_json(doc: dict):
     if kind == "norm_distance":
         return NormDistance(map=_map_from_fields(doc))
     if kind in ("channel", "channel_composed"):
-        w = _field(doc, "w", _vector)
+        w = _field(doc, "w", json_vector)
         clamp = None if doc.get("clamp") is None else _field(doc, "clamp", _real)
         affine = _map_from_fields(doc) if kind == "channel_composed" else None
         try:
