@@ -246,9 +246,9 @@ class RotationBuilder:
         for t, x in enumerate(X):
             self.constraints.absorb(x, AVOID_DROP_TOL)
             # extend_orthonormal has checked u against every constraint, the
-            # frame's rows among them; the frame's append checks its unit norm
+            # frame's rows among them, so the frame checks only its unit norm
             u = extend_orthonormal(self.constraints)
-            self.frame.append(u)
+            self.frame.append_orthogonal(u)
             self.constraints._store(u)
             value, grad = chain_value_grad(hq, x[None, :], frame=self.frame.matrix())
             values[t], grads[t] = value[0], grad[0]
@@ -315,11 +315,11 @@ class ChannelAdversaryConfig:
 def carve_direction(directions: np.ndarray) -> np.ndarray:
     """The unit w of the deterministic mode, carved with :func:`extend_orthonormal`
     against the numerical row space of ``directions``: the right singular vectors
-    whose singular values exceed ``CARVE_RANK_TOL`` times the largest.  A
-    last-bit change of the directions moves w by roundoff only."""
+    whose singular values exceed ``CARVE_RANK_TOL`` times the largest, which
+    seed the constraint frame as they are.  A last-bit change of the directions
+    moves w by roundoff only."""
     _, s, Vt = np.linalg.svd(directions, full_matrices=False)
-    basis = Vt[s > CARVE_RANK_TOL * s[0]]
-    return extend_orthonormal(None, avoid=list(basis), dim=directions.shape[1])
+    return extend_orthonormal(OrthonormalFrame.from_rows(Vt[s > CARVE_RANK_TOL * s[0]]))
 
 
 @dataclass

@@ -14,6 +14,7 @@ and serialize to JSON lines for replay.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,23 +129,57 @@ class Transcript:
         rows = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not rows:
             raise DegenerateInputError("empty transcript document")
-        t = cls(T=len(rows), d=len(rows[0]["query"]))
         try:
+            t = cls(T=len(rows), d=len(rows[0]["query"]))
             queries, values, subgrads = (
                 np.array([row[key] for row in rows], dtype=float)
                 for key in ("query", "value", "subgrad")
             )
-        except ValueError as exc:
-            raise DimensionMismatchError(f"transcript rows differ in shape: {exc}") from exc
+            flags = [row["differentiable"] for row in rows]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _entry_fault(rows) from exc
         if not np.isfinite(queries).all():
             raise DegenerateInputError("transcript query has non-finite entries")
         if not (np.isfinite(values).all() and np.isfinite(subgrads).all()):
             raise DegenerateInputError("oracle reply has non-finite entries")
-        flags = [row["differentiable"] for row in rows]
         if any(not isinstance(flag, bool) for flag in flags):
             raise DegenerateInputError("differentiable flags must be true or false")
-        t.extend(queries, values, subgrads, flags)
+        try:
+            t.extend(queries, values, subgrads, flags)
+        except DimensionMismatchError as exc:
+            raise _entry_fault(rows) from exc
         return t
+
+
+def _entry_fault(rows: list) -> ValueError:
+    """The typed error naming the first field of a transcript document that
+    does not read as a row, with its 1-based row; asked only once the document
+    as a whole has failed to read."""
+    vector = None  # the shape of row 1's query, which every query and subgradient shares
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, dict):
+            return DegenerateInputError(f"transcript row {i} is not an object")
+        for key in ("query", "value", "subgrad", "differentiable"):
+            if key not in row:
+                return DegenerateInputError(f"transcript row {i} has no {key!r}")
+        for key in ("query", "value", "subgrad"):
+            try:
+                shape = np.shape(np.array(row[key], dtype=float))
+            except (TypeError, ValueError):
+                return DegenerateInputError(
+                    f"{key} of transcript row {i} does not read as numbers: {row[key]!r}"
+                )
+            if vector is None and len(shape) != 1:
+                return DimensionMismatchError(
+                    f"query of transcript row 1 is not a list of numbers: {row[key]!r}"
+                )
+            vector = vector or shape
+            want = () if key == "value" else vector
+            if shape != want:
+                return DimensionMismatchError(
+                    f"{key} of transcript row {i} has shape {shape}, not {want}"
+                )
+    return DimensionMismatchError("transcript rows differ in shape")
 
 
 class QueryPolicy:
@@ -238,7 +273,9 @@ def validate_span(transcript: Transcript) -> tuple[bool, int | None]:
     The tolerance ``SPAN_TOL`` is relative to ``||x_t||`` when that norm
     exceeds 1, absolute otherwise.  Returns ``(ok, first_violating_index)`` with
     1-based indices.  The accepted subgradients are kept orthonormalized as
-    the rows of one array; x_t and g_t are projected off them together.
+    the rows of one array; x_t and g_t are projected off them together, and
+    their squared residuals are compared with squared limits, so a square
+    root is taken only when g_t widens the basis.
     """
     if len(transcript) == 0:
         raise DegenerateInputError("empty transcript")
@@ -246,26 +283,28 @@ def validate_span(transcript: Transcript) -> tuple[bool, int | None]:
     x_limits = SPAN_TOL * np.maximum(1.0, row_norms(X))
     x_limits[0] = SPAN_TOL  # x_1 = 0, absolutely
     g_limits = SUBGRAD_DROP_TOL * np.maximum(1.0, row_norms(G))
+    limits = np.square(np.stack([x_limits, g_limits], axis=1)).tolist()
     pairs = np.stack([X, G], axis=2)  # x_t and g_t as the columns of pairs[t]
     basis = np.zeros((min(len(X), transcript.d), transcript.d))
     k = 0
-    for t, pair in enumerate(pairs):
+    for t, (pair, (x_limit, g_limit)) in enumerate(zip(pairs, limits)):
         R = orthogonal_residual(basis[:k], pair)
-        x_res, g_res = np.linalg.norm(R, axis=0)
-        if x_res > x_limits[t]:
+        x_res, g_res = np.einsum("ij,ij->j", R, R).tolist()
+        if x_res > x_limit:
             return False, t + 1
-        if g_res > g_limits[t] and k < len(basis):
-            basis[k] = R[:, 1] / g_res
+        if g_res > g_limit and k < len(basis):
+            basis[k] = R[:, 1] / math.sqrt(g_res)
             k += 1
     return True, None
 
 
 def query_distances(transcript: Transcript, target) -> np.ndarray:
-    """Euclidean distance from each recorded query to ``target``, one 1-d
-    ``np.linalg.norm`` per row: :func:`row_norms` rounds differently."""
+    """Euclidean distance from each recorded query to ``target``: per row the
+    square root of its dot product with itself, a 1-d ``np.linalg.norm``'s
+    arithmetic without its dispatch.  :func:`row_norms` rounds differently."""
     if len(transcript) == 0:
         raise DegenerateInputError("empty transcript")
     target = as_vector(target)
     if target.shape != (transcript.d,):
         raise DimensionMismatchError("target dimension does not match the game")
-    return np.array([np.linalg.norm(row) for row in transcript.queries - target])
+    return np.array([math.sqrt(row.dot(row)) for row in transcript.queries - target])

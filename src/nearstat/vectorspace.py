@@ -112,17 +112,40 @@ class OrthonormalFrame:
         other._count = self._count
         return other
 
+    @classmethod
+    def from_rows(cls, rows) -> "OrthonormalFrame":
+        """A frame of the rows of a 2-d array, checked once: their Gram matrix
+        must be the identity within the frame tolerance."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise DimensionMismatchError(f"frame rows need a 2-d array, got shape {rows.shape}")
+        frame = cls(rows.shape[1])
+        gap = np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0)
+        if not gap <= frame_tolerance(frame.dim):  # a NaN gap fails too
+            raise DegenerateInputError(f"frame rows are not orthonormal: Gram gap {gap:.3e}")
+        frame._rows[: len(rows)] = rows
+        frame._count = len(rows)
+        return frame
+
     def append(self, v) -> None:
         """Add a vector after checking unit norm and orthogonality to the frame."""
+        v = self._unit(v)
+        if self._count and np.abs(self.matrix() @ v).max() > frame_tolerance(self.dim):
+            raise DegenerateInputError("frame vector breaks orthogonality")
+        self._store(v)
+
+    def append_orthogonal(self, v) -> None:
+        """Add a vector the caller has checked against every frame row; only
+        its dimension and unit norm are checked here."""
+        self._store(self._unit(v))
+
+    def _unit(self, v) -> np.ndarray:
         v = as_vector(v)
         if v.shape != (self.dim,):
             raise DimensionMismatchError(f"expected dimension {self.dim}, got {v.shape}")
-        tol = frame_tolerance(self.dim)
-        if abs(np.linalg.norm(v) - 1.0) > tol:
+        if abs(np.linalg.norm(v) - 1.0) > frame_tolerance(self.dim):
             raise DegenerateInputError("frame vector is not unit norm")
-        if self._count and np.abs(self.matrix() @ v).max() > tol:
-            raise DegenerateInputError("frame vector breaks orthogonality")
-        self._store(v)
+        return v
 
     def _store(self, v: np.ndarray) -> None:
         """Add a vector already known to be unit and orthogonal to the frame."""
@@ -152,9 +175,13 @@ def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None
 
     Candidates are the standard basis vectors in index order; the first whose
     residual against span(frame + avoid) exceeds ``CANDIDATE_RESIDUAL_TOL`` is
-    orthonormalized and returned.  All d candidates are scored at once, as the
-    columns of the identity's residual.  Requires strictly fewer constraints
-    than the ambient dimension.
+    orthonormalized and returned.  All d axes are scored in one O(k d) pass
+    from the k constraint rows Q: ||(I - Q^T Q) e_j||^2 = 1 - sum_k Q_kj^2.
+    Only the axes whose score clears (tol/2)^2, a margin far above that
+    formula's roundoff for a frame orthonormal to working precision, are
+    tried in index order, each by its CGS2 residual; the first whose norm
+    exceeds tol is taken.  No d x d array is formed.  Requires strictly fewer
+    constraints than the ambient dimension.
     """
     if frame is None:
         if dim is None:
@@ -172,14 +199,18 @@ def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None
     constraints = frame.copy() if avoid else frame
     for a in avoid:
         constraints.absorb(a, AVOID_DROP_TOL)
-    R = constraints.project_out(np.eye(d))
-    scores = np.linalg.norm(R, axis=0)
-    j = int(np.argmax(scores > CANDIDATE_RESIDUAL_TOL))
-    if scores[j] <= CANDIDATE_RESIDUAL_TOL:
+    Q = constraints.matrix()
+    scores = 1.0 - np.einsum("kj,kj->j", Q, Q)
+    for j in np.flatnonzero(scores > (CANDIDATE_RESIDUAL_TOL / 2) ** 2):
+        r = orthogonal_residual(Q, np.eye(1, d, j)[0])
+        norm = np.linalg.norm(r)
+        if norm > CANDIDATE_RESIDUAL_TOL:
+            break
+    else:
         raise NoOrthogonalDirectionError("all candidate residuals below tolerance")
-    u = R[:, j] / scores[j]
+    u = r / norm
     tol = frame_tolerance(d)
-    worst = np.abs(constraints.matrix() @ u).max(initial=0.0)
+    worst = np.abs(Q @ u).max(initial=0.0)
     if worst > tol:
         raise NoOrthogonalDirectionError(
             f"orthogonalization residual {worst:.3e} above tolerance {tol:.3e}"

@@ -12,7 +12,8 @@ After a change that moves outputs on purpose, rewrite the manifest with
 
     PYTHONPATH=src python3 tests/contract_manifest.py
 
-and its diff lists the outputs that moved.
+which prints each entry added, removed or moved against the file it
+overwrites (its diff lists the same outputs).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ MANIFEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "contra
 
 SEED = "4242"
 RUN_T = range(2, 20)
+# the rotation's and the carve's orthogonal extensions far past d = 4T
+LARGE_D_RUNS = (("det_lower_bound", 19, 400), ("theorem1", 19, 400))
 RANDOMIZED_SOLVERS = {
     "subgrad": [],
     "smoothed": ["--solver.delta", "0.1", "--solver.samples_per_step", "2"],
@@ -143,6 +146,12 @@ def outcomes(tmp: str):
                         ["--experiment", experiment, "--solver.name", solver,
                          "--T", str(T), "--d", str(d), "--seed", SEED]
                     )
+    for experiment, T, d in LARGE_D_RUNS:
+        for solver in ("subgrad", "steepest"):
+            yield run(
+                ["--experiment", experiment, "--solver.name", solver,
+                 "--T", str(T), "--d", str(d), "--seed", SEED]
+            )
     for solver, params in RANDOMIZED_SOLVERS.items():
         yield run(
             ["--experiment", "theorem1_randomized", "--solver.name", solver, *params,
@@ -189,8 +198,29 @@ def load() -> dict:
         return json.load(fh)
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per entry that ``new`` adds to, removes from or moves against
+    ``old`` (two manifests' entries), naming the fields that moved."""
+    lines = [f"removed: {name}" for name in old if name not in new]
+    for name, entry in new.items():
+        if name not in old:
+            lines.append(f"added: {name}")
+            continue
+        moved = [key for key in ("exit", "error", "verdicts", "sha256") if entry.get(key) != old[name].get(key)]
+        if moved:
+            lines.append(f"moved ({', '.join(moved)}): {name}")
+    return lines
+
+
 if __name__ == "__main__":
+    try:
+        previous = load()
+    except FileNotFoundError:
+        previous = {"fingerprint": None, "entries": {}}
     manifest = build()
     with open(MANIFEST_PATH, "w") as fh:
         fh.write(render(manifest))
+    if manifest["fingerprint"] != previous["fingerprint"]:
+        print(f"fingerprint: {previous['fingerprint']} -> {manifest['fingerprint']}")
+    print("\n".join(changes(previous["entries"], manifest["entries"])) or "no entry moved")
     print(f"wrote {len(manifest['entries'])} entries to {MANIFEST_PATH}")

@@ -373,6 +373,19 @@ def test_rotation_rows_stay_orthonormal_at_the_largest_budget(descriptor):
         )
 
 
+@pytest.mark.parametrize("solver", [subgradient_method, steepest_descent_exact])
+@pytest.mark.parametrize("T", [5, 10, 15, 19])
+@pytest.mark.parametrize("factor", [2, 4])
+def test_span_solvers_lazy_frame_is_the_leading_identity_rows(solver, T, factor):
+    # a span solver's queries stay on the axes already chosen, so every
+    # extension picks the next axis exactly and the game's bits never rest on
+    # how the extension rounds
+    d = factor * T
+    rb = RotationBuilder(base=HardQuadratic(T=T, d=d))
+    play(solver(), rotation_oracle(rb), T=T, d=d)
+    assert np.array_equal(rb.frame.matrix(), np.eye(d)[:T])
+
+
 # ---------------------------------------------------------------------------
 # channel adversary
 # ---------------------------------------------------------------------------

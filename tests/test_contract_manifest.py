@@ -36,3 +36,22 @@ def test_manifest_digests_hold(manifest, entries):
         pytest.skip(f"verdicts compared, digests not: build {found}, manifest {recorded}")
     moved = [name for name, entry in entries.items() if entry != manifest["entries"].get(name)]
     assert not moved
+
+
+def test_changes_name_each_added_removed_or_moved_entry():
+    old = {
+        "kept": {"exit": 0, "error": None, "sha256": "a"},
+        "gone": {"exit": 0, "error": None, "sha256": "b"},
+        "moved": {"exit": 0, "error": None, "verdicts": [["AC1", "x", True]], "sha256": "c"},
+    }
+    new = {
+        "kept": old["kept"],
+        "moved": {"exit": 1, "error": None, "verdicts": [["AC1", "x", False]], "sha256": "d"},
+        "new": {"exit": 2, "error": "ConfigError", "sha256": "e"},
+    }
+    assert contract_manifest.changes(old, new) == [
+        "removed: gone",
+        "moved (exit, verdicts, sha256): moved",
+        "added: new",
+    ]
+    assert contract_manifest.changes(new, new) == []

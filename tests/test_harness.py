@@ -212,6 +212,15 @@ def test_det_lower_bound_small():
     assert max(report.records["reply_relative_errors"]) <= 1e-12
 
 
+@pytest.mark.parametrize("experiment", ["det_lower_bound", "theorem1"])
+def test_lower_bounds_pass_every_verdict_at_large_d(experiment):
+    # d = 1000 is far past the manifest grid's d <= 4T; the rotation's and
+    # the carve's extensions cost O(T d) each here, so this stays quick
+    cfg = ExperimentConfig(experiment=experiment, T=19, d=1000)
+    report = run_experiment(cfg)
+    assert report.verdicts and report.all_passed
+
+
 def test_theorem1_small_end_to_end():
     cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "T": 5}).validate()
     report = run_experiment(cfg)

@@ -405,3 +405,44 @@ def test_jsonl_with_a_non_boolean_flag_is_rejected(flag):
     line = f'{{"index": 1, "query": [0.0], "value": 0.0, "subgrad": [1.0], "differentiable": {flag}}}'
     with pytest.raises(DegenerateInputError, match="true or false"):
         Transcript.from_jsonl(line)
+
+
+JSONL_ROW = {"index": 1, "query": [0.0, 1.0], "value": 0.5, "subgrad": [1.0, 0.0], "differentiable": True}
+
+
+def _row_two(**fields):
+    """A two-row document whose second row is row 1 with ``fields`` changed;
+    a field given as ``...`` is left out."""
+    second = {**JSONL_ROW, "index": 2, **fields}
+    return json.dumps(JSONL_ROW) + "\n" + json.dumps({k: v for k, v in second.items() if v is not ...})
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        (_row_two(query=...), DegenerateInputError, "row 2 has no 'query'"),
+        (_row_two(value=...), DegenerateInputError, "row 2 has no 'value'"),
+        (_row_two(subgrad=...), DegenerateInputError, "row 2 has no 'subgrad'"),
+        (_row_two(differentiable=...), DegenerateInputError, "row 2 has no 'differentiable'"),
+        (json.dumps(JSONL_ROW) + "\n[1, 2]", DegenerateInputError, "row 2 is not an object"),
+        ("[1, 2]", DegenerateInputError, "row 1 is not an object"),
+        (json.dumps({**JSONL_ROW, "query": 5}), DimensionMismatchError, "query of transcript row 1"),
+        (_row_two(query=5), DimensionMismatchError, r"query of transcript row 2 has shape \(\)"),
+        (_row_two(value="a"), DegenerateInputError, "value of transcript row 2 does not read"),
+        (_row_two(value=[1.0]), DimensionMismatchError, "value of transcript row 2 has shape"),
+        (_row_two(subgrad=[1.0, "x"]), DegenerateInputError, "subgrad of transcript row 2"),
+        (
+            json.dumps({**JSONL_ROW, "subgrad": [1.0, 0.0, 0.0]}),
+            DimensionMismatchError,
+            r"subgrad of transcript row 1 has shape \(3,\), not \(2,\)",
+        ),
+    ],
+    ids=[
+        "no-query", "no-value", "no-subgrad", "no-flag", "list-row-2", "list-row-1",
+        "number-query-row-1", "number-query-row-2", "string-value", "list-value",
+        "string-subgrad-entry", "long-subgrad",
+    ],
+)
+def test_jsonl_with_a_malformed_row_names_its_field_and_row(text, error, message):
+    with pytest.raises(error, match=message):
+        Transcript.from_jsonl(text)

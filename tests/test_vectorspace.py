@@ -212,6 +212,21 @@ def test_extend_orthonormal_matches_the_loop_reference():
         assert np.abs(u - expected).max() <= 1e-13 * np.sqrt(d)
 
 
+@pytest.mark.parametrize("residual,axis", [(0.4e-6, 1), (0.9e-6, 1), (1.1e-6, 0), (3e-6, 0)])
+def test_extend_orthonormal_at_the_candidate_tolerance(residual, axis):
+    # e_0's residual against the frame is `residual`: an axis is taken when
+    # its residual exceeds the tolerance, though its score 1 - sum Q_k0^2 is
+    # the difference of two numbers within 1e-11 of each other
+    d = 5
+    frame = OrthonormalFrame(d)
+    frame.append([np.sqrt(1.0 - residual**2), residual, 0.0, 0.0, 0.0])
+    frame.append([0.0, 0.0, 1.0, 0.0, 0.0])
+    u = extend_orthonormal(frame)
+    assert np.argmax(np.abs(u) > CANDIDATE_RESIDUAL_TOL) == axis
+    expected = reference_extend_orthonormal(list(frame.matrix()), [], d)
+    assert np.abs(u - expected).max() <= 1e-13 * np.sqrt(d)
+
+
 def test_derive_stream_reproducible_and_role_separated():
     a = derive_stream(42, "algorithm").standard_normal(4)
     b = derive_stream(42, "algorithm").standard_normal(4)
