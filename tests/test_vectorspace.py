@@ -49,6 +49,29 @@ def test_frame_append_checks_unit_and_orthogonal():
     assert fr.matrix().shape == (2, 3)
 
 
+def test_frame_from_rows_checks_the_gram_matrix_once():
+    rows = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 3)))[0].T
+    frame = OrthonormalFrame.from_rows(rows)
+    assert (frame.dim, len(frame)) == (6, 3) and np.array_equal(frame.matrix(), rows)
+    assert len(OrthonormalFrame.from_rows(np.empty((0, 4)))) == 0
+    for bad in (rows * (1.0 + 1e-6), np.vstack([rows, rows[:1]]), np.full((1, 6), np.nan)):
+        with pytest.raises(DegenerateInputError):
+            OrthonormalFrame.from_rows(bad)
+    with pytest.raises(DimensionMismatchError):
+        OrthonormalFrame.from_rows(rows[0])
+
+
+def test_frame_append_orthogonal_checks_only_the_unit_norm():
+    fr = OrthonormalFrame(3)
+    fr.append_orthogonal([1.0, 0.0, 0.0])
+    with pytest.raises(DegenerateInputError):
+        fr.append_orthogonal([0.0, 2.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        fr.append_orthogonal([0.0, 1.0])
+    fr.append_orthogonal([0.0, 1.0, 0.0])
+    assert np.array_equal(fr.matrix(), np.eye(3)[:2])
+
+
 def test_project_out_removes_span_component():
     fr = OrthonormalFrame(4)
     fr.append([1.0, 0.0, 0.0, 0.0])
