@@ -38,7 +38,6 @@ from nearstat.oracle_game import (
     validate_span,
 )
 from nearstat.vectorspace import (
-    AVOID_DROP_TOL,
     OrthonormalFrame,
     extend_orthonormal,
     row_norms,
@@ -221,8 +220,8 @@ class RotationBuilder:
     Row u_t is selected orthogonal to u_1..u_{t-1} and to every query up to
     and including x_t, so all chain terms involving unselected rows vanish and
     the oracle never has to represent them.  ``constraints`` is an orthonormal
-    basis of span(u_1.., x_1..) kept between queries.  Needs d >= 2T for the
-    selections to exist.
+    basis of span(u_1.., x_1..) kept between queries: at most one row per query
+    and one per selection, 2T in all.  Needs d >= 2T for the selections to exist.
     """
 
     base: HardQuadratic
@@ -232,8 +231,8 @@ class RotationBuilder:
     def __post_init__(self):
         if self.base.d < 2 * self.base.T:
             raise DegenerateInputError("rotation construction needs d >= 2T")
-        self.frame = OrthonormalFrame(self.base.d)
-        self.constraints = OrthonormalFrame(self.base.d)
+        self.frame = OrthonormalFrame(self.base.d, self.base.T)
+        self.constraints = OrthonormalFrame(self.base.d, 2 * self.base.T)
 
     def eval_batch(self, X: np.ndarray):
         """The rows of X in order, each choosing its rotation row; a block
@@ -244,7 +243,7 @@ class RotationBuilder:
             raise BudgetExhaustedError("rotation oracle answers at most T queries")
         values, grads = np.empty(len(X)), np.empty(X.shape)
         for t, x in enumerate(X):
-            self.constraints.absorb(x, AVOID_DROP_TOL)
+            self.constraints.absorb(x)
             # extend_orthonormal has checked u against every constraint, the
             # frame's rows among them, so the frame checks only its unit norm
             u = extend_orthonormal(self.constraints)

@@ -19,8 +19,8 @@ from nearstat.errors import (
 
 # Residual below which a candidate direction counts as already spanned.
 CANDIDATE_RESIDUAL_TOL = 1e-6
-# An avoid vector whose residual against the constraints is at most this,
-# relative to max(1, its norm), adds no constraint.
+# A vector whose residual against a frame is at most this, relative to
+# max(1, its norm), adds no row when absorbed.
 AVOID_DROP_TOL = 1e-12
 # numpy adds the squares of a row shorter than this left to right; from 8 on
 # its pairwise sum keeps 8 accumulators, so only narrower rows can be summed
@@ -84,17 +84,19 @@ def orthogonal_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class OrthonormalFrame:
-    """A growing set of mutually orthonormal vectors in a fixed dimension.
+    """Mutually orthonormal vectors in a fixed dimension, at most ``capacity`` of them.
 
-    The vectors are the leading rows of one preallocated ``(dim, dim)`` array,
-    so the frame matrix is a view and never re-stacked.
+    The vectors are the leading rows of one preallocated ``(capacity, dim)``
+    array, so the frame matrix is a view and never re-stacked.  Each caller
+    knows how many rows it will add and sizes the frame to that; there is no
+    growth path.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, capacity: int):
         if dim < 1:
             raise DegenerateInputError("frame dimension must be >= 1")
         self.dim = int(dim)
-        self._rows = np.zeros((self.dim, self.dim))
+        self._rows = np.zeros((capacity, self.dim))
         self._count = 0
 
     def __len__(self) -> int:
@@ -106,46 +108,30 @@ class OrthonormalFrame:
         view.flags.writeable = False
         return view
 
-    def copy(self) -> "OrthonormalFrame":
-        other = OrthonormalFrame(self.dim)
-        other._rows[: self._count] = self._rows[: self._count]
-        other._count = self._count
-        return other
-
     @classmethod
     def from_rows(cls, rows) -> "OrthonormalFrame":
-        """A frame of the rows of a 2-d array, checked once: their Gram matrix
-        must be the identity within the frame tolerance."""
+        """A full frame of the rows of a 2-d array, checked once: their Gram
+        matrix must be the identity within the frame tolerance."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise DimensionMismatchError(f"frame rows need a 2-d array, got shape {rows.shape}")
-        frame = cls(rows.shape[1])
+        frame = cls(rows.shape[1], len(rows))
         gap = np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0)
         if not gap <= frame_tolerance(frame.dim):  # a NaN gap fails too
             raise DegenerateInputError(f"frame rows are not orthonormal: Gram gap {gap:.3e}")
-        frame._rows[: len(rows)] = rows
+        frame._rows[:] = rows
         frame._count = len(rows)
         return frame
-
-    def append(self, v) -> None:
-        """Add a vector after checking unit norm and orthogonality to the frame."""
-        v = self._unit(v)
-        if self._count and np.abs(self.matrix() @ v).max() > frame_tolerance(self.dim):
-            raise DegenerateInputError("frame vector breaks orthogonality")
-        self._store(v)
 
     def append_orthogonal(self, v) -> None:
         """Add a vector the caller has checked against every frame row; only
         its dimension and unit norm are checked here."""
-        self._store(self._unit(v))
-
-    def _unit(self, v) -> np.ndarray:
         v = as_vector(v)
         if v.shape != (self.dim,):
             raise DimensionMismatchError(f"expected dimension {self.dim}, got {v.shape}")
         if abs(np.linalg.norm(v) - 1.0) > frame_tolerance(self.dim):
             raise DegenerateInputError("frame vector is not unit norm")
-        return v
+        self._store(v)
 
     def _store(self, v: np.ndarray) -> None:
         """Add a vector already known to be unit and orthogonal to the frame."""
@@ -156,50 +142,38 @@ class OrthonormalFrame:
         """Component of ``v`` (a vector, or vectors as columns) orthogonal to the frame."""
         return orthogonal_residual(self.matrix(), np.asarray(v, dtype=float))
 
-    def absorb(self, v: np.ndarray, drop_tol: float) -> None:
+    def absorb(self, v: np.ndarray) -> None:
         """Extend the frame by the normalized residual of ``v``, unless already spanned.
 
-        ``v`` counts as spanned when its residual is at most ``drop_tol`` times
-        ``max(1, ||v||)``, or when the frame already fills the space.
+        ``v`` counts as spanned when its residual is at most ``AVOID_DROP_TOL``
+        times ``max(1, ||v||)``, or when the frame already fills the space.
         """
         if self._count == self.dim:
             return
         r = self.project_out(v)
         rn = np.linalg.norm(r)
-        if rn > drop_tol * max(1.0, np.linalg.norm(v)):
+        if rn > AVOID_DROP_TOL * max(1.0, np.linalg.norm(v)):
             self._store(r / rn)
 
 
-def extend_orthonormal(frame: OrthonormalFrame | None, avoid=(), dim: int | None = None) -> np.ndarray:
-    """Deterministically pick a unit vector orthogonal to a frame and an avoid set.
+def extend_orthonormal(frame: OrthonormalFrame) -> np.ndarray:
+    """Deterministically pick a unit vector orthogonal to every row of a frame.
 
+    A caller with vectors to avoid absorbs them into the frame first.
     Candidates are the standard basis vectors in index order; the first whose
-    residual against span(frame + avoid) exceeds ``CANDIDATE_RESIDUAL_TOL`` is
+    residual against span(frame) exceeds ``CANDIDATE_RESIDUAL_TOL`` is
     orthonormalized and returned.  All d axes are scored in one O(k d) pass
-    from the k constraint rows Q: ||(I - Q^T Q) e_j||^2 = 1 - sum_k Q_kj^2.
+    from the k frame rows Q: ||(I - Q^T Q) e_j||^2 = 1 - sum_k Q_kj^2.
     Only the axes whose score clears (tol/2)^2, a margin far above that
     formula's roundoff for a frame orthonormal to working precision, are
     tried in index order, each by its CGS2 residual; the first whose norm
     exceeds tol is taken.  No d x d array is formed.  Requires strictly fewer
-    constraints than the ambient dimension.
+    frame rows than the ambient dimension.
     """
-    if frame is None:
-        if dim is None:
-            raise DegenerateInputError("need a frame or an explicit dimension")
-        frame = OrthonormalFrame(dim)
     d = frame.dim
-    avoid = [as_vector(a) for a in avoid]
-    for a in avoid:
-        if a.shape != (d,):
-            raise DimensionMismatchError(f"avoid vector has dimension {a.shape}, expected {d}")
-    if len(frame) + len(avoid) >= d:
-        raise DegenerateInputError(
-            f"constraint count {len(frame) + len(avoid)} >= dimension {d}"
-        )
-    constraints = frame.copy() if avoid else frame
-    for a in avoid:
-        constraints.absorb(a, AVOID_DROP_TOL)
-    Q = constraints.matrix()
+    if len(frame) >= d:
+        raise DegenerateInputError(f"constraint count {len(frame)} >= dimension {d}")
+    Q = frame.matrix()
     scores = 1.0 - np.einsum("kj,kj->j", Q, Q)
     for j in np.flatnonzero(scores > (CANDIDATE_RESIDUAL_TOL / 2) ** 2):
         r = orthogonal_residual(Q, np.eye(1, d, j)[0])

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from nearstat.errors import ConfigError, DegenerateInputError, DimensionMismatchError, count, number
-from nearstat.vectorspace import as_vector, row_norms
+from nearstat.vectorspace import OrthonormalFrame, as_vector, row_norms
 
 # Absolute tolerance on the defining equalities of nondifferentiable regions.
 REGION_TOL = 1e-12
@@ -468,17 +468,22 @@ def _map_fields(m: AffineMap) -> dict:
 
 
 def _field(doc, name: str, convert, where: str = "function document"):
-    """``convert(name, doc[name])``; a missing or ill-typed field is a ConfigError naming it."""
+    """``convert(name, doc[name])``; a missing, ill-typed or out-of-range field is a
+    ConfigError naming it."""
     if not isinstance(doc, dict) or name not in doc:
         raise ConfigError(f"{where} must be a JSON object with a {name!r} field")
     try:
         return convert(name, doc[name])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} field {name!r} is ill-typed: {exc}") from exc
+        raise ConfigError(f"{where} field {name!r} is invalid: {exc}") from exc
 
 
 def _real(name: str, value) -> float:
-    return float(number(name, value))
+    """A finite number: JSON readers accept NaN and the infinities, no instance does."""
+    value = float(number(name, value))
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return value
 
 
 def json_vector(name: str, value) -> np.ndarray:
@@ -491,6 +496,16 @@ def json_vector(name: str, value) -> np.ndarray:
     return as_vector(value)
 
 
+def _frame_rows(name: str, value, shape: tuple[int, int]) -> np.ndarray:
+    """Rows read as vectors are, of the given shape, that pass the frame's one Gram check."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of rows, not {type(value).__name__}")
+    rows = np.array([json_vector(name, row) for row in value])
+    if rows.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]} x {shape[1]}, not {rows.shape}")
+    return OrthonormalFrame.from_rows(rows).matrix()
+
+
 def _map_from_fields(doc: dict) -> AffineMap:
     from nearstat import adversaries
 
@@ -500,11 +515,18 @@ def _map_from_fields(doc: dict) -> AffineMap:
         return identity_map(x_star)
     T, d = _field(chain, "T", count, "chain"), _field(chain, "d", count, "chain")
     k = _field(chain, "k", _real, "chain")
-    m = adversaries.affine_map_from_parameters(T=T, d=d, rotation_frame=doc.get("rotation_frame"))
+    if not 2 <= T <= d:
+        raise ConfigError(f"chain fields 'T' and 'd' need 2 <= T <= d, not T = {T}, d = {d}")
+    if len(x_star) != d:
+        raise ConfigError(f"function document field 'x_star' has {len(x_star)} entries, d = {d}")
     if abs(k - adversaries.CHAIN_END_WEIGHT) > 1e-12:
-        raise DegenerateInputError("chain end weight in document does not match construction")
+        raise ConfigError(f"chain field 'k' is {k!r}, not {adversaries.CHAIN_END_WEIGHT!r}")
+    frame = doc.get("rotation_frame")
+    if frame is not None:
+        frame = _field(doc, "rotation_frame", lambda name, rows: _frame_rows(name, rows, (T, d)))
+    m = adversaries.affine_map_from_parameters(T=T, d=d, rotation_frame=frame)
     if not np.allclose(m.x_star, x_star, rtol=0.0, atol=1e-12):
-        raise DegenerateInputError("serialized x_star does not match chain parameters")
+        raise ConfigError("function document field 'x_star' does not match its chain and frame")
     return m
 
 

@@ -19,6 +19,8 @@ overwrites (its diff lists the same outputs).
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import itertools
@@ -54,12 +56,26 @@ CERTIFY_EPS = "0.25"
 _VOLATILE_LINE = re.compile(r"wrote .*|\([\w:]+, \d+\.\d\ds\)")
 
 
+def blas_kernel() -> str | None:
+    """The kernel the OpenBLAS bundled with numpy picked for this CPU when it
+    loaded (``OPENBLAS_CORETYPE`` overrides the pick), or None where numpy
+    bundles no OpenBLAS that names it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def fingerprint() -> dict:
-    """numpy's version, its BLAS and LAPACK, the machine and the SIMD targets
-    numpy dispatches to on this CPU (what ``np.show_runtime()`` lists as found):
-    what the digests rest on.  The same wheel picks other loops on a CPU with
-    other features, and some of those round differently.  numpy before 1.26
-    cannot name its BLAS, so its fingerprint matches no manifest."""
+    """numpy's version, its BLAS and LAPACK, the BLAS kernel, the machine and
+    the SIMD targets numpy dispatches to on this CPU (what ``np.show_runtime()``
+    lists as found): what the digests rest on.  The same wheel picks other
+    loops and BLAS kernels on a CPU with other features, and some of those
+    round differently.  numpy before 1.26 cannot name its BLAS, so its
+    fingerprint matches no manifest."""
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
         blas, lapack = deps["blas"]["name"], deps["lapack"]["name"]
@@ -71,7 +87,7 @@ def fingerprint() -> dict:
         simd = None
     else:
         simd = [target for target in __cpu_dispatch__ if __cpu_features__[target]]
-    return {"numpy": np.__version__, "blas": blas, "lapack": lapack,
+    return {"numpy": np.__version__, "blas": blas, "lapack": lapack, "blas_kernel": blas_kernel(),
             "machine": platform.machine(), "simd": simd}
 
 

@@ -32,10 +32,11 @@ from nearstat.errors import (
 )
 from nearstat.oracle_game import CLASS_DETERMINISTIC, AlgorithmDescriptor, QueryPolicy, play
 from nearstat.solvers import steepest_descent_exact, subgradient_method
-from nearstat.vectorspace import OrthonormalFrame, derive_stream, extend_orthonormal
+from nearstat.vectorspace import derive_stream
 from nearstat.zoo import ChannelInstance, NormDistance
 
 from test_envelope import ENVELOPE_PROFILE
+from test_vectorspace import reference_extend_orthonormal
 
 
 def dense_quadratic_matrix(T, d, dtype=float):
@@ -359,10 +360,7 @@ def test_rotation_rows_stay_orthonormal_at_the_largest_budget(descriptor):
     assert np.abs(C @ C.T - np.eye(len(C))).max() <= 1e-12
     # the kept constraint basis picks the rows a fresh extension per query picks
     for t in range(T):
-        earlier = OrthonormalFrame(d)
-        for row in U[:t]:
-            earlier.append(row)
-        u = extend_orthonormal(earlier, avoid=transcript.queries[: t + 1])
+        u = reference_extend_orthonormal(U[:t], transcript.queries[: t + 1], d)
         assert np.abs(U[t] - u).max() <= 1e-13 * np.sqrt(d)
     mat = rb.materialized_map()
     for x, reply in zip(transcript.queries, transcript.replies):  # det_lower_bound's AC2 error

@@ -1,6 +1,11 @@
 """Every command of the manifest grid still finds and outputs what
 ``contract_manifest.json`` records (see ``contract_manifest.py``)."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -55,3 +60,22 @@ def test_changes_name_each_added_removed_or_moved_entry():
         "added: new",
     ]
     assert contract_manifest.changes(new, new) == []
+
+
+def test_fingerprint_tells_blas_kernels_apart():
+    # OpenBLAS picks its kernel per process; under another kernel 148 of the
+    # manifest's digests move while numpy's SIMD targets stay the same
+    kernel = contract_manifest.blas_kernel()
+    if platform.machine() not in ("x86_64", "AMD64") or kernel is None:
+        pytest.skip(f"no OpenBLAS kernel name on this build ({platform.machine()}, {kernel})")
+    other = "Prescott" if kernel == "Haswell" else "Haswell"
+    tests = os.path.dirname(os.path.abspath(contract_manifest.__file__))
+    code = (
+        f"import json, sys; sys.path.insert(0, {tests!r}); import contract_manifest;"
+        " print(json.dumps(contract_manifest.fingerprint()))"
+    )
+    env = {**os.environ, "OPENBLAS_CORETYPE": other}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    found = json.loads(child.stdout)
+    assert found["blas_kernel"] == other and found != contract_manifest.fingerprint()

@@ -11,6 +11,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import shlex
 import tempfile
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nearstat import adversaries, cli, harness
+from nearstat import adversaries, cli, harness, zoo
 from nearstat.errors import ConfigError
 
 # deterministic and bounded, so tier-1 runs the same examples every time
@@ -167,6 +168,43 @@ REJECTED_CERTIFY = [
     """--function '{"kind": "channel", "w": [0.3, true]}' --point 0,0 --eps 0.5""",
     """--function '{"kind": "channel", "w": [0.3, "0.1"]}' --point 0,0 --eps 0.5""",
     """--function '{"kind": "channel", "w": [0.3, 0], "clamp": "-1"}' --point 0,0 --eps 0.5""",
+    # JSON readers take NaN and Infinity, which gave an oracle reply of NaNs
+    """--function '{"kind": "spiral", "delta": NaN}' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "spiral", "delta": Infinity}' --point 0.3,0.2 --eps 0.5""",
+]
+
+
+def composed(frame=None, chain=(), **fields) -> dict:
+    """The clamped channel composed with the chain map at T = 2, d = 4 over a
+    rotation ``frame``, as a document with ``chain`` entries and ``fields`` replaced."""
+    affine = adversaries.affine_map_from_parameters(2, 4, rotation_frame=frame)
+    channel = zoo.ChannelInstance(w=[0.0, 0.0, 0.3, 0.1], clamp=-1.0, affine=affine)
+    doc = zoo.instance_to_json(channel)
+    return {**doc, **fields, "chain": {**doc["chain"], **dict(chain)}}
+
+
+SWAP = [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+
+# A composed document's bad number or frame, and the field its refusal names.
+# Each certified (a non-finite clamp or k, a scaled frame with its x_star), or
+# exited 1 at evaluation or with the text of a constructor or of numpy.
+BAD_COMPOSED = [
+    (composed(clamp=math.nan), "clamp"),
+    (composed(clamp=math.inf), "clamp"),
+    (composed(clamp=-math.inf), "clamp"),
+    (composed(chain={"T": 0}), "T"),
+    (composed(chain={"T": 40}), "T"),
+    (composed(chain={"d": -3}), "d"),
+    (composed(chain={"k": 1.0}), "k"),
+    (composed(chain={"k": math.nan}), "k"),
+    (composed(x_star=composed()["x_star"][:2]), "x_star"),
+    (composed(x_star=[0.0, 0.0, 0.0, 0.0]), "x_star"),
+    (composed(frame=[[3.0 * v for v in row] for row in SWAP]), "rotation_frame"),
+    (composed(frame=SWAP, rotation_frame=SWAP[:1]), "rotation_frame"),
+]
+REJECTED_CERTIFY += [
+    f"--function {shlex.quote(json.dumps(doc))} --point 0,0,0,0 --eps 0.5"
+    for doc, _ in BAD_COMPOSED
 ]
 
 
@@ -175,6 +213,12 @@ def test_malformed_certify_input_exits_two(argv):
     code, out, err = run_cli(["certify", *shlex.split(argv)])
     assert code == 2 and out == "", (argv, err)
     assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("doc, field", BAD_COMPOSED)
+def test_bad_composed_document_names_its_field(doc, field):
+    with pytest.raises(ConfigError, match=repr(field)):
+        zoo.instance_from_json(doc)
 
 
 @functools.cache

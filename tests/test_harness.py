@@ -221,6 +221,19 @@ def test_lower_bounds_pass_every_verdict_at_large_d(experiment):
     assert report.verdicts and report.all_passed
 
 
+@pytest.mark.parametrize("experiment", ["det_lower_bound", "theorem1"])
+def test_lower_bound_memory_is_linear_in_d(experiment):
+    # each orthonormal frame holds the T or 2T rows its caller adds, so no
+    # d x d array is allocated: one (d, d) array alone is 32 MB at d = 2000
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentConfig(experiment=experiment, T=19, d=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000, peak
+
+
 def test_theorem1_small_end_to_end():
     cfg = ExperimentConfig.from_dict({"experiment": "theorem1", "T": 5}).validate()
     report = run_experiment(cfg)

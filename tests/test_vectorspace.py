@@ -35,20 +35,6 @@ def test_as_vector_coerces_and_rejects():
         as_vector([1.0, np.nan])
 
 
-def test_frame_append_checks_unit_and_orthogonal():
-    fr = OrthonormalFrame(3)
-    fr.append([1.0, 0.0, 0.0])
-    with pytest.raises(DegenerateInputError):
-        fr.append([2.0, 0.0, 0.0])
-    with pytest.raises(DegenerateInputError):
-        fr.append([1.0, 0.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
-        fr.append([1.0, 0.0])
-    fr.append([0.0, 1.0, 0.0])
-    assert len(fr) == 2
-    assert fr.matrix().shape == (2, 3)
-
-
 def test_frame_from_rows_checks_the_gram_matrix_once():
     rows = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 3)))[0].T
     frame = OrthonormalFrame.from_rows(rows)
@@ -62,7 +48,7 @@ def test_frame_from_rows_checks_the_gram_matrix_once():
 
 
 def test_frame_append_orthogonal_checks_only_the_unit_norm():
-    fr = OrthonormalFrame(3)
+    fr = OrthonormalFrame(3, 2)
     fr.append_orthogonal([1.0, 0.0, 0.0])
     with pytest.raises(DegenerateInputError):
         fr.append_orthogonal([0.0, 2.0, 0.0])
@@ -73,9 +59,7 @@ def test_frame_append_orthogonal_checks_only_the_unit_norm():
 
 
 def test_project_out_removes_span_component():
-    fr = OrthonormalFrame(4)
-    fr.append([1.0, 0.0, 0.0, 0.0])
-    fr.append([0.0, 1.0, 0.0, 0.0])
+    fr = OrthonormalFrame.from_rows(np.eye(4)[:2])
     r = fr.project_out(np.array([2.0, -3.0, 1.0, 0.5]))
     assert np.allclose(r, [0.0, 0.0, 1.0, 0.5], atol=1e-15)
 
@@ -84,9 +68,9 @@ def test_frame_absorb_drops_dependent_vectors():
     rng = np.random.default_rng(7)
     vs = [rng.normal(size=5) for _ in range(3)]
     vs.append(vs[0] + vs[1])  # dependent, must be skipped
-    fr = OrthonormalFrame(5)
+    fr = OrthonormalFrame(5, len(vs))
     for v in vs:
-        fr.absorb(v, 1e-12)
+        fr.absorb(v)
     assert len(fr) == 3
     Q = fr.matrix()
     assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
@@ -94,31 +78,39 @@ def test_frame_absorb_drops_dependent_vectors():
 
 
 def test_frame_matrix_is_a_read_only_view():
-    fr = OrthonormalFrame(3)
-    fr.append([0.0, 1.0, 0.0])
+    fr = OrthonormalFrame(3, 2)
+    fr.append_orthogonal([0.0, 1.0, 0.0])
     Q = fr.matrix()
     with pytest.raises(ValueError):
         Q[0, 0] = 1.0
-    fr.append([1.0, 0.0, 0.0])
+    fr.append_orthogonal([1.0, 0.0, 0.0])
     assert np.array_equal(fr.matrix(), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    copy = fr.copy()
-    copy.append([0.0, 0.0, 1.0])
-    assert len(fr) == 2 and len(copy) == 3
+
+
+def constraint_frame(d, rows=(), avoid=()):
+    """A frame of the orthonormal ``rows`` that has then absorbed ``avoid``: what
+    a caller with vectors to avoid hands to :func:`extend_orthonormal`."""
+    frame = OrthonormalFrame(d, len(rows) + len(avoid))
+    for row in rows:
+        frame.append_orthogonal(row)
+    for a in avoid:
+        frame.absorb(a)
+    return frame
 
 
 def test_extend_orthonormal_prefers_canonical_axes():
     d = 6
-    u = extend_orthonormal(None, dim=d)
+    u = extend_orthonormal(OrthonormalFrame(d, 0))
     assert np.array_equal(u, np.eye(d)[0])
-    u2 = extend_orthonormal(None, avoid=[np.eye(d)[0]], dim=d)
+    u2 = extend_orthonormal(constraint_frame(d, avoid=[np.eye(d)[0]]))
     assert np.array_equal(u2, np.eye(d)[1])
 
 
 def test_extend_orthonormal_is_deterministic():
     rng = np.random.default_rng(3)
     avoid = [rng.normal(size=8) for _ in range(3)]
-    a = extend_orthonormal(None, avoid=avoid, dim=8)
-    b = extend_orthonormal(None, avoid=avoid, dim=8)
+    a = extend_orthonormal(constraint_frame(8, avoid=avoid))
+    b = extend_orthonormal(constraint_frame(8, avoid=avoid))
     assert np.array_equal(a, b)
 
 
@@ -127,13 +119,13 @@ def test_extend_orthonormal_orthogonality_property(d):
     rng = np.random.default_rng(100 + d)
     for trial in range(50):
         k = int(rng.integers(0, d - 1))
-        fr = random_frame(rng, d, k)
+        rows = random_rows(rng, d, k)
         n_avoid = int(rng.integers(0, min(3, d - k)))
         avoid = [rng.normal(size=d) for _ in range(n_avoid)]
-        u = extend_orthonormal(fr, avoid=avoid, dim=d)
+        u = extend_orthonormal(constraint_frame(d, rows, avoid))
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         tol = frame_tolerance(d)
-        for v in fr.matrix():
+        for v in rows:
             assert abs(u @ v) <= tol
         for v in avoid:
             nv = np.linalg.norm(v)
@@ -142,32 +134,20 @@ def test_extend_orthonormal_orthogonality_property(d):
 
 
 def test_extend_orthonormal_full_frame_raises():
-    fr = OrthonormalFrame(3)
-    for e in np.eye(3):
-        fr.append(e)
-    with pytest.raises((DegenerateInputError, NoOrthogonalDirectionError)):
-        extend_orthonormal(fr)
+    with pytest.raises(DegenerateInputError):
+        extend_orthonormal(OrthonormalFrame.from_rows(np.eye(3)))
 
 
-def random_frame(rng, d, k, axes=False):
+def random_rows(rng, d, k, axes=False):
     """k orthonormal rows: random ones from a QR factor, or distinct standard axes."""
-    fr = OrthonormalFrame(d)
     if axes:
-        rows = np.eye(d)[np.sort(rng.choice(d, size=k, replace=False))]
-    else:
-        rows = np.linalg.qr(rng.normal(size=(d, k)))[0].T
-    for row in rows:
-        fr.append(row)
-    return fr
+        return np.eye(d)[np.sort(rng.choice(d, size=k, replace=False))]
+    return np.linalg.qr(rng.normal(size=(d, k)))[0].T
 
 
 def reference_extend_orthonormal(frame_rows, avoid, d):
-    """The per-vector Gram-Schmidt loop that the matrix kernel replaced."""
-    for a in avoid:
-        if a.shape != (d,):
-            raise DimensionMismatchError("avoid vector dimension")
-    if len(frame_rows) + len(avoid) >= d:
-        raise DegenerateInputError("too many constraints")
+    """The per-vector Gram-Schmidt loop that the matrix kernel replaced, run on
+    the frame rows with the avoid vectors absorbed after them."""
     basis = [np.array(u) for u in frame_rows]
 
     def project_out(v):
@@ -180,8 +160,10 @@ def reference_extend_orthonormal(frame_rows, avoid, d):
     for a in avoid:
         r = project_out(a)
         rn = np.linalg.norm(r)
-        if rn > 1e-12 * max(1.0, np.linalg.norm(a)):
+        if len(basis) < d and rn > 1e-12 * max(1.0, np.linalg.norm(a)):
             basis.append(r / rn)
+    if len(basis) >= d:  # the rows kept count, not the vectors absorbed
+        raise DegenerateInputError("too many constraints")
     for j in range(d):
         r = project_out(np.eye(d)[j])
         rn = np.linalg.norm(r)
@@ -214,18 +196,17 @@ def test_extend_orthonormal_matches_the_loop_reference():
     for trial in range(300):
         d = int(rng.integers(2, 81))
         k = int(rng.integers(0, d))
-        frame = random_frame(rng, d, k, axes=bool(trial % 2))
+        rows = random_rows(rng, d, k, axes=bool(trial % 2))
         avoid = random_avoid_set(rng, d, int(rng.integers(0, d - k + 2)))
-        if trial % 37 == 0:
-            avoid.append(np.ones(d + 1))
+        frame = constraint_frame(d, rows, avoid)
         try:
-            expected = reference_extend_orthonormal(list(frame.matrix()), avoid, d)
+            expected = reference_extend_orthonormal(rows, avoid, d)
         except Exception as exc:
             with pytest.raises(type(exc)):
-                extend_orthonormal(frame, avoid=avoid)
+                extend_orthonormal(frame)
             continue
         before = frame.matrix().copy()
-        u = extend_orthonormal(frame, avoid=avoid)
+        u = extend_orthonormal(frame)
         assert np.array_equal(frame.matrix(), before)  # the caller's frame is not extended
         # u = P e_j / |P e_j| for the chosen axis j, so u_j = |P e_j| is its
         # first entry above the candidate tolerance (|u_i| <= |P e_i| for i < j)
@@ -241,9 +222,9 @@ def test_extend_orthonormal_at_the_candidate_tolerance(residual, axis):
     # its residual exceeds the tolerance, though its score 1 - sum Q_k0^2 is
     # the difference of two numbers within 1e-11 of each other
     d = 5
-    frame = OrthonormalFrame(d)
-    frame.append([np.sqrt(1.0 - residual**2), residual, 0.0, 0.0, 0.0])
-    frame.append([0.0, 0.0, 1.0, 0.0, 0.0])
+    frame = OrthonormalFrame.from_rows(
+        [[np.sqrt(1.0 - residual**2), residual, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]]
+    )
     u = extend_orthonormal(frame)
     assert np.argmax(np.abs(u) > CANDIDATE_RESIDUAL_TOL) == axis
     expected = reference_extend_orthonormal(list(frame.matrix()), [], d)

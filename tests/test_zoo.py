@@ -661,6 +661,12 @@ def test_channel_rejects_zero_w():
         Warga(),
         ChannelInstance(w=[0.3, 0.0]),
         ChannelInstance(w=[0.1, -0.2, 0.05], clamp=-1.0),
+        ChannelInstance(w=[0.0, 0.3, 0.1], clamp=-1.0, affine=affine_map_from_parameters(2, 3)),
+        # a rotation frame is read through the frame's Gram check
+        ChannelInstance(
+            w=[0.0, 0.3, 0.1],
+            affine=affine_map_from_parameters(2, 3, rotation_frame=[[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]),
+        ),
     ],
 )
 def test_json_round_trip_evaluates_identically(obj):
@@ -695,6 +701,7 @@ def test_json_rejects_unknown_kind():
         ({}, "kind"),
         ({"kind": "spiral"}, "delta"),
         ({"kind": "spiral", "delta": None}, "delta"),
+        ({"kind": "spiral", "delta": math.nan}, "delta"),
         ({"kind": "channel"}, "w"),
         ({"kind": "channel", "w": "east"}, "w"),
         ({"kind": "channel", "w": [0.3, 0.0], "clamp": [1]}, "clamp"),
