@@ -185,9 +185,10 @@ def composed(frame=None, chain=(), **fields) -> dict:
 
 SWAP = [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
 
-# A composed document's bad number or frame, and the field its refusal names.
-# Each certified (a non-finite clamp or k, a scaled frame with its x_star), or
-# exited 1 at evaluation or with the text of a constructor or of numpy.
+# A composed document's bad number or frame, and the field its refusal names
+# (test_zoo checks the name).  Each certified (a non-finite clamp or k, a
+# scaled frame with its x_star), or exited 1 at evaluation or with the text of
+# a constructor or of numpy.
 BAD_COMPOSED = [
     (composed(clamp=math.nan), "clamp"),
     (composed(clamp=math.inf), "clamp"),
@@ -213,12 +214,6 @@ def test_malformed_certify_input_exits_two(argv):
     code, out, err = run_cli(["certify", *shlex.split(argv)])
     assert code == 2 and out == "", (argv, err)
     assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)
-
-
-@pytest.mark.parametrize("doc, field", BAD_COMPOSED)
-def test_bad_composed_document_names_its_field(doc, field):
-    with pytest.raises(ConfigError, match=repr(field)):
-        zoo.instance_from_json(doc)
 
 
 @functools.cache

@@ -38,7 +38,7 @@ from nearstat.zoo import (
     sqrt_oracle,
 )
 
-from test_envelope import ENVELOPE_PROFILE
+from test_envelope import BAD_COMPOSED, ENVELOPE_PROFILE
 
 
 def test_reply_coercion_and_finiteness():
@@ -708,6 +708,7 @@ def test_json_rejects_unknown_kind():
         ({"kind": "norm_distance"}, "x_star"),
         ({"kind": "channel_composed", "w": [0.3, 0.0], "x_star": [0, 0], "chain": [2]}, "T"),
         ({"kind": "norm_distance", "x_star": [0, 0], "chain": {"T": 2, "d": 2}}, "k"),
+        *BAD_COMPOSED,
     ],
 )
 def test_json_with_a_missing_or_ill_typed_field_names_it(doc, field):
