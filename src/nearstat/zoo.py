@@ -472,8 +472,14 @@ def _field(doc, name: str, convert, where: str = "function document"):
     ConfigError naming it."""
     if not isinstance(doc, dict) or name not in doc:
         raise ConfigError(f"{where} must be a JSON object with a {name!r} field")
+    return _named(name, lambda: convert(name, doc[name]), where)
+
+
+def _named(name: str, make, where: str = "function document"):
+    """``make()``; the TypeError or ValueError of a field's reader, or of the
+    constructor that checks it, is a ConfigError naming the field."""
     try:
-        return convert(name, doc[name])
+        return make()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} field {name!r} is invalid: {exc}") from exc
 
@@ -496,14 +502,11 @@ def json_vector(name: str, value) -> np.ndarray:
     return as_vector(value)
 
 
-def _frame_rows(name: str, value, shape: tuple[int, int]) -> np.ndarray:
-    """Rows read as vectors are, of the given shape, that pass the frame's one Gram check."""
+def _frame_rows(name: str, value) -> np.ndarray:
+    """Rows read as vectors are, that pass the frame's one Gram check."""
     if not isinstance(value, list):
         raise TypeError(f"{name} must be a list of rows, not {type(value).__name__}")
-    rows = np.array([json_vector(name, row) for row in value])
-    if rows.shape != shape:
-        raise ValueError(f"{name} must be {shape[0]} x {shape[1]}, not {rows.shape}")
-    return OrthonormalFrame.from_rows(rows).matrix()
+    return OrthonormalFrame.from_rows([json_vector(name, row) for row in value]).matrix()
 
 
 def _map_from_fields(doc: dict) -> AffineMap:
@@ -515,16 +518,19 @@ def _map_from_fields(doc: dict) -> AffineMap:
         return identity_map(x_star)
     T, d = _field(chain, "T", count, "chain"), _field(chain, "d", count, "chain")
     k = _field(chain, "k", _real, "chain")
-    if not 2 <= T <= d:
-        raise ConfigError(f"chain fields 'T' and 'd' need 2 <= T <= d, not T = {T}, d = {d}")
-    if len(x_star) != d:
-        raise ConfigError(f"function document field 'x_star' has {len(x_star)} entries, d = {d}")
     if abs(k - adversaries.CHAIN_END_WEIGHT) > 1e-12:
         raise ConfigError(f"chain field 'k' is {k!r}, not {adversaries.CHAIN_END_WEIGHT!r}")
+    # before anything of size d is built, so the document's own x_star bounds d
+    if len(x_star) != d:
+        raise ConfigError(f"function document field 'x_star' has {len(x_star)} entries, d = {d}")
+    hq = _named("chain", lambda: adversaries.HardQuadratic(T=T, d=d))
     frame = doc.get("rotation_frame")
     if frame is not None:
-        frame = _field(doc, "rotation_frame", lambda name, rows: _frame_rows(name, rows, (T, d)))
-    m = adversaries.affine_map_from_parameters(T=T, d=d, rotation_frame=frame)
+        frame = _field(doc, "rotation_frame", _frame_rows)
+    m = _named(
+        "rotation_frame",
+        lambda: adversaries.affine_map_from_parameters(T, d, rotation_frame=frame, hq=hq),
+    )
     if not np.allclose(m.x_star, x_star, rtol=0.0, atol=1e-12):
         raise ConfigError("function document field 'x_star' does not match its chain and frame")
     return m
@@ -536,7 +542,8 @@ def instance_from_json(doc: dict):
     numbers read as the config side reads them."""
     kind = _field(doc, "kind", lambda name, kind: kind)
     if kind in ("spiral", "spiral_extended"):
-        return Spiral(delta=_field(doc, "delta", _real), extended=(kind == "spiral_extended"))
+        delta = _field(doc, "delta", _real)
+        return _named("delta", lambda: Spiral(delta=delta, extended=(kind == "spiral_extended")))
     if kind == "warga":
         return Warga()
     if kind == "norm_distance":
@@ -545,10 +552,7 @@ def instance_from_json(doc: dict):
         w = _field(doc, "w", json_vector)
         clamp = None if doc.get("clamp") is None else _field(doc, "clamp", _real)
         affine = _map_from_fields(doc) if kind == "channel_composed" else None
-        try:
-            return ChannelInstance(w=w, clamp=clamp, affine=affine)
-        except DimensionMismatchError as exc:
-            raise ConfigError(f"function document field 'w' has the wrong length: {exc}") from exc
+        return _named("w", lambda: ChannelInstance(w=w, clamp=clamp, affine=affine))
     raise ConfigError(f"unknown function kind {kind!r}")
 
 

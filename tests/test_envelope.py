@@ -171,6 +171,9 @@ REJECTED_CERTIFY = [
     # JSON readers take NaN and Infinity, which gave an oracle reply of NaNs
     """--function '{"kind": "spiral", "delta": NaN}' --point 0.3,0.2 --eps 0.5""",
     """--function '{"kind": "spiral", "delta": Infinity}' --point 0.3,0.2 --eps 0.5""",
+    # a constructor's own check, once an exit 1
+    """--function '{"kind": "spiral", "delta": -1}' --point 0.3,0.2 --eps 0.5""",
+    """--function '{"kind": "channel", "w": [0, 0]}' --point 0,0 --eps 0.5""",
 ]
 
 
@@ -193,9 +196,9 @@ BAD_COMPOSED = [
     (composed(clamp=math.nan), "clamp"),
     (composed(clamp=math.inf), "clamp"),
     (composed(clamp=-math.inf), "clamp"),
-    (composed(chain={"T": 0}), "T"),
-    (composed(chain={"T": 40}), "T"),
-    (composed(chain={"d": -3}), "d"),
+    (composed(chain={"T": 0}), "chain"),
+    (composed(chain={"T": 40}), "chain"),
+    (composed(chain={"d": -3}), "x_star"),
     (composed(chain={"k": 1.0}), "k"),
     (composed(chain={"k": math.nan}), "k"),
     (composed(x_star=composed()["x_star"][:2]), "x_star"),
@@ -232,7 +235,7 @@ def adversary_document() -> str:
         ),
         # the carved w's first five entries are zero, which once named the wrong fault
         pytest.param(
-            lambda doc: {**doc, "w": doc["w"][:5]}, "0,0,0,0,0", "'w' has the wrong length",
+            lambda doc: {**doc, "w": doc["w"][:5]}, "0,0,0,0,0", "'w' is invalid: w has 5 entries",
             id="w-of-5",
         ),
         pytest.param(

@@ -702,6 +702,8 @@ def test_json_rejects_unknown_kind():
         ({"kind": "spiral"}, "delta"),
         ({"kind": "spiral", "delta": None}, "delta"),
         ({"kind": "spiral", "delta": math.nan}, "delta"),
+        ({"kind": "spiral", "delta": -1}, "delta"),
+        ({"kind": "channel", "w": [0, 0]}, "w"),
         ({"kind": "channel"}, "w"),
         ({"kind": "channel", "w": "east"}, "w"),
         ({"kind": "channel", "w": [0.3, 0.0], "clamp": [1]}, "clamp"),
