@@ -64,7 +64,7 @@ def blas_kernel() -> str | None:
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             return corename().decode()
     return None
 
