@@ -299,8 +299,8 @@ class ChannelAdversaryConfig:
                 f" the default ||w|| = exp(-T)/300 falls below {W_NORM_FLOOR:.0e}"
             )
         w_norm = number("w_norm", self.w_norm if self.w_norm is not None else default_w_norm(T))
-        if not W_NORM_FLOOR <= w_norm < math.inf:
-            raise DegenerateInputError(f"w_norm {w_norm!r} must be finite, >= {W_NORM_FLOOR:.0e}")
+        if w_norm < W_NORM_FLOOR:
+            raise DegenerateInputError(f"w_norm {w_norm!r} must be >= {W_NORM_FLOOR:.0e}")
         if self.mode == MODE_DETERMINISTIC:
             if d < 2 * T:
                 raise DegenerateInputError("deterministic mode needs d >= 2T")

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks that a parameter is a number."""
 
+import math
 import numbers
 
 
@@ -40,9 +41,12 @@ class ConfigError(ValueError):
 
 
 def number(name: str, value):
-    """``value`` if it is a real number, else a DegenerateInputError naming ``name``."""
+    """``value`` if it is a finite real number, else a DegenerateInputError naming
+    ``name``: JSON readers take NaN and the infinities, no parameter does."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DegenerateInputError(f"{name} must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise DegenerateInputError(f"{name} must be finite, not {value!r}")
     return value
 
 

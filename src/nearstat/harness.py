@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearstat import adversaries, solvers, stationarity, zoo
-from nearstat.errors import ClampRegionError, ConfigError, DegenerateInputError, count
+from nearstat.errors import (
+    ClampRegionError,
+    ConfigError,
+    DegenerateInputError,
+    DimensionMismatchError,
+    count,
+)
 from nearstat.oracle_game import (
     CLASS_RANDOMIZED,
     AlgorithmDescriptor,
@@ -81,10 +87,11 @@ def channel_streams(seed: int, acfg: adversaries.ChannelAdversaryConfig) -> dict
 
 @contextlib.contextmanager
 def _config_errors():
-    """Turn what a constructor raises on a bad parameter into a ConfigError."""
+    """Turn what a constructor or an argument check raises on a bad parameter into
+    a ConfigError; a DimensionMismatchError is a stencil offset of the wrong length."""
     try:
         yield
-    except (TypeError, DegenerateInputError) as exc:
+    except (TypeError, DegenerateInputError, DimensionMismatchError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -154,6 +161,8 @@ def resolve(
                 f" {AC7_MAX_FAILURE_FRACTION}"
             )
         cfg = dataclasses.replace(cfg, d=d)
+        if not isinstance(cfg.solver, dict):
+            raise ConfigError(f"solver must be a table of solver fields, not {cfg.solver!r}")
         descriptor = solvers.build_solver(**cfg.solver)
         descriptor.fresh_policy(d, derive_stream(cfg.seed, "algorithm"))
         if channel:
@@ -878,7 +887,8 @@ def certify_point(
     if not np.isfinite(x).all():
         raise ConfigError(f"--point has non-finite entries: {x.tolist()}")
     if notion == "eps":
-        _argument_check(stationarity.check_eps, eps)
+        with _config_errors():
+            stationarity.check_eps(eps)
         out = instance.eval_batch(as_vector(x)[None, :])
         reply = zoo.FirstOrderReply(out[0][0], out[1][0], bool(out[2][0]))  # rejects non-finite
         cert = stationarity.certify_eps_stationary(x, reply.subgrad, eps)
@@ -896,34 +906,17 @@ def certify_point(
         if delta is None:
             raise ConfigError("delta_eps certification needs --delta")
         if stencil is not None:
-            sampling = _stencil_offsets(stencil)
-            rng = None
+            if not isinstance(stencil, list):  # check_delta_eps reads an int as a count
+                raise ConfigError(f"--stencil must be a list of offsets, not {stencil!r}")
+            sampling, rng = stencil, None
         else:
             sampling = int(samples if samples is not None else 64)
             rng = derive_stream(seed, "certifier")
-        _argument_check(stationarity.check_delta_eps, len(x), delta, eps, sampling)
+        with _config_errors():
+            stationarity.check_delta_eps(len(x), delta, eps, sampling)
         cert = stationarity.certify_delta_eps(instance, x, delta, eps, sampling, rng_state=rng)
         return [cert.to_json()], cert.certified
     raise ConfigError(f"unknown stationarity notion {notion!r}")
-
-
-def _stencil_offsets(stencil) -> list[np.ndarray]:
-    """``--stencil`` as offsets, each read as a function document's vectors are."""
-    if not isinstance(stencil, list):
-        raise ConfigError(f"--stencil must be a list of offsets, not {stencil!r}")
-    try:
-        return [zoo.json_vector("offset", offset) for offset in stencil]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--stencil is ill-typed: {exc}") from exc
-
-
-def _argument_check(check, *args) -> None:
-    """``check(*args)``, one of stationarity's argument checks, with the fault it
-    finds raised as a ConfigError; a fault found while evaluating stays as it is."""
-    try:
-        check(*args)
-    except ValueError as exc:  # DegenerateInputError, DimensionMismatchError
-        raise ConfigError(str(exc)) from exc
 
 
 def build_adversary_files(cfg: ExperimentConfig) -> dict[str, str]:

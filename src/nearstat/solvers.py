@@ -12,6 +12,7 @@ config that named them.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -24,8 +25,8 @@ from nearstat.oracle_game import (
     AlgorithmDescriptor,
     QueryPolicy,
 )
-from nearstat.stationarity import min_norm_point
-from nearstat.vectorspace import ball_norm_limit, sample_ball_batch
+from nearstat.stationarity import min_norm_point, stencil_rows
+from nearstat.vectorspace import sample_ball_batch
 from nearstat.zoo import batch_oracle
 
 SCHEDULE_CONSTANT = "constant"
@@ -206,19 +207,10 @@ class _GoldsteinPolicy(QueryPolicy):
         self.schedule = schedule
         self.eps_stop = eps_stop
         self.rng = rng
-        self.stencil = None
-        if stencil is not None:
-            for off in stencil:
-                if off.shape != (d,):
-                    raise DegenerateInputError(
-                        f"stencil offset has shape {off.shape}, expected ({d},)"
-                    )
-            self.stencil = np.array(stencil).reshape(len(stencil), d)
-            self.round_size = 1 + len(stencil)
-        else:
-            if rng is None:
-                raise DegenerateInputError("ball sampling needs an rng")
-            self.round_size = 1 + samples_per_step
+        self.stencil = None if stencil is None else stencil_rows(stencil, d, delta)
+        if self.stencil is None and rng is None:
+            raise DegenerateInputError("ball sampling needs an rng")
+        self.round_size = 1 + (samples_per_step if self.stencil is None else len(self.stencil))
         self.center = np.zeros(d)
         self.pending = 0
         self.steps_done = 0
@@ -256,7 +248,8 @@ def goldstein_descent(
     stencil=None,
 ) -> AlgorithmDescriptor:
     """Each round samples ``samples_per_step`` points of the delta-ball (32 when
-    not given), or asks a fixed ``stencil`` of offsets, which takes no count."""
+    not given), or asks a fixed ``stencil`` of offsets, which takes no count;
+    its policy at d reads the stencil with :func:`~nearstat.stationarity.stencil_rows`."""
     if number("delta", delta) <= 0.0:
         raise DegenerateInputError("ball radius must be positive")
     if stencil is not None and samples_per_step is not None:
@@ -267,13 +260,6 @@ def goldstein_descent(
             raise DegenerateInputError("need at least one sample per step")
     if number("eps_stop", eps_stop) < 0.0:
         raise DegenerateInputError("stopping threshold must be nonnegative")
-    if stencil is not None:
-        stencil = [
-            np.array([number("stencil entry", v) for v in offset], dtype=float)
-            for offset in stencil
-        ]
-        if any(float(np.linalg.norm(offset)) > ball_norm_limit(delta) for offset in stencil):
-            raise DegenerateInputError("stencil offset outside the delta-ball")
     schedule = schedule if schedule is not None else StepSchedule()
     return AlgorithmDescriptor(
         name="goldstein",
@@ -292,16 +278,29 @@ SOLVERS = {
 }
 
 
-def build_solver(name: str, **params) -> AlgorithmDescriptor:
+def _from_table(where: str, make, table: dict):
+    """``make(**table)``, refusing first a field that ``make`` has no parameter
+    for and a parameter without a default that the table lacks."""
+    parameters = inspect.signature(make).parameters
+    for key in [*table, *parameters]:
+        if key not in parameters:
+            raise DegenerateInputError(f"{where} has no parameter {key!r}")
+        if key not in table and parameters[key].default is inspect.Parameter.empty:
+            raise DegenerateInputError(f"{where} needs a {key!r} field")
+    return make(**table)
+
+
+def build_solver(name: str | None = None, **params) -> AlgorithmDescriptor:
     """Construct a bundled solver by registry name.
 
     ``schedule`` may be passed as a dict of :class:`StepSchedule` fields.
     """
     if name not in SOLVERS:
-        raise DegenerateInputError(f"unknown solver {name!r}; choose from {sorted(SOLVERS)}")
+        what = "a solver table needs a 'name'" if name is None else f"unknown solver {name!r}"
+        raise DegenerateInputError(f"{what}; choose from {sorted(SOLVERS)}")
     schedule = params.get("schedule")
     if isinstance(schedule, dict):
-        params["schedule"] = StepSchedule(**schedule)
+        params["schedule"] = _from_table(f"solver {name!r} schedule", StepSchedule, schedule)
     elif schedule is not None and not isinstance(schedule, StepSchedule):
         raise DegenerateInputError(f"schedule {schedule!r} must be a table of step-size fields")
-    return SOLVERS[name](**params)
+    return _from_table(f"solver {name!r}", SOLVERS[name], params)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
+from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError, number
 from nearstat.vectorspace import as_vector, ball_norm_limit, row_norms, sample_ball_batch
 from nearstat.zoo import (
     CODE_CLAMP_ACTIVE,
@@ -305,6 +305,29 @@ def certify_eps_stationary(x, subgrad, eps: float) -> StationarityCertificate:
     )
 
 
+def stencil_rows(stencil, d: int, delta: float) -> np.ndarray:
+    """A stencil's offsets from a point of dimension d, as rows, each entry read
+    by :func:`~nearstat.errors.number`.  An empty stencil, an offset outside the
+    delta-ball and one of another length than d are refused; the first
+    offending offset decides the error."""
+    try:
+        rows = [[number("stencil entry", v) for v in offset] for offset in stencil]
+    except TypeError as exc:  # the stencil, or one of its offsets, is no sequence
+        raise TypeError(f"stencil must be a list of lists of numbers, not {stencil!r}") from exc
+    if not rows:
+        raise DegenerateInputError("stencil needs at least one offset")
+    # the ball check covers the offsets before the first one of the wrong length
+    fit = next((i for i, o in enumerate(rows) if len(o) != d), len(rows))
+    offsets = np.array(rows[:fit], dtype=float).reshape(fit, d)
+    if (row_norms(offsets) > ball_norm_limit(delta)).any():
+        raise DegenerateInputError(f"stencil offset outside the delta-ball of radius {delta!r}")
+    if fit < len(rows):
+        raise DimensionMismatchError(
+            f"stencil offset {fit} has length {len(rows[fit])}, not the point's {d}"
+        )
+    return offsets
+
+
 def check_delta_eps(d: int, delta: float, eps: float, sampling) -> np.ndarray | None:
     """Refuse a bad argument of :func:`certify_delta_eps` at a point of dimension
     d before anything is drawn or evaluated; returns the stencil's offsets as
@@ -316,20 +339,7 @@ def check_delta_eps(d: int, delta: float, eps: float, sampling) -> np.ndarray | 
         if sampling < 0:
             raise DegenerateInputError(f"samples must be nonnegative, not {sampling!r}")
         return None
-    stencil = [as_vector(o) for o in sampling]
-    if not stencil:
-        raise DegenerateInputError("stencil needs at least one offset")
-    # the first offending offset decides the error, so the ball check
-    # covers the offsets before the first one of the wrong shape
-    fit = next((i for i, o in enumerate(stencil) if o.shape != (d,)), len(stencil))
-    offsets = np.array(stencil[:fit]).reshape(fit, d)
-    if (row_norms(offsets) > ball_norm_limit(delta)).any():
-        raise DegenerateInputError(f"stencil offset outside the delta-ball of radius {delta!r}")
-    if fit < len(stencil):
-        raise DimensionMismatchError(
-            f"stencil offset {fit} has length {len(stencil[fit])}, not the point's {d}"
-        )
-    return offsets
+    return stencil_rows(sampling, d, delta)
 
 
 def certify_delta_eps(

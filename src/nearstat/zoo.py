@@ -484,14 +484,6 @@ def _named(name: str, make, where: str = "function document"):
         raise ConfigError(f"{where} field {name!r} is invalid: {exc}") from exc
 
 
-def _real(name: str, value) -> float:
-    """A finite number: JSON readers accept NaN and the infinities, no instance does."""
-    value = float(number(name, value))
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
-    return value
-
-
 def json_vector(name: str, value) -> np.ndarray:
     """A vector read from JSON: a list of numbers; ``true`` and strings are no numbers."""
     if not isinstance(value, list):
@@ -517,7 +509,7 @@ def _map_from_fields(doc: dict) -> AffineMap:
     if chain is None:
         return identity_map(x_star)
     T, d = _field(chain, "T", count, "chain"), _field(chain, "d", count, "chain")
-    k = _field(chain, "k", _real, "chain")
+    k = _field(chain, "k", number, "chain")
     if abs(k - adversaries.CHAIN_END_WEIGHT) > 1e-12:
         raise ConfigError(f"chain field 'k' is {k!r}, not {adversaries.CHAIN_END_WEIGHT!r}")
     # before anything of size d is built, so the document's own x_star bounds d
@@ -542,7 +534,7 @@ def instance_from_json(doc: dict):
     numbers read as the config side reads them."""
     kind = _field(doc, "kind", lambda name, kind: kind)
     if kind in ("spiral", "spiral_extended"):
-        delta = _field(doc, "delta", _real)
+        delta = _field(doc, "delta", number)
         return _named("delta", lambda: Spiral(delta=delta, extended=(kind == "spiral_extended")))
     if kind == "warga":
         return Warga()
@@ -550,7 +542,7 @@ def instance_from_json(doc: dict):
         return NormDistance(map=_map_from_fields(doc))
     if kind in ("channel", "channel_composed"):
         w = _field(doc, "w", json_vector)
-        clamp = None if doc.get("clamp") is None else _field(doc, "clamp", _real)
+        clamp = None if doc.get("clamp") is None else _field(doc, "clamp", number)
         affine = _map_from_fields(doc) if kind == "channel_composed" else None
         return _named("w", lambda: ChannelInstance(w=w, clamp=clamp, affine=affine))
     raise ConfigError(f"unknown function kind {kind!r}")

@@ -112,6 +112,21 @@ REJECTED = [
     "--experiment quad_lower_bound --T 2 --d 2 --solver.name goldstein --solver.delta 0.1"
     " --solver.stencil [[0.05,0],[0,0.05]] --solver.samples_per_step 0",
     "--experiment theorem1_randomized --T 5 --trials 0",
+    # no solver number is NaN or infinite, and a stencil has an offset
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1 --solver.stencil []",
+    "--experiment quad_lower_bound --T 2 --d 2 --solver.name goldstein --solver.delta 0.1"
+    " --solver.stencil [[NaN,0]]",
+    "--experiment quad_lower_bound --T 2 --d 2 --solver.name goldstein --solver.delta Infinity"
+    " --solver.stencil [[0.05,0]]",
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta NaN",
+    "--experiment quad_lower_bound --solver.name smoothed --solver.delta Infinity"
+    " --solver.samples_per_step 2",
+    "--experiment quad_lower_bound --solver.name subgrad --solver.schedule.scale NaN",
+    "--experiment quad_lower_bound --solver.name subgrad --solver.schedule.scale Infinity",
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
+    " --solver.eps_stop NaN",
+    "--experiment quad_lower_bound --solver.name goldstein --solver.delta 0.1"
+    " --solver.eps_stop Infinity",
 ]
 
 
@@ -267,6 +282,21 @@ def test_faulty_adversary_document_or_point_exits_two(mutate, point, message):
         (["run", "--T", "3", "stray"], "unexpected argument 'stray'"),
         (["adversary", "--T", "5", "stray"], "unexpected argument 'stray'"),
         (["figure-data", "--figure", "fig1", "--grid.nu", "1"], "at least 2 points per axis"),
+        # a faulty solver table is named by its table and field, not by a Python function
+        (
+            ["run", "--solver.name", "subgrad", "--solver.bogus", "1"],
+            "solver 'subgrad' has no parameter 'bogus'",
+        ),
+        (["run", "--solver.bogus", "1"], "a solver table needs a 'name'"),
+        (["run", "--solver", "3"], "solver must be a table of solver fields, not 3"),
+        (
+            ["run", "--solver.name", "subgrad", "--solver.schedule.bogus", "1"],
+            "solver 'subgrad' schedule has no parameter 'bogus'",
+        ),
+        (
+            ["run", "--solver.name", "smoothed", "--solver.delta", "0.1"],
+            "solver 'smoothed' needs a 'samples_per_step' field",
+        ),
     ],
 )
 def test_malformed_flags_exit_two_before_play(argv, message):

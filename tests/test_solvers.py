@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nearstat import solvers
-from nearstat.errors import DegenerateInputError, OracleFailure
+from nearstat.errors import DegenerateInputError, DimensionMismatchError, OracleFailure
 from nearstat.oracle_game import (
     CLASS_LINEAR_SPAN,
     CLASS_RANDOMIZED,
@@ -232,10 +232,11 @@ def test_goldstein_validation():
         goldstein_descent(delta=-1.0)
     with pytest.raises(DegenerateInputError):
         goldstein_descent(delta=0.1, eps_stop=-1e-3)
+    # a stencil is read where d is first known: when a game builds the policy
     with pytest.raises(DegenerateInputError, match="outside the delta-ball"):
-        goldstein_descent(delta=0.1, stencil=[[0.2, 0.0]])
+        goldstein_descent(delta=0.1, stencil=[[0.2, 0.0]]).fresh_policy(2, None)
     desc = goldstein_descent(delta=0.1, stencil=[[0.01, 0.0, 0.0]])
-    with pytest.raises(DegenerateInputError, match="expected"):
+    with pytest.raises(DimensionMismatchError, match="has length 3, not the point's 2"):
         desc.fresh_policy(2, None)
     for flag in ("delta", "eps_stop"):
         with pytest.raises(DegenerateInputError, match="must be a number"):
@@ -244,7 +245,7 @@ def test_goldstein_validation():
         with pytest.raises(DegenerateInputError, match="must be an integer"):
             goldstein_descent(delta=0.1, samples_per_step=count)
     with pytest.raises(DegenerateInputError, match="must be a number"):
-        goldstein_descent(delta=0.1, stencil=[[True, 0.0]])
+        goldstein_descent(delta=0.1, stencil=[[True, 0.0]]).fresh_policy(2, None)
     with pytest.raises(DegenerateInputError):
         goldstein_descent(delta=0.1).fresh_policy(2, None)  # sampling needs rng
     # a stencil fixes the round: a sample count beside it, even 0, is refused
