@@ -51,7 +51,7 @@ def number(name: str, value):
 
 
 def count(name: str, value) -> int:
-    """``value`` if it is an ``int``, else a DegenerateInputError: a float counts nothing."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` if it is an integer, else a DegenerateInputError: a float counts nothing."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DegenerateInputError(f"{name} must be an integer, not {value!r}")
     return value

@@ -28,6 +28,7 @@ from nearstat.errors import (
     DegenerateInputError,
     DimensionMismatchError,
     count,
+    number,
 )
 from nearstat.oracle_game import (
     CLASS_RANDOMIZED,
@@ -830,12 +831,13 @@ def figure_values(figure_id: str, points: np.ndarray) -> np.ndarray:
 def figure_csv(figure_id: str, grid: dict | None = None) -> str:
     if figure_id not in FIGURE_DEFAULTS:
         raise ConfigError(f"unknown figure id {figure_id!r}")
-    spec = dict(FIGURE_DEFAULTS[figure_id])
-    for key, val in (grid or {}).items():
-        if key not in spec:
-            raise ConfigError(f"unknown grid field {key!r}")
-        spec[key] = val
-    nu, nv = int(spec["nu"]), int(spec["nv"])
+    spec = {**FIGURE_DEFAULTS[figure_id], **(grid or {})}
+    with _config_errors():  # each field is read before any point is evaluated
+        for key, val in spec.items():
+            if key not in FIGURE_DEFAULTS[figure_id]:
+                raise ConfigError(f"unknown grid field {key!r}")
+            (count if key in ("nu", "nv") else number)(f"grid.{key}", val)
+    nu, nv = spec["nu"], spec["nv"]
     if nu < 2 or nv < 2:
         raise ConfigError("grid needs at least 2 points per axis")
     us = np.linspace(spec["umin"], spec["umax"], nu)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError, number
+from nearstat.errors import ClampRegionError, DegenerateInputError, DimensionMismatchError
+from nearstat.errors import count, number
 from nearstat.vectorspace import as_vector, ball_norm_limit, row_norms, sample_ball_batch
 from nearstat.zoo import (
     CODE_CLAMP_ACTIVE,
@@ -280,9 +281,9 @@ class StationarityCertificate:
 
 
 def check_eps(eps: float) -> None:
-    """Refuse a stationarity threshold that is negative or not finite."""
-    if not 0.0 <= eps < math.inf:  # NaN fails both comparisons
-        raise DegenerateInputError(f"eps must be finite and nonnegative, not {eps!r}")
+    """Refuse a stationarity threshold that is negative or no finite number."""
+    if number("eps", eps) < 0.0:
+        raise DegenerateInputError(f"eps must be nonnegative, not {eps!r}")
 
 
 def certify_eps_stationary(x, subgrad, eps: float) -> StationarityCertificate:
@@ -333,10 +334,10 @@ def check_delta_eps(d: int, delta: float, eps: float, sampling) -> np.ndarray | 
     d before anything is drawn or evaluated; returns the stencil's offsets as
     rows, or None when ``sampling`` is a sample count."""
     check_eps(eps)
-    if not 0.0 < delta < math.inf:
-        raise DegenerateInputError(f"delta must be finite and positive, not {delta!r}")
-    if isinstance(sampling, (int, np.integer)):
-        if sampling < 0:
+    if number("delta", delta) <= 0.0:
+        raise DegenerateInputError(f"delta must be positive, not {delta!r}")
+    if isinstance(sampling, (int, np.integer)):  # a bool too, which count refuses
+        if count("samples", sampling) < 0:
             raise DegenerateInputError(f"samples must be nonnegative, not {sampling!r}")
         return None
     return stencil_rows(sampling, d, delta)

@@ -485,13 +485,10 @@ def _named(name: str, make, where: str = "function document"):
 
 
 def json_vector(name: str, value) -> np.ndarray:
-    """A vector read from JSON: a list of numbers; ``true`` and strings are no numbers."""
+    """A vector read from JSON: a list whose entries :func:`number` reads."""
     if not isinstance(value, list):
         raise TypeError(f"{name} must be a list of numbers, not {type(value).__name__}")
-    for v in value:
-        if isinstance(v, (bool, str)):
-            raise TypeError(f"{name} entry must be a number, not {v!r}")
-    return as_vector(value)
+    return as_vector([number(f"{name} entry", v) for v in value])
 
 
 def _frame_rows(name: str, value) -> np.ndarray:
