@@ -42,6 +42,7 @@ from nearstat.vectorspace import (
     extend_orthonormal,
     row_norms,
     sample_sphere,
+    sample_sphere_batch,
 )
 from nearstat.zoo import AffineMap, ChannelInstance, NormDistance, _first_row, _rows
 
@@ -330,14 +331,19 @@ class DistanceGame:
     distances: np.ndarray
     directions: np.ndarray  # the unit rows M^(1/2)(x_t - x*)
 
-    def draw_w(self, cfg: ChannelAdversaryConfig, adversary_rng=None) -> np.ndarray:
+    def draw_w(self, cfg: ChannelAdversaryConfig, adversary_rng=None, count=None) -> np.ndarray:
         """w of norm ``cfg.w_norm``: carved in deterministic mode, drawn from the
-        sphere with ``adversary_rng`` in randomized mode."""
+        sphere with ``adversary_rng`` in randomized mode, where ``count`` asks for
+        that many draws as the rows of one sampler call.  Those rows, and the
+        stream after them, are the draws of ``count`` calls without it, unless a
+        row of norm zero (probability zero) is drawn again."""
         if cfg.mode == MODE_DETERMINISTIC:
             return cfg.w_norm * carve_direction(self.directions)
         if adversary_rng is None:
             raise DegenerateInputError("randomized_sphere mode needs an adversary rng")
-        return sample_sphere(self.base.dim, cfg.w_norm, adversary_rng)
+        if count is None:
+            return sample_sphere(self.base.dim, cfg.w_norm, adversary_rng)
+        return sample_sphere_batch(self.base.dim, cfg.w_norm, count, adversary_rng)
 
     def alignments(self, w: np.ndarray) -> np.ndarray:
         """The alignment of w with each mapped iterate direction."""

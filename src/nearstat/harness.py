@@ -397,12 +397,12 @@ def run_theorem1(cfg: ExperimentConfig, descriptor, acfg) -> dict:
 def run_theorem1_randomized(cfg: ExperimentConfig, descriptor, acfg) -> dict:
     streams = channel_streams(cfg.seed, acfg)
     max_alignments = []
-    game = None
-    for _ in range(cfg.trials):
+    game = adversaries.play_distance_game(descriptor, cfg.T, cfg.d, streams["algorithm"])
+    # every trial's w from one sampler call on the adversary stream, which no game reads
+    for trial, w in enumerate(game.draw_w(acfg, streams["adversary"], count=cfg.trials)):
         # a randomized solver's game consumes the algorithm stream: one per trial
-        if game is None or descriptor.class_tag == CLASS_RANDOMIZED:
+        if trial and descriptor.class_tag == CLASS_RANDOMIZED:
             game = adversaries.play_distance_game(descriptor, cfg.T, cfg.d, streams["algorithm"])
-        w = game.draw_w(acfg, streams["adversary"])
         max_alignments.append(float(game.alignments(w).max()))
     failures = sum(alignment >= 1.0 / 3.0 for alignment in max_alignments)
     fraction = failures / cfg.trials

@@ -89,7 +89,8 @@ class OrthonormalFrame:
     The vectors are the leading rows of one preallocated ``(capacity, dim)``
     array, so the frame matrix is a view and never re-stacked.  Each caller
     knows how many rows it will add and sizes the frame to that; there is no
-    growth path.
+    growth path.  ``gap`` is the largest entry of |Q Q^T - I| that
+    :meth:`from_rows` accepted; rows the frame normalized itself leave it 0.
     """
 
     def __init__(self, dim: int, capacity: int):
@@ -98,6 +99,7 @@ class OrthonormalFrame:
         self.dim = int(dim)
         self._rows = np.zeros((capacity, self.dim))
         self._count = 0
+        self.gap = 0.0
 
     def __len__(self) -> int:
         return self._count
@@ -121,6 +123,7 @@ class OrthonormalFrame:
             raise DegenerateInputError(f"frame rows are not orthonormal: Gram gap {gap:.3e}")
         frame._rows[:] = rows
         frame._count = len(rows)
+        frame.gap = float(gap)
         return frame
 
     def append_orthogonal(self, v) -> None:
@@ -164,18 +167,21 @@ def extend_orthonormal(frame: OrthonormalFrame) -> np.ndarray:
     residual against span(frame) exceeds ``CANDIDATE_RESIDUAL_TOL`` is
     orthonormalized and returned.  All d axes are scored in one O(k d) pass
     from the k frame rows Q: ||(I - Q^T Q) e_j||^2 = 1 - sum_k Q_kj^2.
-    Only the axes whose score clears (tol/2)^2, a margin far above that
-    formula's roundoff for a frame orthonormal to working precision, are
-    tried in index order, each by its CGS2 residual; the first whose norm
-    exceeds tol is taken.  No d x d array is formed.  Requires strictly fewer
-    frame rows than the ambient dimension.
+    That formula holds for orthonormal rows; for rows whose Gram matrix is
+    off the identity by the frame's ``gap`` it errs by up to about k * gap.
+    Only the axes whose score clears (tol/2)^2 - k * gap are tried, in index
+    order, each by its CGS2 residual: (tol/2)^2 is far above the formula's
+    roundoff, and k * gap covers its error.  The first axis whose residual
+    norm exceeds tol is taken.  No d x d array is formed.  Requires strictly
+    fewer frame rows than the ambient dimension.
     """
     d = frame.dim
     if len(frame) >= d:
         raise DegenerateInputError(f"constraint count {len(frame)} >= dimension {d}")
     Q = frame.matrix()
     scores = 1.0 - np.einsum("kj,kj->j", Q, Q)
-    for j in np.flatnonzero(scores > (CANDIDATE_RESIDUAL_TOL / 2) ** 2):
+    floor = (CANDIDATE_RESIDUAL_TOL / 2) ** 2 - len(frame) * frame.gap
+    for j in np.flatnonzero(scores > floor):
         r = orthogonal_residual(Q, np.eye(1, d, j)[0])
         norm = np.linalg.norm(r)
         if norm > CANDIDATE_RESIDUAL_TOL:

@@ -23,6 +23,7 @@ from nearstat.adversaries import (
     chain_tridiagonal,
     chain_value_grad,
     norm_distance_instance,
+    play_distance_game,
     rotation_oracle,
 )
 from nearstat.errors import (
@@ -436,6 +437,18 @@ def test_channel_adversary_randomized_alignment_is_small():
     )
     assert np.linalg.norm(instance.w) == pytest.approx(diag["w_norm"], rel=1e-12)
     assert diag["max_alignment"] < 1.0 / 3.0
+
+
+@pytest.mark.parametrize("d, count", [(200, 100), (103, 100), (76, 37)])
+def test_randomized_w_block_matches_one_draw_at_a_time(d, count):
+    # theorem1_randomized takes every trial's w as one block of rows
+    game = play_distance_game(subgradient_method(), 5, d)
+    cfg = ChannelAdversaryConfig(mode=MODE_RANDOMIZED, w_norm=0.01)
+    block_rng, one_rng = derive_stream(7, "adversary"), derive_stream(7, "adversary")
+    block = game.draw_w(cfg, block_rng, count=count)
+    one_at_a_time = np.array([game.draw_w(cfg, one_rng) for _ in range(count)])
+    assert block.tobytes() == one_at_a_time.tobytes()
+    assert block_rng.random() == one_rng.random()
 
 
 def test_channel_adversary_input_validation():

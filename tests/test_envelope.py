@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import shlex
 import tempfile
@@ -225,6 +226,16 @@ REJECTED_CERTIFY += [
     f"--function {shlex.quote(json.dumps(doc))} --point 0,0,0,0 --eps 0.5"
     for doc, _ in BAD_COMPOSED
 ]
+# a NaN vector entry of a document reads as a NaN stencil entry does
+NAN_ENTRY_CERTIFY = [
+    f"--function {shlex.quote(json.dumps(doc))} --point 0,0,0,0 --eps 0.5"
+    for doc in (
+        composed(w=[math.nan, 0.0, 0.3, 0.1]),
+        composed(x_star=[math.nan, *composed()["x_star"][1:]]),
+        composed(frame=SWAP, rotation_frame=[[math.nan, 1.0, 0.0, 0.0], SWAP[1]]),
+    )
+]
+REJECTED_CERTIFY += NAN_ENTRY_CERTIFY
 
 
 @pytest.mark.parametrize("argv", REJECTED_CERTIFY)
@@ -232,6 +243,126 @@ def test_malformed_certify_input_exits_two(argv):
     code, out, err = run_cli(["certify", *shlex.split(argv)])
     assert code == 2 and out == "", (argv, err)
     assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)
+    if argv in NAN_ENTRY_CERTIFY:
+        assert "entry must be finite, not nan" in err, err
+
+
+@contextlib.contextmanager
+def no_grid_points():
+    """Fail loudly if any point of a figure grid is evaluated."""
+    refuse = AssertionError("a grid point was evaluated for a grid outside the envelope")
+    with mock.patch.object(harness, "figure_values", side_effect=refuse):
+        yield
+
+
+# A grid bound that is no finite number, or a point count that is no integer:
+# each ended in a traceback, printed nan or inf rows, or ran a truncated grid.
+REJECTED_FIGURE = [
+    ("--grid.umin NaN", "grid.umin"),
+    ("--grid.umax Infinity", "grid.umax"),
+    ("--grid.vmin abc", "grid.vmin"),
+    ("--grid.nu 2.7", "grid.nu"),
+    ("--grid.nv 3.9", "grid.nv"),
+]
+
+
+@pytest.mark.parametrize("flags, field", REJECTED_FIGURE)
+def test_faulty_figure_grid_exits_two_naming_its_field(flags, field):
+    with no_grid_points():
+        code, out, err = run_cli(["figure-data", "--figure", "fig1", *shlex.split(flags)])
+    assert code == 2 and out == "", err
+    assert err.startswith("config error:") and field in err, err
+
+
+DROP = object()  # a mutation that deletes the key, or the list entry, it reaches
+NUMBER_FAULTS = (None, True, "1.5", math.nan, math.inf, -math.inf, [1.0])
+COUNT_FAULTS = (*NUMBER_FAULTS, 2.5)
+
+
+@functools.cache
+def valid_documents() -> dict:
+    """A valid function document of each shape, the point it is certified at,
+    and its fields: (path, reader, required); a vector's length is fixed by
+    the document's chain where it has one."""
+    norm = zoo.NormDistance(map=adversaries.affine_map_from_parameters(2, 4))
+    chain = [(("chain", key), reader, True) for key, reader in (("T", "count"), ("d", "count"))]
+    chain.append((("chain", "k"), "number", True))
+    return {
+        "spiral": ({"kind": "spiral", "delta": 1.0}, "0.3,0.2", [(("delta",), "number", True)]),
+        "channel": (
+            zoo.instance_to_json(zoo.ChannelInstance(w=[0.3, 0.0], clamp=-1.0)),
+            "0,0",
+            [(("w",), "entries", True), (("clamp",), "number", False)],
+        ),
+        "composed": (
+            composed(frame=SWAP),
+            "0,0,0,0",
+            [(("w",), "vector", True), (("clamp",), "number", False), (("x_star",), "vector", True)]
+            + chain
+            + [(("rotation_frame",), "frame", True)],
+        ),
+        "norm_distance": (zoo.instance_to_json(norm), "0,0,0,0", [(("x_star",), "vector", True)] + chain),
+    }
+
+
+def mutated(value, path: tuple, fault):
+    """A deep copy of ``value`` with the entry at ``path`` set to ``fault``, or deleted."""
+    value = json.loads(json.dumps(value))
+    node = value
+    for key in path[:-1]:
+        node = node[key]
+    if fault is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = fault
+    return value
+
+
+@st.composite
+def faulty_inputs(draw) -> tuple[list[str], str]:
+    """A ``certify`` of a valid function document, or a ``figure-data`` grid, with
+    one field made faulty; and the name its refusal must give."""
+    targets = [(None, key) for key in harness.FIGURE_DEFAULTS["fig1"]]
+    targets += [(kind, field) for kind, (_, _, fields) in valid_documents().items() for field in fields]
+    kind, field = draw(st.sampled_from(targets))
+    if kind is None:
+        faults = [*(COUNT_FAULTS if field in ("nu", "nv") else NUMBER_FAULTS), [1.0, 2.0], [[1.0]]]
+        fault = json.dumps(draw(st.sampled_from(faults)))
+        return ["figure-data", "--figure", "fig1", f"--grid.{field}", fault], f"grid.{field}"
+    doc, point, _ = valid_documents()[kind]
+    path, reader, required = field
+    if reader in ("number", "count"):
+        faults = [(path, f) for f in (COUNT_FAULTS if reader == "count" else NUMBER_FAULTS)]
+    else:  # a list: the whole of it, one of its rows or one entry
+        rows = functools.reduce(operator.getitem, path, doc)
+        i = draw(st.integers(0, len(rows) - 1))
+        faults = [(path, f) for f in (True, "1.5", math.nan, [rows])]
+        if reader == "frame":
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            faults += [(path + (i,), f) for f in (None, True, DROP)]
+            faults += [(path + (i, j), f) for f in NUMBER_FAULTS]
+        else:
+            faults += [(path, None), *((path + (i,), f) for f in NUMBER_FAULTS)]
+            if reader == "vector":  # a length the document's chain fixes
+                faults.append((path + (i,), DROP))
+    if not required:  # an optional number may be null
+        faults.remove((path, None))
+    elif reader != "frame":  # without its frame a document reads as unrotated
+        faults.append((path, DROP))
+    where, fault = draw(st.sampled_from(faults))
+    argv = ["--function", json.dumps(mutated(doc, where, fault)), "--point", point, "--eps", "0.5"]
+    return ["certify", *argv], repr(path[-1])
+
+
+@ENVELOPE_PROFILE
+@given(faulty_inputs())
+def test_a_faulty_document_or_grid_field_exits_two_naming_it(case):
+    argv, name = case
+    with no_grid_points():
+        code, out, err = run_cli(argv)
+    assert code == 2 and out == "", (argv, code, err)
+    assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)
+    assert name in err, (argv, err)
 
 
 @functools.cache

@@ -281,6 +281,32 @@ def test_eps_certifier_on_channel_origin():
         certify_eps_stationary([0.0, 0.0], subgrad, eps=-1.0)
 
 
+@pytest.mark.parametrize(
+    "certify, parameter",
+    [
+        pytest.param(
+            lambda f, rng: certify_eps_stationary(np.zeros(2), np.array([0.5, 0.0]), True),
+            "eps must be a number",
+            id="eps",
+        ),
+        pytest.param(
+            lambda f, rng: certify_delta_eps(f, np.zeros(2), True, 1.0, [[0.5, 0.0]]),
+            "delta must be a number",
+            id="delta",
+        ),
+        pytest.param(
+            lambda f, rng: certify_delta_eps(f, np.zeros(2), 0.1, 1.0, True, rng_state=rng),
+            "samples must be an integer",
+            id="samples",
+        ),
+    ],
+)
+def test_a_bool_is_no_threshold_and_no_sample_count(certify, parameter):
+    # each once ran: at eps = 1, at delta = 1, or with one sample
+    with pytest.raises(DegenerateInputError, match=f"{parameter}, not True"):
+        certify(Spiral(delta=0.05).eval, derive_stream(7, "certifier"))
+
+
 def test_delta_eps_stencil_certifies_spiral_origin():
     # gradients at (0, +delta) and (0, -delta) are (1, 0) and (-1, 0): their
     # hull contains the origin even though no single gradient is small

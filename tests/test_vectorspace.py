@@ -231,6 +231,18 @@ def test_extend_orthonormal_at_the_candidate_tolerance(residual, axis):
     assert np.abs(u - expected).max() <= 1e-13 * np.sqrt(d)
 
 
+def test_extend_orthonormal_takes_an_axis_of_rows_off_orthonormal():
+    # from_rows accepts a Gram gap of 1e-10 < frame_tolerance(3): e_0 then
+    # scores 1 - a^2 = -9.6e-11, though its residual 2e-6 is above the
+    # candidate tolerance, so the rule takes e_0, not e_1
+    a = np.sqrt(1.0 + 1e-10 - 4e-12)
+    frame = OrthonormalFrame.from_rows([[a, 0.0, 2e-6]])
+    u = extend_orthonormal(frame)
+    expected = reference_extend_orthonormal(list(frame.matrix()), [], 3)
+    assert np.abs(u - expected).max() <= 1e-9
+    assert np.abs(u - [2e-6, 0.0, -1.0]).max() <= 1e-9
+
+
 def test_derive_stream_reproducible_and_role_separated():
     a = derive_stream(42, "algorithm").standard_normal(4)
     b = derive_stream(42, "algorithm").standard_normal(4)
