@@ -912,7 +912,7 @@ def certify_point(
                 raise ConfigError(f"--stencil must be a list of offsets, not {stencil!r}")
             sampling, rng = stencil, None
         else:
-            sampling = int(samples if samples is not None else 64)
+            sampling = 64 if samples is None else samples
             rng = derive_stream(seed, "certifier")
         with _config_errors():
             stationarity.check_delta_eps(len(x), delta, eps, sampling)

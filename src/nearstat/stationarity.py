@@ -336,7 +336,7 @@ def check_delta_eps(d: int, delta: float, eps: float, sampling) -> np.ndarray | 
     check_eps(eps)
     if number("delta", delta) <= 0.0:
         raise DegenerateInputError(f"delta must be positive, not {delta!r}")
-    if isinstance(sampling, (int, np.integer)):  # a bool too, which count refuses
+    if np.isscalar(sampling):  # a sample count: count refuses True, 2.7 and "3"
         if count("samples", sampling) < 0:
             raise DegenerateInputError(f"samples must be nonnegative, not {sampling!r}")
         return None

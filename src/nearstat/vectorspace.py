@@ -123,7 +123,7 @@ class OrthonormalFrame:
             raise DegenerateInputError(f"frame rows are not orthonormal: Gram gap {gap:.3e}")
         frame._rows[:] = rows
         frame._count = len(rows)
-        frame.gap = float(gap)
+        frame.gap = gap
         return frame
 
     def append_orthogonal(self, v) -> None:

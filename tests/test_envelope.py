@@ -285,7 +285,7 @@ def valid_documents() -> dict:
     and its fields: (path, reader, required); a vector's length is fixed by
     the document's chain where it has one."""
     norm = zoo.NormDistance(map=adversaries.affine_map_from_parameters(2, 4))
-    chain = [(("chain", key), reader, True) for key, reader in (("T", "count"), ("d", "count"))]
+    chain = [(("chain", "T"), "count", True), (("chain", "d"), "count", True)]
     chain.append((("chain", "k"), "number", True))
     return {
         "spiral": ({"kind": "spiral", "delta": 1.0}, "0.3,0.2", [(("delta",), "number", True)]),
@@ -301,7 +301,9 @@ def valid_documents() -> dict:
             + chain
             + [(("rotation_frame",), "frame", True)],
         ),
-        "norm_distance": (zoo.instance_to_json(norm), "0,0,0,0", [(("x_star",), "vector", True)] + chain),
+        "norm_distance": (
+            zoo.instance_to_json(norm), "0,0,0,0", [(("x_star",), "vector", True)] + chain
+        ),
     }
 
 
@@ -323,7 +325,8 @@ def faulty_inputs(draw) -> tuple[list[str], str]:
     """A ``certify`` of a valid function document, or a ``figure-data`` grid, with
     one field made faulty; and the name its refusal must give."""
     targets = [(None, key) for key in harness.FIGURE_DEFAULTS["fig1"]]
-    targets += [(kind, field) for kind, (_, _, fields) in valid_documents().items() for field in fields]
+    for kind, (_, _, fields) in valid_documents().items():
+        targets += [(kind, field) for field in fields]
     kind, field = draw(st.sampled_from(targets))
     if kind is None:
         faults = [*(COUNT_FAULTS if field in ("nu", "nv") else NUMBER_FAULTS), [1.0, 2.0], [[1.0]]]
@@ -340,7 +343,7 @@ def faulty_inputs(draw) -> tuple[list[str], str]:
         if reader == "frame":
             j = draw(st.integers(0, len(rows[i]) - 1))
             faults += [(path + (i,), f) for f in (None, True, DROP)]
-            faults += [(path + (i, j), f) for f in NUMBER_FAULTS]
+            faults += [(path + (i, j), f) for f in (*NUMBER_FAULTS, DROP)]
         else:
             faults += [(path, None), *((path + (i,), f) for f in NUMBER_FAULTS)]
             if reader == "vector":  # a length the document's chain fixes

@@ -767,6 +767,14 @@ def test_certify_point_delta_eps():
         certify_point(doc, [0.0, 0.0], "sideways", eps=0.1)
 
 
+@pytest.mark.parametrize("samples", [2.7, True])
+def test_certify_point_reads_a_sample_count_by_the_count_rule(samples):
+    # each once ran: 2.7 as 2 samples, True as 1
+    doc = instance_to_json(Spiral(delta=0.05))
+    with pytest.raises(ConfigError, match=f"samples must be an integer, not {samples!r}"):
+        certify_point(doc, [0.0, 0.0], "delta_eps", eps=0.1, delta=0.05, samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # adversary persistence bundle
 # ---------------------------------------------------------------------------
